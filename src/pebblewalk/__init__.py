@@ -10,14 +10,12 @@ window schemas used in confinement arguments for small collectives.
 """
 
 from pebblewalk.lattice import (
-    Direction,
     Symmetry,
     Vertex,
     IDENTITY,
     X_REFLECTION,
     Y_REFLECTION,
     are_neighbors,
-    in_direction,
     neighbors,
     vertex,
     x_translation,

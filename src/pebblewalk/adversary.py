@@ -14,7 +14,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from pebblewalk.collective import (
     ChoiceContext,
@@ -24,12 +24,10 @@ from pebblewalk.collective import (
     StrategyFault,
     apply_choice,
     diameter_of,
-    find_isolated,
     plan_step,
     run,
 )
 from pebblewalk.lattice import Vertex
-from pebblewalk.machine import Automaton, MoveToSet, ObservationPattern, Pebble, Rule
 from pebblewalk.util import FrozenMap
 
 Offset = tuple[int, int]
@@ -162,7 +160,6 @@ class SearchOutcome:
     certificate: Optional[LassoCertificate]
     complete: bool
     stats: SearchStats
-    pruned_states: tuple[tuple[int, CollectiveState], ...] = ()
 
     @property
     def verdict(self) -> str:
@@ -242,7 +239,7 @@ def search_lasso(
     g.add_node(key0, root_rep, 0)
     queue = deque([0])
     faults = 0
-    pruned: list[tuple[int, CollectiveState]] = []
+    pruned = 0
     truncated = False
 
     while queue:
@@ -256,7 +253,7 @@ def search_lasso(
             continue
         for offset, consulted, nxt in succs:
             if diameter_of(nxt.positions) > diameter_bound:
-                pruned.append((u, nxt))
+                pruned += 1
                 truncated = True
                 continue
             key, anchor = canonicalize(nxt.positions, nxt.states)
@@ -268,19 +265,20 @@ def search_lasso(
             g.add_edge(_Edge(u, v, anchor, offset, consulted))
 
     walk = _find_zero_walk(g)
-    stats = SearchStats(len(g.reps), len(g.edges), faults, len(pruned))
+    stats = SearchStats(len(g.reps), len(g.edges), faults, pruned)
     if walk is None:
-        return SearchOutcome(None, not truncated, stats, tuple(pruned))
+        return SearchOutcome(None, not truncated, stats)
     base, cycle_edges = walk
     prefix_edges = _bfs_path(g, 0, base)
     cert = _certificate_from_edges(initial, g, prefix_edges, cycle_edges, base)
-    if cert is None:
-        return SearchOutcome(None, not truncated, stats, tuple(pruned))
-    return SearchOutcome(cert, not truncated, stats, tuple(pruned))
+    return SearchOutcome(cert, not truncated, stats)
 
 
-def _bfs_path(g: _Graph, src: int, dst: int) -> list[int]:
-    """Shortest edge path src -> dst (list of edge indices); [] if src == dst."""
+def _bfs_path(g: _Graph, src: int, dst: int, within: Optional[set[int]] = None) -> list[int]:
+    """Shortest edge path src -> dst (list of edge indices); [] if src == dst.
+
+    With `within`, the path visits only those nodes.
+    """
     if src == dst:
         return []
     seen = {src}
@@ -290,7 +288,7 @@ def _bfs_path(g: _Graph, src: int, dst: int) -> list[int]:
         u = q.popleft()
         for ei in g.out[u]:
             v = g.edges[ei].dst
-            if v in seen:
+            if v in seen or (within is not None and v not in within):
                 continue
             seen.add(v)
             back[v] = ei
@@ -354,19 +352,19 @@ def _tarjan_scc(g: _Graph) -> list[int]:
     return comp
 
 
-def _bellman_ford_cycle(nodes: list[int], edges: list[int], g: _Graph, sign: int) -> Optional[list[int]]:
-    """Edge list of a negative cycle under weight*sign, else None."""
+def _negative_cycle(nodes: list[int], edges: list[int], g: _Graph, weight: Callable[[int], int]) -> Optional[list[int]]:
+    """Edge list of a simple cycle that is negative under weight(edge weight), else None."""
     pos = {u: i for i, u in enumerate(nodes)}
     n = len(nodes)
+    arcs = []
+    for ei in edges:
+        e = g.edges[ei]
+        arcs.append((pos[e.src], pos[e.dst], weight(e.weight), ei))
     dist = [0] * n
     pred_edge: list[Optional[int]] = [None] * n
-    updated_node = None
-    for round_ in range(n):
+    for _ in range(n):
         updated_node = None
-        for ei in edges:
-            e = g.edges[ei]
-            u, v = pos[e.src], pos[e.dst]
-            w = e.weight * sign
+        for u, v, w, ei in arcs:
             if dist[u] + w < dist[v]:
                 dist[v] = dist[u] + w
                 pred_edge[v] = ei
@@ -393,94 +391,47 @@ def _bellman_ford_cycle(nodes: list[int], edges: list[int], g: _Graph, sign: int
         if cur == v:
             break
     cycle_edges.reverse()
-    if sum(g.edges[ei].weight * sign for ei in cycle_edges) >= 0:
+    if sum(weight(g.edges[ei].weight) for ei in cycle_edges) >= 0:
         return None
     return cycle_edges
-
-
-def _shortest_paths_from(src: int, nodes: list[int], edges: list[int], g: _Graph, sign: int) -> tuple[dict, dict]:
-    """Bellman-Ford distances and predecessor edges from src (no neg cycles)."""
-    inf = float("inf")
-    dist = {u: inf for u in nodes}
-    pred: dict[int, int] = {}
-    dist[src] = 0
-    for _ in range(len(nodes)):
-        changed = False
-        for ei in edges:
-            e = g.edges[ei]
-            w = e.weight * sign
-            if dist[e.src] + w < dist[e.dst]:
-                dist[e.dst] = dist[e.src] + w
-                pred[e.dst] = ei
-                changed = True
-        if not changed:
-            break
-    return dist, pred
-
-
-def _path_from_pred(pred: dict, src: int, dst: int, g: _Graph) -> list[int]:
-    path = []
-    v = dst
-    while v != src:
-        ei = pred[v]
-        path.append(ei)
-        v = g.edges[ei].src
-    return path[::-1]
-
-
-def _unweighted_path(src: int, dst: int, nodes: set[int], g: _Graph) -> list[int]:
-    if src == dst:
-        return []
-    seen = {src}
-    back: dict[int, int] = {}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for ei in g.out[u]:
-            v = g.edges[ei].dst
-            if v not in nodes or v in seen:
-                continue
-            seen.add(v)
-            back[v] = ei
-            if v == dst:
-                path = []
-                while v != src:
-                    path.append(back[v])
-                    v = g.edges[back[v]].src
-                return path[::-1]
-            q.append(v)
-    raise RuntimeError("strongly connected component is not connected")
 
 
 def _find_zero_walk(g: _Graph) -> Optional[tuple[int, list[int]]]:
     """Find (base node, edge list) of a zero-net-weight closed walk, if any.
 
-    Within each strongly connected component: if cycles of both signs exist
-    they compose into a zero walk; with no negative cycles, a zero cycle
-    exists exactly when some edge closes at cost zero under shortest paths
-    (and symmetrically under negated weights).
+    A strongly connected component holds a zero-weight closed walk exactly
+    when it holds a simple cycle of weight <= 0 and one of weight >= 0: a
+    zero walk splits into simple cycles summing to zero, and cycles of both
+    signs compose into a zero walk.  A simple cycle of length L <= n (n the
+    component's node count) and weight W has weight n*W - L under n*w - 1,
+    which is negative exactly when W <= 0; likewise -n*W - L is negative
+    exactly when W >= 0.  So one negative-cycle search per sign decides it.
     """
     comp = _tarjan_scc(g)
     by_comp: dict[int, list[int]] = {}
     for u in range(len(g.reps)):
         by_comp.setdefault(comp[u], []).append(u)
+    comp_edges: dict[int, list[int]] = {}
+    for ei, e in enumerate(g.edges):
+        if comp[e.src] == comp[e.dst]:
+            comp_edges.setdefault(comp[e.src], []).append(ei)
     # deterministic order: by least node index
-    for cid in sorted(by_comp, key=lambda c: min(by_comp[c])):
-        nodes = sorted(by_comp[cid])
-        node_set = set(nodes)
-        edges = [ei for ei, e in enumerate(g.edges) if e.src in node_set and e.dst in node_set]
-        if not edges:
+    for cid in sorted(comp_edges, key=lambda c: min(by_comp[c])):
+        nodes = by_comp[cid]
+        edges = comp_edges[cid]
+        n = len(nodes)
+        at_most_zero = _negative_cycle(nodes, edges, g, lambda w: n * w - 1)
+        if at_most_zero is None:
             continue
-        neg = _bellman_ford_cycle(nodes, edges, g, sign=1)
-        pos = _bellman_ford_cycle(nodes, edges, g, sign=-1)
-        if neg is not None and pos is not None:
-            return _compose_zero_walk(g, node_set, pos, neg)
-        if neg is None:
-            found = _zero_cycle_no_negative(g, nodes, edges, sign=1)
-        else:
-            found = _zero_cycle_no_negative(g, nodes, edges, sign=-1)
-        if found is not None:
-            return found
+        at_least_zero = _negative_cycle(nodes, edges, g, lambda w: -n * w - 1)
+        if at_least_zero is None:
+            continue
+        for cycle in (at_most_zero, at_least_zero):
+            if _edge_walk_weight(g, cycle) == 0:
+                # based at its earliest-discovered node, for the shortest prefix
+                first = min(range(len(cycle)), key=lambda i: g.edges[cycle[i]].src)
+                return g.edges[cycle[first]].src, cycle[first:] + cycle[:first]
+        return _compose_zero_walk(g, set(nodes), at_least_zero, at_most_zero)
     return None
 
 
@@ -495,8 +446,8 @@ def _compose_zero_walk(g: _Graph, node_set: set[int], pos_cycle: list[int], neg_
     p = _edge_walk_weight(g, pos_cycle)
     n = _edge_walk_weight(g, neg_cycle)
     assert p > 0 and n < 0
-    to_b = _unweighted_path(a, b, node_set, g)
-    to_a = _unweighted_path(b, a, node_set, g)
+    to_b = _bfs_path(g, a, b, node_set)
+    to_a = _bfs_path(g, b, a, node_set)
     s = _edge_walk_weight(g, to_b) + _edge_walk_weight(g, to_a)
     # W2 = to_b + neg_cycle^k2 + to_a is a closed walk at `a` of weight s + k2*n < 0
     k2 = max(1, s // (-n) + 1)
@@ -507,26 +458,6 @@ def _compose_zero_walk(g: _Graph, node_set: set[int], pos_cycle: list[int], neg_
     walk = pos_cycle * (-w2_weight) + w2 * p
     assert _edge_walk_weight(g, walk) == 0
     return a, walk
-
-
-def _zero_cycle_no_negative(g: _Graph, nodes: list[int], edges: list[int], sign: int) -> Optional[tuple[int, list[int]]]:
-    """Zero-weight cycle when weight*sign admits no negative cycles.
-
-    Every cycle then weighs >= 0, so a zero cycle exists exactly when some
-    edge (u,v,w) closes at cost zero: w*sign + shortest(v -> u) == 0.
-    """
-    paths_from: dict[int, tuple[dict, dict]] = {}
-    for ei in edges:
-        e = g.edges[ei]
-        if e.dst not in paths_from:
-            paths_from[e.dst] = _shortest_paths_from(e.dst, nodes, edges, g, sign)
-        dist, pred = paths_from[e.dst]
-        if dist.get(e.src, float("inf")) == float("inf"):
-            continue
-        if e.weight * sign + dist[e.src] == 0:
-            closing = _path_from_pred(pred, e.dst, e.src, g) if e.src != e.dst else []
-            return e.src, [ei] + closing
-    return None
 
 
 def _certificate_from_edges(
@@ -604,180 +535,21 @@ def defeat_strategy(
 ) -> DefeatOutcome:
     """Find a confinement witness for a collective with at most 3 pebbles.
 
-    Runs the lasso search directly; when the search was truncated by the
-    diameter bound, additionally tries every truncation point for a proper
-    isolation of the leader's observation component, defeats that smaller
-    collective recursively, and lifts the result back (pebbles outside the
-    leader's component can never move, so the lift replays exactly).
+    Runs the lasso search once.  A found lasso is returned as a replayed
+    certificate; otherwise the outcome is inconclusive, and its detail says
+    whether the whole quotient graph was expanded or the search was cut off
+    by `max_depth` or the diameter bound.
     """
     if len(collective.pebbles) > 3:
         raise ValueError("defeat_strategy handles collectives with at most 3 pebbles")
     problems = collective.validate_pebbles()
     if problems:
         raise ValueError("invalid pebbles: " + "; ".join(problems))
-    initial = collective.initial_state()
-    outcome = search_lasso(initial, max_depth, diameter_bound)
+    outcome = search_lasso(collective.initial_state(), max_depth, diameter_bound)
     if outcome.certificate is not None:
         return DefeatOutcome("defeated", outcome.certificate)
     if outcome.complete:
-        return DefeatOutcome(
-            "inconclusive",
-            detail="choice graph fully expanded without a zero-displacement lasso",
-        )
-    tried: set = set()
-    for parent, pruned_state in outcome.pruned_states:
-        key, _ = canonicalize(pruned_state.positions, pruned_state.states)
-        if key in tried:
-            continue
-        tried.add(key)
-        cert = _defeat_via_isolation(collective, initial, pruned_state, max_depth, diameter_bound)
-        if cert is not None:
-            return DefeatOutcome("defeated", cert)
-    return DefeatOutcome(
-        "inconclusive",
-        detail=f"depth {max_depth} exhausted (diameter bound {diameter_bound})",
-    )
-
-
-def _script_to_state(initial: CollectiveState, target: CollectiveState, max_depth: int, diameter_bound: int) -> Optional[tuple[list[Offset], int]]:
-    """Consulted offsets and step count of some path from initial to target.
-
-    The search graph stores canonical nodes; the pruned state sits one step
-    beyond it, so walk the graph again recording offsets.  Breadth-first and
-    deterministic, so the same path is found every time.
-    """
-    target_key, _ = canonicalize(target.positions, target.states)
-    seen = set()
-    key0, a0 = canonicalize(initial.positions, initial.states)
-    root = _translate_state(initial, -a0)
-    seen.add(key0)
-    q = deque([(root, [], 0)])
-    while q:
-        state, script, steps = q.popleft()
-        if steps > max_depth:
-            return None
-        succs = _successors(state)
-        if succs is None:
-            continue
-        for offset, consulted, nxt in succs:
-            key, anchor = canonicalize(nxt.positions, nxt.states)
-            new_script = script + [offset] if consulted else script
-            if key == target_key:
-                return new_script, steps + 1
-            if diameter_of(nxt.positions) > diameter_bound:
-                continue
-            if key in seen:
-                continue
-            seen.add(key)
-            q.append((_translate_state(nxt, -anchor), new_script, steps + 1))
-    return None
-
-
-def _defeat_via_isolation(
-    collective: Collective,
-    initial: CollectiveState,
-    pruned_state: CollectiveState,
-    max_depth: int,
-    diameter_bound: int,
-) -> Optional[LassoCertificate]:
-    components = find_isolated(pruned_state.positions)
-    if len(components) < 2:
-        return None
-    leader_comp = next(c for c in components if 1 in c)
-    if leader_comp == set(collective.members):
-        return None
-    sub = _sub_collective(collective, pruned_state, leader_comp)
-    if sub is None:
-        return None
-    try:
-        sub_outcome = defeat_strategy(sub, max_depth, diameter_bound)
-    except ValueError:
-        return None
-    if not sub_outcome.defeated:
-        return None
-    sub_cert = sub_outcome.certificate
-    reach = _script_to_state(initial, pruned_state, max_depth, diameter_bound)
-    if reach is None:
-        return None
-    reach_script, reach_steps = reach
-    lifted = LassoCertificate(
-        prefix=tuple(reach_script) + sub_cert.prefix,
-        prefix_steps=reach_steps + sub_cert.prefix_steps,
-        cycle=sub_cert.cycle,
-        cycle_steps=sub_cert.cycle_steps,
-        base_state=sub_cert.base_state,
-        net_displacement=sub_cert.net_displacement,
-        confinement_radius=sub_cert.confinement_radius,
-    )
-    return finalize_certificate(initial, lifted)
-
-
-def _sub_collective(collective: Collective, at_state: CollectiveState, members: frozenset) -> Optional[Collective]:
-    """Restrict to the leader's component, renumbering pebbles to 2..k+1.
-
-    Pebble tables are kept verbatim: their rules may mention absent members,
-    which simply never match, and rules mentioning only present members
-    behave identically because observations in an isolated component contain
-    no outsiders.
-    """
-    if 1 not in members:
-        return None
-    old_pebbles = sorted(m for m in members if m != 1)
-    renumber = {old: new for new, old in enumerate(old_pebbles, start=2)}
-    pebbles = {}
-    positions = {1: at_state.positions[1]}
-    for old, new in renumber.items():
-        p = collective.pebbles[old]
-        pebbles[new] = Pebble(p.name, _renumber_rules(p.rules, renumber))
-        positions[new] = at_state.positions[old]
-    leader_rules = _renumber_rules(collective.leader.rules, renumber)
-    leader = Automaton(initial=at_state.states[1], rules=leader_rules)
-    sub = Collective(
-        name=f"{collective.name}#sub{len(old_pebbles)}",
-        leader=leader,
-        pebbles=FrozenMap(pebbles),
-        initial_positions=FrozenMap(positions),
-    )
-    return sub
-
-
-def _renumber_rules(rules, renumber: dict[int, int]):
-    keep = set(renumber) | {1}
-
-    def map_set(s):
-        return frozenset(renumber.get(m, m) for m in s if m in keep)
-
-    out = []
-    for r in rules:
-        p = r.pattern
-        if p.alpha is not None and not (p.alpha <= keep):
-            continue  # can never match inside the component
-        alpha = None if p.alpha is None else map_set(p.alpha)
-        entries = None
-        if p.entries is not None:
-            mapped = []
-            drop = False
-            for e in p.entries:
-                if e is None:
-                    mapped.append(None)
-                elif isinstance(e, tuple):
-                    if e[1] not in keep:
-                        drop = True
-                        break
-                    mapped.append(("has", renumber.get(e[1], e[1])))
-                else:
-                    if not (e <= keep):
-                        drop = True
-                        break
-                    mapped.append(map_set(e))
-            if drop:
-                continue
-            entries = mapped
-        output = r.output
-        if isinstance(output, MoveToSet):
-            mapped_target = map_set(output.target)
-            if not mapped_target:
-                continue
-            output = MoveToSet(mapped_target)
-        out.append(Rule(r.state, ObservationPattern(alpha, entries), output, r.next_state))
-    return tuple(out)
+        detail = "choice graph fully expanded without a zero-displacement lasso"
+    else:
+        detail = f"depth {max_depth} exhausted (diameter bound {diameter_bound})"
+    return DefeatOutcome("inconclusive", detail=detail)

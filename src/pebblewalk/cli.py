@@ -151,7 +151,7 @@ def cmd_defeat(args) -> int:
     except ValueError as e:
         return _fail(INPUT_ERROR, f"defeat: {e}")
     if not outcome.defeated:
-        print("inconclusive: no zero-displacement lasso within the search bounds")
+        print(f"inconclusive: {outcome.detail}")
         return VIOLATED
     cert = outcome.certificate
     replayed = finalize_certificate(collective.initial_state(), cert)

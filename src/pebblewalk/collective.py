@@ -328,15 +328,24 @@ def check_directed(trace: Trace, c1: int, c2: int) -> Verdict:
     coord(t+t') - coord(t) == coord(t+t'+t'') - coord(t+t').
     Moments too close to the end of the prefix are not judged.
     """
+    return _check_windows(trace, c1, c2, range(len(trace.records) - 2 * c2), _has_equal_displacement_pair)
+
+
+def _check_windows(trace: Trace, c1: int, c2: int, moments, has_pair) -> Verdict:
+    """The diameter bound, then has_pair(coords, t, c2) at each judged moment.
+
+    Moments are judged in the given order; those whose window t+2*c2 does
+    not fit in the trace are skipped.
+    """
     if c1 < 0 or c2 < 1:
         raise ValueError("need c1 >= 0 and c2 >= 1")
     for t, rec in enumerate(trace.records):
         if diameter_of(rec.positions) > c1:
             return Verdict(False, "diameter", t)
     coords = _sum_coordinates(trace)
-    last = len(coords) - 1
-    for t in range(0, last - 2 * c2 + 1):
-        if not _has_equal_displacement_pair(coords, t, c2):
+    last = len(coords) - 1 - 2 * c2
+    for t in moments:
+        if 0 <= t <= last and not has_pair(coords, t, c2):
             return Verdict(False, "displacement", t)
     return HOLDS
 
@@ -370,6 +379,11 @@ def _has_equal_displacement_pair(coords: list[tuple], t: int, c2: int) -> bool:
     return False
 
 
+def _has_uniform_pair(coords: list[tuple], t: int, c2: int) -> bool:
+    (ax, ay), (bx, by), (cx, cy) = coords[t + c2], coords[t], coords[t + 2 * c2]
+    return (ax - bx, ay - by) == (cx - ax, cy - ay)
+
+
 def check_directed_at(trace: Trace, c1: int, c2: int, moments) -> Verdict:
     """check_directed restricted to the given judged moments.
 
@@ -378,35 +392,12 @@ def check_directed_at(trace: Trace, c1: int, c2: int, moments) -> Verdict:
     mid-loop moments of an 11-step loop admit no pair at any c2 when the
     adversary thereafter picks only 9-step loops.
     """
-    if c1 < 0 or c2 < 1:
-        raise ValueError("need c1 >= 0 and c2 >= 1")
-    for t, rec in enumerate(trace.records):
-        if diameter_of(rec.positions) > c1:
-            return Verdict(False, "diameter", t)
-    coords = _sum_coordinates(trace)
-    last = len(coords) - 1
-    for t in moments:
-        if t < 0 or t > last - 2 * c2:
-            continue
-        if not _has_equal_displacement_pair(coords, t, c2):
-            return Verdict(False, "displacement", t)
-    return HOLDS
+    return _check_windows(trace, c1, c2, moments, _has_equal_displacement_pair)
 
 
 def check_uniform(trace: Trace, c1: int, c2: int) -> Verdict:
     """As check_directed but with both time offsets pinned to exactly c2."""
-    if c1 < 0 or c2 < 1:
-        raise ValueError("need c1 >= 0 and c2 >= 1")
-    for t, rec in enumerate(trace.records):
-        if diameter_of(rec.positions) > c1:
-            return Verdict(False, "diameter", t)
-    coords = _sum_coordinates(trace)
-    last = len(coords) - 1
-    for t in range(0, last - 2 * c2 + 1):
-        (ax, ay), (bx, by), (cx, cy) = coords[t + c2], coords[t], coords[t + 2 * c2]
-        if (ax - bx, ay - by) != (cx - ax, cy - ay):
-            return Verdict(False, "displacement", t)
-    return HOLDS
+    return _check_windows(trace, c1, c2, range(len(trace.records) - 2 * c2), _has_uniform_pair)
 
 
 def find_isolated(positions: Mapping[MemberId, Vertex]) -> list[frozenset]:

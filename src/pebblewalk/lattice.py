@@ -1,4 +1,4 @@
-"""The two-row integer lattice, its directions, and its symmetry group.
+"""The two-row integer lattice and its symmetry group.
 
 Vertices are pairs (x, y) with x any integer and y in {0, 1}.  Every vertex
 has exactly three neighbors: left, right, and the vertex directly across in
@@ -10,7 +10,6 @@ row swap, which is the closed form stored here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,37 +36,6 @@ def neighbors(v: Vertex) -> tuple[Vertex, Vertex, Vertex]:
 
 def are_neighbors(u: Vertex, v: Vertex) -> bool:
     return v in neighbors(u)
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A nonzero coprime integer pair naming a family of rays."""
-
-    dx: int
-    dy: int
-
-    def __post_init__(self) -> None:
-        if self.dx == 0 and self.dy == 0:
-            raise ValueError("direction must be nonzero")
-        if math.gcd(self.dx, self.dy) != 1:
-            raise ValueError(f"direction components must be coprime, got ({self.dx},{self.dy})")
-
-
-def in_direction(base: Vertex, to: Vertex, d: Direction) -> bool:
-    """True when to = base + k*(dx,dy) for some integer k >= 1.
-
-    The base vertex itself does not count as lying in any direction, so a
-    vertex never lies in a direction from itself.
-    """
-    if to == base:
-        return False
-    rx, ry = to.x - base.x, to.y - base.y
-    if d.dx == 0:
-        return rx == 0 and ry % d.dy == 0 and ry // d.dy >= 1
-    if rx % d.dx != 0:
-        return False
-    k = rx // d.dx
-    return k >= 1 and ry == k * d.dy
 
 
 @dataclass(frozen=True)

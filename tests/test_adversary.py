@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,9 @@ from pebblewalk.adversary import (
     ScriptedChoices,
     ScriptError,
     SeededRandom,
+    _Edge,
+    _find_zero_walk,
+    _Graph,
     canonicalize,
     defeat_strategy,
     finalize_certificate,
@@ -170,6 +175,85 @@ def test_defeat_small_collectives(build):
     assert outcome.defeated
     cert = outcome.certificate
     assert finalize_certificate(col.initial_state(), cert) is not None
+
+
+def test_search_cut_off_by_depth():
+    outcome = search_lasso(build_caterpillar().initial_state(), max_depth=3)
+    assert outcome.verdict == "depth-exhausted"
+    assert outcome.complete is False
+    assert outcome.stats.pruned == 0
+
+
+def test_search_cut_off_by_diameter_bound():
+    outcome = search_lasso(build_caterpillar().initial_state(), max_depth=200, diameter_bound=0)
+    assert outcome.verdict == "depth-exhausted"
+    assert outcome.complete is False
+    assert outcome.stats.pruned > 0
+
+
+def test_defeat_truncated_search_is_inconclusive():
+    outcome = defeat_strategy(build_caterpillar(), max_depth=3)
+    assert outcome.status == "inconclusive"
+    assert not outcome.defeated
+    assert outcome.certificate is None
+    assert outcome.detail == "depth 3 exhausted (diameter bound 4)"
+    outcome = defeat_strategy(build_caterpillar(), diameter_bound=0)
+    assert outcome.detail == "depth 200 exhausted (diameter bound 0)"
+
+
+def _random_graph(rng: random.Random) -> _Graph:
+    g = _Graph()
+    n = rng.randint(1, 6)
+    for u in range(n):
+        g.add_node(u, None, 0)
+    for _ in range(rng.randint(0, 2 * n)):
+        g.add_edge(_Edge(rng.randrange(n), rng.randrange(n), rng.randint(-2, 2), (0, 0), True))
+    return g
+
+
+def _simple_cycle_weights_by_component(g: _Graph) -> dict[frozenset, set[int]]:
+    """Brute force: weights of every simple cycle (as an edge sequence),
+    keyed by the strongly connected component it lies in."""
+    n = len(g.reps)
+    reach = [[u == v for v in range(n)] for u in range(n)]
+    for e in g.edges:
+        reach[e.src][e.dst] = True
+    for k, u, v in itertools.product(range(n), repeat=3):
+        reach[u][v] = reach[u][v] or (reach[u][k] and reach[k][v])
+    weights: dict[frozenset, set[int]] = {}
+
+    def extend(start, node, visited, weight):
+        for ei in g.out[node]:
+            e = g.edges[ei]
+            if e.dst == start:
+                comp = frozenset(v for v in range(n) if reach[start][v] and reach[v][start])
+                weights.setdefault(comp, set()).add(weight + e.weight)
+            elif e.dst > start and e.dst not in visited:
+                extend(start, e.dst, visited | {e.dst}, weight + e.weight)
+
+    for start in range(n):
+        extend(start, start, {start}, 0)
+    return weights
+
+
+def test_find_zero_walk_matches_simple_cycle_oracle():
+    rng = random.Random(2023)
+    for _ in range(3000):
+        g = _random_graph(rng)
+        expected = any(
+            min(ws) <= 0 <= max(ws) for ws in _simple_cycle_weights_by_component(g).values()
+        )
+        found = _find_zero_walk(g)
+        assert (found is not None) == expected
+        if found is None:
+            continue
+        base, walk = found
+        assert walk
+        assert g.edges[walk[0]].src == base
+        assert g.edges[walk[-1]].dst == base
+        for a, b in zip(walk, walk[1:]):
+            assert g.edges[a].dst == g.edges[b].src
+        assert sum(g.edges[ei].weight for ei in walk) == 0
 
 
 def test_defeat_rejects_four_pebbles():

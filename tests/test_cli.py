@@ -203,6 +203,11 @@ def test_defeat_baseline_eleven(capsys):
     assert "cycle" in out
 
 
+def test_defeat_truncated_search_is_inconclusive(capsys):
+    assert main(["defeat", "baseline-13-caterpillar", "--max-depth", "1"]) == 1
+    assert capsys.readouterr().out == "inconclusive: depth 1 exhausted (diameter bound 4)\n"
+
+
 def test_defeat_walker_out_of_scope(capsys):
     assert main(["defeat", "walker14"]) == 2
     assert "pebbles" in capsys.readouterr().err

@@ -11,11 +11,9 @@ from pebblewalk.lattice import (
     IDENTITY,
     X_REFLECTION,
     Y_REFLECTION,
-    Direction,
     Symmetry,
     Vertex,
     are_neighbors,
-    in_direction,
     neighbors,
     vertex,
     x_translation,
@@ -53,35 +51,6 @@ def test_neighbors_count_and_irreflexive(v):
 @given(verts, verts)
 def test_neighbor_symmetry(u, v):
     assert are_neighbors(u, v) == are_neighbors(v, u)
-
-
-def test_direction_validation():
-    Direction(1, 0)
-    Direction(0, -1)
-    Direction(-3, 2)
-    with pytest.raises(ValueError):
-        Direction(0, 0)
-    with pytest.raises(ValueError):
-        Direction(2, 4)
-
-
-def test_in_direction_examples():
-    right = Direction(1, 0)
-    assert in_direction(Vertex(0, 0), Vertex(3, 0), right)
-    assert not in_direction(Vertex(0, 0), Vertex(3, 1), right)
-    assert not in_direction(Vertex(0, 0), Vertex(-2, 0), right)
-
-
-def test_in_direction_excludes_origin():
-    for d in (Direction(1, 0), Direction(0, 1), Direction(-1, 1)):
-        assert not in_direction(Vertex(4, 0), Vertex(4, 0), d)
-
-
-def test_in_direction_vertical():
-    up = Direction(0, 1)
-    assert in_direction(Vertex(2, 0), Vertex(2, 1), up)
-    assert not in_direction(Vertex(2, 0), Vertex(2, 0), up)
-    assert not in_direction(Vertex(2, 1), Vertex(2, 0), up)
 
 
 def test_apply_symmetry_examples():
