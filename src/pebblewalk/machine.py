@@ -43,7 +43,7 @@ class Observation:
 
     @staticmethod
     def make(alpha: Iterable[MemberId], neighbor_sets: Iterable[Iterable[MemberId]]) -> "Observation":
-        sets = tuple(sorted((member_set(s) for s in neighbor_sets), key=_set_key))
+        sets = tuple(sorted(map(frozenset, neighbor_sets), key=_set_key))
         if len(sets) != 3:
             raise ValueError(f"neighborhood must have exactly 3 entries, got {len(sets)}")
         return Observation(member_set(alpha), sets)  # type: ignore[arg-type]
@@ -201,10 +201,14 @@ class Automaton:
     def __post_init__(self) -> None:
         names = {r.state for r in self.rules} | {r.next_state for r in self.rules} | {self.initial}
         object.__setattr__(self, "states", frozenset(self.states) | names)
+        by_state: dict[StateId, list[Rule]] = {}
+        for rule in self.rules:
+            by_state.setdefault(rule.state, []).append(rule)
+        object.__setattr__(self, "_by_state", by_state)
 
     def act(self, state: StateId, obs: Observation) -> tuple[Output, StateId]:
-        for rule in self.rules:
-            if rule.state == state and rule.pattern.matches(obs):
+        for rule in self._by_state.get(state, ()):
+            if rule.pattern.matches(obs):
                 return rule.output, rule.next_state
         return STAY, state
 
@@ -237,7 +241,11 @@ class Pebble:
     rules: tuple[Rule, ...]
 
     def automaton(self) -> Automaton:
-        return Automaton(initial=self.name, rules=self.rules)
+        machine = self.__dict__.get("_automaton")
+        if machine is None:
+            machine = Automaton(initial=self.name, rules=self.rules)
+            object.__setattr__(self, "_automaton", machine)
+        return machine
 
 
 def pebble(name: StateId, rows: Iterable[tuple[ObservationPattern, Output]]) -> Pebble:
@@ -314,8 +322,11 @@ def occupants(positions: Mapping[MemberId, Vertex], v: Vertex) -> MemberSet:
 def observe(positions: Mapping[MemberId, Vertex], who: MemberId) -> Observation:
     """Build the observation member `who` perceives in the given configuration."""
     at = positions[who]
-    alpha = occupants(positions, at) - {who}
-    return Observation.make(alpha, [occupants(positions, n) for n in neighbors(at)])
+    crowds: dict[Vertex, list[MemberId]] = {}
+    for m, pos in positions.items():
+        crowds.setdefault(pos, []).append(m)
+    alpha = [m for m in crowds[at] if m != who]
+    return Observation.make(alpha, [crowds.get(n, ()) for n in neighbors(at)])
 
 
 def resolve_output(out: Output, at: Vertex, positions: Mapping[MemberId, Vertex]) -> set[Vertex]:

@@ -30,6 +30,15 @@ class FrozenMap(Mapping[K, V]):
     def __len__(self) -> int:
         return len(self._d)
 
+    def keys(self):
+        return self._d.keys()
+
+    def values(self):
+        return self._d.values()
+
+    def items(self):
+        return self._d.items()
+
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(frozenset(self._d.items()))
