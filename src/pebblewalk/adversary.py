@@ -23,10 +23,12 @@ from pebblewalk.collective import (
     PebbleFault,
     StrategyFault,
     apply_choice,
+    at_origin,
     diameter_of,
     plan_step,
     run,
 )
+from pebblewalk.graph import Graph, bfs_path, strong_components
 from pebblewalk.lattice import Vertex
 from pebblewalk.util import FrozenMap
 
@@ -112,15 +114,13 @@ class Oscillator:
         return best
 
 
-CanonicalKey = tuple  # ((member, state)..., (member, (x, y))...)
+CanonicalKey = tuple  # (((member, state)...), positions translated to least x 0)
 
 
 def canonicalize(positions: FrozenMap, states: FrozenMap) -> tuple[CanonicalKey, int]:
     """Translate the configuration so its least x is 0; return key and shift."""
-    anchor = min(v.x for v in positions.values())
-    rel = tuple(sorted((m, (v.x - anchor, v.y)) for m, v in positions.items()))
-    st = tuple(sorted(states.items()))
-    return (st, rel), anchor
+    rel, anchor = at_origin(positions)
+    return (tuple(sorted(states.items())), rel), anchor
 
 
 @dataclass(frozen=True)
@@ -177,29 +177,6 @@ class _Edge:
     consulted: bool
 
 
-class _Graph:
-    """Canonical-quotient choice graph grown by breadth-first expansion."""
-
-    def __init__(self) -> None:
-        self.index: dict[CanonicalKey, int] = {}
-        self.reps: list[CollectiveState] = []
-        self.depths: list[int] = []
-        self.edges: list[_Edge] = []
-        self.out: list[list[int]] = []
-
-    def add_node(self, key: CanonicalKey, rep: CollectiveState, depth: int) -> int:
-        idx = len(self.reps)
-        self.index[key] = idx
-        self.reps.append(rep)
-        self.depths.append(depth)
-        self.out.append([])
-        return idx
-
-    def add_edge(self, e: _Edge) -> None:
-        self.out[e.src].append(len(self.edges))
-        self.edges.append(e)
-
-
 def _successors(state: CollectiveState):
     """Yield (offset, consulted, next_state) per option; None on faults."""
     try:
@@ -211,11 +188,6 @@ def _successors(state: CollectiveState):
         nxt, _ = apply_choice(state, plan, opt)
         result.append(((opt.x - plan.at.x, opt.y - plan.at.y), plan.consulted, nxt))
     return result
-
-
-def _translate_state(state: CollectiveState, dx: int) -> CollectiveState:
-    pos = FrozenMap({m: Vertex(v.x + dx, v.y) for m, v in state.positions.items()})
-    return CollectiveState(state.collective, pos, state.states, 0)
 
 
 def search_lasso(
@@ -233,10 +205,9 @@ def search_lasso(
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    g = _Graph()
-    key0, anchor0 = canonicalize(initial.positions, initial.states)
-    root_rep = _translate_state(initial, -anchor0)
-    g.add_node(key0, root_rep, 0)
+    g = Graph()
+    key0, _ = canonicalize(initial.positions, initial.states)
+    g.add_node(key0, CollectiveState(initial.collective, key0[1], initial.states), 0)
     queue = deque([0])
     faults = 0
     pruned = 0
@@ -260,7 +231,7 @@ def search_lasso(
             if key in g.index:
                 v = g.index[key]
             else:
-                v = g.add_node(key, _translate_state(nxt, -anchor), g.depths[u] + 1)
+                v = g.add_node(key, CollectiveState(nxt.collective, key[1], nxt.states), g.depths[u] + 1)
                 queue.append(v)
             g.add_edge(_Edge(u, v, anchor, offset, consulted))
 
@@ -269,90 +240,12 @@ def search_lasso(
     if walk is None:
         return SearchOutcome(None, not truncated, stats)
     base, cycle_edges = walk
-    prefix_edges = _bfs_path(g, 0, base)
+    prefix_edges = bfs_path(g, 0, base)
     cert = _certificate_from_edges(initial, g, prefix_edges, cycle_edges, base)
     return SearchOutcome(cert, not truncated, stats)
 
 
-def _bfs_path(g: _Graph, src: int, dst: int, within: Optional[set[int]] = None) -> list[int]:
-    """Shortest edge path src -> dst (list of edge indices); [] if src == dst.
-
-    With `within`, the path visits only those nodes.
-    """
-    if src == dst:
-        return []
-    seen = {src}
-    back: dict[int, int] = {}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for ei in g.out[u]:
-            v = g.edges[ei].dst
-            if v in seen or (within is not None and v not in within):
-                continue
-            seen.add(v)
-            back[v] = ei
-            if v == dst:
-                path = []
-                while v != src:
-                    path.append(back[v])
-                    v = g.edges[back[v]].src
-                return path[::-1]
-            q.append(v)
-    raise RuntimeError("no path inside the expanded graph")
-
-
-def _tarjan_scc(g: _Graph) -> list[int]:
-    """Node -> component id, components in deterministic order."""
-    n = len(g.reps)
-    comp = [-1] * n
-    low = [0] * n
-    num = [-1] * n
-    counter = 0
-    comp_count = 0
-    stack: list[int] = []
-    on_stack = [False] * n
-    for start in range(n):
-        if num[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                num[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while pi < len(g.out[node]):
-                ei = g.out[node][pi]
-                pi += 1
-                w = g.edges[ei].dst
-                if num[w] == -1:
-                    work[-1] = (node, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[node] = min(low[node], num[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == num[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count
-                    if w == node:
-                        break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comp
-
-
-def _negative_cycle(nodes: list[int], edges: list[int], g: _Graph, weight: Callable[[int], int]) -> Optional[list[int]]:
+def _negative_cycle(nodes: list[int], edges: list[int], g: Graph, weight: Callable[[int], int]) -> Optional[list[int]]:
     """Edge list of a simple cycle that is negative under weight(edge weight), else None."""
     pos = {u: i for i, u in enumerate(nodes)}
     n = len(nodes)
@@ -396,7 +289,7 @@ def _negative_cycle(nodes: list[int], edges: list[int], g: _Graph, weight: Calla
     return cycle_edges
 
 
-def _find_zero_walk(g: _Graph) -> Optional[tuple[int, list[int]]]:
+def _find_zero_walk(g: Graph) -> Optional[tuple[int, list[int]]]:
     """Find (base node, edge list) of a zero-net-weight closed walk, if any.
 
     A strongly connected component holds a zero-weight closed walk exactly
@@ -407,7 +300,7 @@ def _find_zero_walk(g: _Graph) -> Optional[tuple[int, list[int]]]:
     which is negative exactly when W <= 0; likewise -n*W - L is negative
     exactly when W >= 0.  So one negative-cycle search per sign decides it.
     """
-    comp = _tarjan_scc(g)
+    comp = strong_components(g)
     by_comp: dict[int, list[int]] = {}
     for u in range(len(g.reps)):
         by_comp.setdefault(comp[u], []).append(u)
@@ -435,19 +328,19 @@ def _find_zero_walk(g: _Graph) -> Optional[tuple[int, list[int]]]:
     return None
 
 
-def _edge_walk_weight(g: _Graph, edge_list: list[int]) -> int:
+def _edge_walk_weight(g: Graph, edge_list: list[int]) -> int:
     return sum(g.edges[ei].weight for ei in edge_list)
 
 
-def _compose_zero_walk(g: _Graph, node_set: set[int], pos_cycle: list[int], neg_cycle: list[int]) -> tuple[int, list[int]]:
+def _compose_zero_walk(g: Graph, node_set: set[int], pos_cycle: list[int], neg_cycle: list[int]) -> tuple[int, list[int]]:
     """Stitch a positive and a negative cycle into one zero-weight closed walk."""
     a = g.edges[pos_cycle[0]].src
     b = g.edges[neg_cycle[0]].src
     p = _edge_walk_weight(g, pos_cycle)
     n = _edge_walk_weight(g, neg_cycle)
     assert p > 0 and n < 0
-    to_b = _bfs_path(g, a, b, node_set)
-    to_a = _bfs_path(g, b, a, node_set)
+    to_b = bfs_path(g, a, b, node_set)
+    to_a = bfs_path(g, b, a, node_set)
     s = _edge_walk_weight(g, to_b) + _edge_walk_weight(g, to_a)
     # W2 = to_b + neg_cycle^k2 + to_a is a closed walk at `a` of weight s + k2*n < 0
     k2 = max(1, s // (-n) + 1)
@@ -462,7 +355,7 @@ def _compose_zero_walk(g: _Graph, node_set: set[int], pos_cycle: list[int], neg_
 
 def _certificate_from_edges(
     initial: CollectiveState,
-    g: _Graph,
+    g: Graph,
     prefix_edges: list[int],
     cycle_edges: list[int],
     base: int,

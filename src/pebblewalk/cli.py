@@ -91,6 +91,8 @@ def cmd_simulate(args) -> int:
     try:
         collective = load_strategy(args.strategy)
         adversary = parse_adversary(args.adversary)
+        if args.horizon < 0:
+            raise ValueError("horizon must be >= 0")
     except (ParseError, ValueError, OSError) as e:
         return _fail(INPUT_ERROR, f"simulate: {e}")
     out = args.output or _default_output(collective.name, adversary.name, args.horizon)

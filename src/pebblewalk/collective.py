@@ -106,9 +106,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def positions_at(self, t: int) -> FrozenMap:
-        return self.records[t].positions
-
     def coordinates(self) -> list[RationalPoint]:
         return [coordinate_of(r.positions) for r in self.records]
 
@@ -291,6 +288,12 @@ def coordinate_of(positions: Mapping[MemberId, Vertex]) -> RationalPoint:
 def coordinate(state: CollectiveState) -> RationalPoint:
     """Exact mean position of all members, leader included."""
     return coordinate_of(state.positions)
+
+
+def at_origin(positions: Mapping[MemberId, Vertex]) -> tuple[FrozenMap, int]:
+    """Positions translated so the least x is 0, and the least x before."""
+    anchor = min(v.x for v in positions.values())
+    return FrozenMap({m: Vertex(v.x - anchor, v.y) for m, v in positions.items()}), anchor
 
 
 def diameter_of(positions: Mapping[MemberId, Vertex]) -> int:

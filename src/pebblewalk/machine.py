@@ -252,10 +252,6 @@ def pebble(name: StateId, rows: Iterable[tuple[ObservationPattern, Output]]) -> 
     return Pebble(name, tuple(Rule(name, p, out, name) for p, out in rows))
 
 
-class PebbleConditionError(ValueError):
-    """Raised when a member used as a pebble breaks the pebble conditions."""
-
-
 def consistent_observations(universe: Iterable[MemberId], observer: Optional[MemberId]) -> list[Observation]:
     """All observations realizable by some placement of the given members.
 

@@ -22,9 +22,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .collective import find_isolated
+from .collective import at_origin
+from .graph import Graph, bfs_path, strong_components
 from .lattice import IDENTITY, X_REFLECTION, Y_REFLECTION, Symmetry, Vertex, neighbors, vertex
 from .machine import MemberId, observe, occupants
 from .util import FrozenMap
@@ -75,6 +76,10 @@ def schema_of(positions: Mapping[MemberId, Vertex]) -> Schema:
 
 
 def _connected(vs: frozenset[Vertex]) -> bool:
+    """Whether the vertices form one component under lattice adjacency.
+
+    Members on equal or adjacent vertices see each other, so a layout is one
+    observation-range component exactly when its occupied set is connected."""
     frontier = [next(iter(vs))]
     seen: set[Vertex] = set()
     while frontier:
@@ -258,17 +263,8 @@ DISTINCT = "distinct"
 DEPTH_EXHAUSTED = "depth-exhausted"
 
 
-def _canonical_positions(positions: Mapping[MemberId, Vertex]) -> tuple:
-    least = min(v.x for v in positions.values())
-    return tuple(sorted((m, v.x - least, v.y) for m, v in positions.items()))
-
-
 def _joint_key(pos_a, pos_b) -> tuple:
-    return (_canonical_positions(pos_a), _canonical_positions(pos_b))
-
-
-def _single_component(positions: Mapping[MemberId, Vertex]) -> bool:
-    return len(find_isolated(positions)) == 1
+    return (at_origin(pos_a)[0], at_origin(pos_b)[0])
 
 
 def _move_crowd(positions: FrozenMap, target: Vertex, carried: frozenset) -> FrozenMap:
@@ -302,7 +298,7 @@ def _joint_successors(pos_a: FrozenMap, pos_b: FrozenMap):
                 nb = _move_crowd(pos_b, wb, carried)
                 if observe(na, 1) != observe(nb, 1):
                     continue
-                if not _single_component(na) or not _single_component(nb):
+                if not _connected(frozenset(na.values())) or not _connected(frozenset(nb.values())):
                     continue
                 step = JointStep(
                     offset_a=(wa.x - leader_a.x, wa.y - leader_a.y),
@@ -320,7 +316,7 @@ def validate_witness(witness: Witness) -> None:
         raise ValueError("worlds must share one automaton and pebble ids")
     if observe(pos_a, 1) != observe(pos_b, 1):
         raise ValueError("starting observations differ")
-    if not (_single_component(pos_a) and _single_component(pos_b)):
+    if not (_connected(frozenset(pos_a.values())) and _connected(frozenset(pos_b.values()))):
         raise ValueError("a starting layout separates the collective")
     if not witness.cycle:
         raise ValueError("the cycle is empty")
@@ -335,7 +331,7 @@ def validate_witness(witness: Witness) -> None:
         pos_b = _apply_checked(pos_b, step.offset_b, step)
         if observe(pos_a, 1) != observe(pos_b, 1):
             raise ValueError(f"observations diverge after step {i}")
-        if not (_single_component(pos_a) and _single_component(pos_b)):
+        if not (_connected(frozenset(pos_a.values())) and _connected(frozenset(pos_b.values()))):
             raise ValueError(f"step {i} separates the collective")
         if i + 1 == len(witness.prefix):
             checkpoint = _joint_key(pos_a, pos_b)
@@ -377,65 +373,46 @@ def _record_bindings(bindings: dict, positions: FrozenMap, step: JointStep) -> N
             )
 
 
-@dataclass
-class _JointNode:
-    pos_a: FrozenMap
-    pos_b: FrozenMap
-    depth: int
-    parent: Optional[int]
-    step: Optional[JointStep]
+class _JointEdge(NamedTuple):
+    src: int
+    dst: int
+    step: JointStep
 
 
-def _graph_path(out_edges, start: int, goal: int):
-    if start == goal:
-        return []
-    prev: dict[int, Optional[tuple]] = {start: None}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for step, nxt in out_edges.get(current, ()):
-            if nxt in prev:
-                continue
-            prev[nxt] = (current, step)
-            if nxt == goal:
-                steps = []
-                at = nxt
-                while prev[at] is not None:
-                    before, via = prev[at]
-                    steps.append(via)
-                    at = before
-                return list(reversed(steps))
-            queue.append(nxt)
-    return None
-
-
-def _prefix_steps(nodes, idx: int):
+def _prefix_steps(g: Graph, parent: list[Optional[int]], idx: int):
+    """Steps along BFS-tree edges from a start node to idx, and that start."""
     steps = []
-    while nodes[idx].parent is not None:
-        steps.append(nodes[idx].step)
-        idx = nodes[idx].parent
+    while parent[idx] is not None:
+        e = g.edges[parent[idx]]
+        steps.append(e.step)
+        idx = e.src
     return list(reversed(steps)), idx
 
 
-def _extract_witness(nodes, out_edges, depth: int) -> Optional[Witness]:
-    candidates = []
-    for src, edges in out_edges.items():
-        for step, dst in edges:
-            if step.carried:
-                candidates.append((nodes[dst].depth, src, dst, step))
-    candidates.sort(key=lambda item: (item[0], item[1], item[2]))
-    for dst_depth, src, dst, step in candidates:
-        if dst_depth + 1 > depth:
+def _closing_transfers(g: Graph) -> list[int]:
+    """Transfer edges on some cycle: exactly those whose ends share an SCC."""
+    comp = strong_components(g)
+    return [ei for ei, e in enumerate(g.edges) if e.step.carried and comp[e.src] == comp[e.dst]]
+
+
+def _extract_witness(g: Graph, parent: list[Optional[int]], depth: int) -> Optional[Witness]:
+    candidates = sorted(
+        _closing_transfers(g),
+        key=lambda ei: (g.depths[g.edges[ei].dst], g.edges[ei].src, g.edges[ei].dst),
+    )
+    for ei in candidates:
+        src, dst, step = g.edges[ei]
+        if g.depths[dst] + 1 > depth:
             continue
-        back = _graph_path(out_edges, dst, src)
-        if back is None or dst_depth + len(back) + 1 > depth:
+        back = bfs_path(g, dst, src)
+        if g.depths[dst] + len(back) + 1 > depth:
             continue
-        prefix, root = _prefix_steps(nodes, dst)
+        prefix, root = _prefix_steps(g, parent, dst)
         witness = Witness(
-            start_a=nodes[root].pos_a,
-            start_b=nodes[root].pos_b,
+            start_a=g.reps[root][0],
+            start_b=g.reps[root][1],
             prefix=tuple(prefix),
-            cycle=(*back, step),
+            cycle=(*(g.edges[i].step for i in back), step),
         )
         try:
             validate_witness(witness)
@@ -445,53 +422,40 @@ def _extract_witness(nodes, out_edges, depth: int) -> Optional[Witness]:
     return None
 
 
-def _cycle_with_transfer_exists(out_edges) -> bool:
-    for src, edges in out_edges.items():
-        for step, dst in edges:
-            if step.carried and _graph_path(out_edges, dst, src) is not None:
-                return True
-    return False
-
-
 def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
-    nodes: list[_JointNode] = []
-    index_of: dict[tuple, int] = {}
-    out_edges: dict[int, list[tuple[JointStep, int]]] = {}
+    g = Graph()
+    parent: list[Optional[int]] = []  # node -> index of its BFS-tree edge
     frontier_cut = False
 
     for pos_a, pos_b in starts:
         key = _joint_key(pos_a, pos_b)
-        if key not in index_of:
-            index_of[key] = len(nodes)
-            nodes.append(_JointNode(pos_a, pos_b, 0, None, None))
-    if not nodes:
+        if key not in g.index:
+            g.add_node(key, (pos_a, pos_b), 0)
+            parent.append(None)
+    if not g.reps:
         return IndistinguishabilityOutcome(DISTINCT, None, 0, False)
 
-    queue = deque(range(len(nodes)))
+    queue = deque(range(len(g.reps)))
     while queue:
         for _ in range(len(queue)):
-            idx = queue.popleft()
-            node = nodes[idx]
-            edges_here = out_edges.setdefault(idx, [])
-            for step, na, nb in _joint_successors(node.pos_a, node.pos_b):
+            u = queue.popleft()
+            for step, na, nb in _joint_successors(*g.reps[u]):
                 key = _joint_key(na, nb)
-                known = index_of.get(key)
-                if known is not None:
-                    edges_here.append((step, known))
-                    continue
-                if node.depth + 1 > depth or len(nodes) >= max_nodes:
-                    frontier_cut = True
-                    continue
-                index_of[key] = len(nodes)
-                nodes.append(_JointNode(na, nb, node.depth + 1, idx, step))
-                edges_here.append((step, len(nodes) - 1))
-                queue.append(len(nodes) - 1)
-        witness = _extract_witness(nodes, out_edges, depth)
+                v = g.index.get(key)
+                if v is None:
+                    if g.depths[u] + 1 > depth or len(g.reps) >= max_nodes:
+                        frontier_cut = True
+                        continue
+                    v = g.add_node(key, (na, nb), g.depths[u] + 1)
+                    parent.append(len(g.edges))
+                    queue.append(v)
+                g.add_edge(_JointEdge(u, v, step))
+        witness = _extract_witness(g, parent, depth)
         if witness is not None:
-            return IndistinguishabilityOutcome(WITNESS, witness, len(nodes), frontier_cut)
-    if frontier_cut or _cycle_with_transfer_exists(out_edges):
-        return IndistinguishabilityOutcome(DEPTH_EXHAUSTED, None, len(nodes), frontier_cut)
-    return IndistinguishabilityOutcome(DISTINCT, None, len(nodes), False)
+            return IndistinguishabilityOutcome(WITNESS, witness, len(g.reps), frontier_cut)
+    if frontier_cut or _closing_transfers(g):
+        return IndistinguishabilityOutcome(DEPTH_EXHAUSTED, None, len(g.reps), frontier_cut)
+    return IndistinguishabilityOutcome(DISTINCT, None, len(g.reps), False)
 
 
 def _middle_vertex(schema: Schema) -> Optional[Vertex]:
@@ -520,14 +484,14 @@ def _leader_spots(pebbles: Mapping[MemberId, Vertex]) -> tuple[Vertex, ...]:
 def _config_starts(pebbles_a: FrozenMap, pebbles_b: FrozenMap):
     for la in _leader_spots(pebbles_a):
         pos_a = pebbles_a.set(1, la)
-        if not _single_component(pos_a):
+        if not _connected(frozenset(pos_a.values())):
             continue
         obs_a = observe(pos_a, 1)
         for lb in _leader_spots(pebbles_b):
             pos_b = pebbles_b.set(1, lb)
             if observe(pos_b, 1) != obs_a:
                 continue
-            if not _single_component(pos_b):
+            if not _connected(frozenset(pos_b.values())):
                 continue
             yield pos_a, pos_b
 
@@ -601,11 +565,6 @@ class ConfinementCycle:
     x_spread: int
 
 
-def _canonical_set(occupancy: Counter) -> frozenset[Vertex]:
-    least = min(v.x for v in occupancy)
-    return frozenset(vertex(v.x - least, v.y) for v in occupancy)
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -636,7 +595,7 @@ def _replay_cycle(cycle_edges, pebbles: int):
         if i == len(cycle_edges):
             return (moves, xs) if occupancy == initial else None
         edge = cycle_edges[i]
-        if _canonical_set(occupancy) != edge.source.vertices:
+        if Schema(frozenset(occupancy), pebbles) != edge.source:
             return None
         for src in sorted(occupancy):
             for dst in neighbors(src):
@@ -647,7 +606,7 @@ def _replay_cycle(cycle_edges, pebbles: int):
                 if after[src] == 0:
                     del after[src]
                 after[dst] += 1
-                if _canonical_set(after) != edge.target.vertices:
+                if Schema(frozenset(after), pebbles) != edge.target:
                     continue
                 out = rec(initial, after, i + 1, [*moves, (src, dst)], xs | {dst.x})
                 if out is not None:

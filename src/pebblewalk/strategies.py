@@ -13,6 +13,7 @@ from pebblewalk.collective import Collective
 from pebblewalk.lattice import Vertex
 from pebblewalk.machine import (
     MOVE_TO_FREE,
+    WILDCARD,
     Automaton,
     ObservationPattern,
     Rule,
@@ -22,12 +23,10 @@ from pebblewalk.machine import (
 from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
 
-W = ObservationPattern(None)
-
 
 def build_free_walker() -> Collective:
     """Type (1,0): a lone leader that always steps to some free neighbor."""
-    leader = Automaton(initial="roam", rules=(Rule("roam", W, MOVE_TO_FREE, "roam"),))
+    leader = Automaton(initial="roam", rules=(Rule("roam", WILDCARD, MOVE_TO_FREE, "roam"),))
     return Collective(
         name="baseline-10",
         leader=leader,
@@ -38,7 +37,7 @@ def build_free_walker() -> Collective:
 
 def build_carrier() -> Collective:
     """Type (1,1): the leader carries its pebble to a free neighbor forever."""
-    leader = Automaton(initial="carry", rules=(Rule("carry", W, MOVE_TO_FREE, "carry"),))
+    leader = Automaton(initial="carry", rules=(Rule("carry", WILDCARD, MOVE_TO_FREE, "carry"),))
     rider = pebble("rider", [(ObservationPattern({1}), MOVE_TO_FREE)])
     return Collective(
         name="baseline-11",
@@ -53,8 +52,8 @@ def build_stacker() -> Collective:
     leader = Automaton(
         initial="gather",
         rules=(
-            Rule("gather", W, move_to_set({3}), "walk"),
-            Rule("walk", W, MOVE_TO_FREE, "walk"),
+            Rule("gather", WILDCARD, move_to_set({3}), "walk"),
+            Rule("walk", WILDCARD, MOVE_TO_FREE, "walk"),
         ),
     )
     first = pebble(
@@ -84,11 +83,11 @@ def build_caterpillar() -> Collective:
     leader = Automaton(
         initial="gather-rear",
         rules=(
-            Rule("gather-rear", W, move_to_set({3}), "gather-mid"),
-            Rule("gather-mid", W, move_to_set({4}), "push-front"),
-            Rule("push-front", W, MOVE_TO_FREE, "return-mid"),
-            Rule("return-mid", W, move_to_set({3}), "return-rear"),
-            Rule("return-rear", W, move_to_set({2}), "gather-rear"),
+            Rule("gather-rear", WILDCARD, move_to_set({3}), "gather-mid"),
+            Rule("gather-mid", WILDCARD, move_to_set({4}), "push-front"),
+            Rule("push-front", WILDCARD, MOVE_TO_FREE, "return-mid"),
+            Rule("return-mid", WILDCARD, move_to_set({3}), "return-rear"),
+            Rule("return-rear", WILDCARD, move_to_set({2}), "gather-rear"),
         ),
     )
     P = ObservationPattern

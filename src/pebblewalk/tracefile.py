@@ -177,15 +177,17 @@ def parse_document(text: str) -> TraceDocument:
             outputs = _member_map(
                 row["outputs"], line_no, lambda s: _parse_output_checked(s, line_no)
             )
+            if not isinstance(row["options"], list):
+                raise TraceError(f"line {line_no}: options must list coordinate pairs")
             options = tuple(_parsed_vertex(p, line_no) for p in row["options"])
             choice = _parsed_vertex(row["choice"], line_no)
             consulted = row["consulted"]
-            carried = frozenset(row["carried"])
+            carried = row["carried"]
         except KeyError as e:
             raise TraceError(f"line {line_no}: record missing field {e.args[0]!r}") from None
         if not isinstance(consulted, bool):
             raise TraceError(f"line {line_no}: consulted must be a boolean")
-        if not all(isinstance(c, int) for c in carried):
+        if not isinstance(carried, list) or not all(isinstance(c, int) for c in carried):
             raise TraceError(f"line {line_no}: carried must list member ids")
         observations = FrozenMap({m: observe(prev.positions, m) for m in positions})
         records.append(
@@ -198,7 +200,7 @@ def parse_document(text: str) -> TraceDocument:
                 options=options,
                 choice=choice,
                 consulted=consulted,
-                carried=carried,
+                carried=frozenset(carried),
             )
         )
     if not records:
@@ -207,6 +209,8 @@ def parse_document(text: str) -> TraceDocument:
 
 
 def _parse_output_checked(s, line_no: int):
+    if not isinstance(s, str):
+        raise TraceError(f"line {line_no}: output must be a string, got {s!r}")
     try:
         return parse_output(s)
     except ValueError as e:

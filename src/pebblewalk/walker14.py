@@ -29,6 +29,7 @@ from pebblewalk.collective import (
 from pebblewalk.lattice import Vertex
 from pebblewalk.machine import (
     MOVE_TO_FREE,
+    WILDCARD,
     Automaton,
     MemberId,
     ObservationPattern,
@@ -36,6 +37,7 @@ from pebblewalk.machine import (
     move_to_set,
     pebble,
 )
+from pebblewalk.schemas import Schema
 from pebblewalk.util import FrozenMap
 
 LOOP_HEADER = "gather-rear"
@@ -61,28 +63,27 @@ class RoleAssignment:
 
 def _leader(roles: RoleAssignment) -> Automaton:
     r, c, d, h = roles.rear, roles.mid, roles.front, roles.top
-    W = ObservationPattern(None)
 
     def rule(state, pat, out, nxt):
         return Rule(state, pat, out, nxt)
 
     rules = (
-        rule("gather-rear", W, move_to_set({c}), "gather-mid"),
-        rule("gather-mid", W, move_to_set({d}), "push-front"),
-        rule("push-front", W, MOVE_TO_FREE, "orient"),
+        rule("gather-rear", WILDCARD, move_to_set({c}), "gather-mid"),
+        rule("gather-mid", WILDCARD, move_to_set({d}), "push-front"),
+        rule("push-front", WILDCARD, MOVE_TO_FREE, "orient"),
         # branch test: is the top pebble adjacent after stepping off the front?
         rule("orient", ObservationPattern(None, [("has", h), None, None]), move_to_set({h}), "swap-top-front"),
-        rule("orient", W, move_to_set({c}), "walk-back-rear"),
-        rule("swap-top-front", W, move_to_set({d}), "settle-front"),
-        rule("settle-front", W, move_to_set({c}), "extend-front"),
-        rule("extend-front", W, MOVE_TO_FREE, "return-mid"),
-        rule("walk-back-rear", W, move_to_set({r}), "climb-top"),
-        rule("climb-top", W, move_to_set({h}), "carry-top-rear"),
-        rule("carry-top-rear", W, move_to_set({r}), "carry-top-mid"),
-        rule("carry-top-mid", W, move_to_set({c}), "raise-top"),
-        rule("raise-top", W, MOVE_TO_FREE, "return-mid"),
-        rule("return-mid", W, move_to_set({c}), "return-rear"),
-        rule("return-rear", W, move_to_set({r}), LOOP_HEADER),
+        rule("orient", WILDCARD, move_to_set({c}), "walk-back-rear"),
+        rule("swap-top-front", WILDCARD, move_to_set({d}), "settle-front"),
+        rule("settle-front", WILDCARD, move_to_set({c}), "extend-front"),
+        rule("extend-front", WILDCARD, MOVE_TO_FREE, "return-mid"),
+        rule("walk-back-rear", WILDCARD, move_to_set({r}), "climb-top"),
+        rule("climb-top", WILDCARD, move_to_set({h}), "carry-top-rear"),
+        rule("carry-top-rear", WILDCARD, move_to_set({r}), "carry-top-mid"),
+        rule("carry-top-mid", WILDCARD, move_to_set({c}), "raise-top"),
+        rule("raise-top", WILDCARD, MOVE_TO_FREE, "return-mid"),
+        rule("return-mid", WILDCARD, move_to_set({c}), "return-rear"),
+        rule("return-rear", WILDCARD, move_to_set({r}), LOOP_HEADER),
     )
     return Automaton(initial=LOOP_HEADER, rules=rules)
 
@@ -154,11 +155,9 @@ def iterate(state: CollectiveState, adversary) -> tuple[CollectiveState, int]:
             raise RuntimeError(f"loop did not close within 11 steps (at {steps})")
 
 
-def occupied_schema(positions) -> tuple:
+def occupied_schema(positions) -> Schema:
     """Occupied vertex set, translated so its least x is 0."""
-    occ = {(v.x, v.y) for v in positions.values()}
-    ax = min(x for x, _ in occ)
-    return tuple(sorted((x - ax, y) for x, y in occ))
+    return Schema(frozenset(positions.values()), len(positions))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from pebblewalk.adversary import (
     SeededRandom,
     _Edge,
     _find_zero_walk,
-    _Graph,
     canonicalize,
     defeat_strategy,
     finalize_certificate,
@@ -31,6 +30,7 @@ from pebblewalk.collective import (
     run,
     step,
 )
+from pebblewalk.graph import Graph
 from pebblewalk.lattice import vertex, x_translation
 from pebblewalk.machine import Automaton, ObservationPattern, move_to_set, pebble
 from pebblewalk.strategies import (
@@ -201,8 +201,8 @@ def test_defeat_truncated_search_is_inconclusive():
     assert outcome.detail == "depth 200 exhausted (diameter bound 0)"
 
 
-def _random_graph(rng: random.Random) -> _Graph:
-    g = _Graph()
+def _random_graph(rng: random.Random) -> Graph:
+    g = Graph()
     n = rng.randint(1, 6)
     for u in range(n):
         g.add_node(u, None, 0)
@@ -211,7 +211,7 @@ def _random_graph(rng: random.Random) -> _Graph:
     return g
 
 
-def _simple_cycle_weights_by_component(g: _Graph) -> dict[frozenset, set[int]]:
+def _simple_cycle_weights_by_component(g: Graph) -> dict[frozenset, set[int]]:
     """Brute force: weights of every simple cycle (as an edge sequence),
     keyed by the strongly connected component it lies in."""
     n = len(g.reps)

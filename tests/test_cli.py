@@ -56,6 +56,13 @@ def test_simulate_reproducible_bytes(tmp_path):
     assert b.read_bytes() == first
 
 
+def test_simulate_rejects_negative_horizon(tmp_path, capsys):
+    code, out = simulate(tmp_path, horizon=-1)
+    assert code == 2
+    assert "simulate: horizon must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_strategy_file(tmp_path):
     path = tmp_path / "walker.pw"
     path.write_text(emit_strategy(build_walker()))
@@ -163,6 +170,17 @@ def test_check_rejects_malformed_trace(tmp_path, capsys):
     path = tmp_path / "garbage.trace.jsonl"
     path.write_text("not json\n")
     assert main(["check", str(path), "--c1", "1", "--c2", "1"]) == 2
+
+
+def test_check_and_render_reject_mistyped_record(tmp_path):
+    _, out = simulate(tmp_path, horizon=3)
+    lines = out.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["carried"] = 5
+    lines[2] = json.dumps(row)
+    out.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(out), "--c1", "2", "--c2", "1"]) == 2
+    assert main(["render", str(out)]) == 2
 
 
 def test_check_rejects_bad_window(tmp_path):

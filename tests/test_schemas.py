@@ -427,6 +427,35 @@ def test_worst_case_requires_equal_counts():
         )
 
 
+@pytest.mark.parametrize(
+    "bounds, verdicts, explored, witness_steps",
+    [
+        (
+            {"depth": 1},
+            {("witness", False): 4, ("distinct", False): 12, ("depth-exhausted", True): 9},
+            500,
+            4,
+        ),
+        (
+            {"depth": 12, "max_nodes": 30},
+            {("witness", True): 4, ("distinct", False): 12, ("depth-exhausted", True): 9},
+            480,
+            4,
+        ),
+        ({"depth": 12}, {("witness", False): 13, ("distinct", False): 12}, 880, 22),
+    ],
+)
+def test_two_pebble_pairs_under_search_bounds(bounds, verdicts, explored, witness_steps):
+    schemas = sorted_schemas(enumerate_schemas(2))
+    outs = [worst_case_indistinguishable(a, b, **bounds) for a in schemas for b in schemas]
+    assert Counter((o.verdict, o.frontier_cut) for o in outs) == verdicts
+    assert sum(o.explored for o in outs) == explored
+    witnesses = [o.witness for o in outs if o.witness is not None]
+    assert sum(len(w.prefix) + len(w.cycle) for w in witnesses) == witness_steps
+    for w in witnesses:
+        validate_witness(w)
+
+
 # --- confinement cycles ---------------------------------------------------
 
 def _replay_confinement(cycle: ConfinementCycle):

@@ -133,6 +133,20 @@ def test_rejects_unknown_output():
     assert "teleport" in msg
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("carried", 5), ("carried", [[2]]), ("options", 7), ("outputs", {"1": 5})],
+)
+def test_rejects_mistyped_record_field(field, value):
+    def mutate(lines):
+        row = json.loads(lines[2])
+        row[field] = value
+        lines[2] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+    msg = corrupt(mutate)
+    assert msg.startswith("line 3")
+
+
 def test_rejects_member_set_change():
     def mutate(lines):
         row = json.loads(lines[2])
