@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from pebblewalk.adversary import (
     FirstOption,
@@ -96,6 +97,7 @@ def cmd_simulate(args) -> int:
     except (ParseError, ValueError, OSError) as e:
         return _fail(INPUT_ERROR, f"simulate: {e}")
     out = args.output or _default_output(collective.name, adversary.name, args.horizon)
+    started = time.perf_counter()
     try:
         trace = run(collective.initial_state(), adversary, args.horizon)
     except (StrategyFault, PebbleFault) as fault:
@@ -103,6 +105,11 @@ def cmd_simulate(args) -> int:
             write_document(make_document(collective, adversary, args.horizon, fault.trace), out)
             print(f"wrote partial trace to {out}", file=sys.stderr)
         return _fail(RUNTIME_FAULT, f"simulate: {fault}")
+    elapsed = time.perf_counter() - started
+    steps = len(trace.records) - 1
+    consulted = sum(r.consulted for r in trace.records[1:])
+    rate = steps / elapsed if elapsed > 0 else 0.0
+    print(f"simulate: {steps} steps, {rate:.0f} steps/s, {consulted} consulted", file=sys.stderr)
     write_document(make_document(collective, adversary, args.horizon, trace), out)
     print(f"wrote {out} ({len(trace.records)} records)")
     return OK

@@ -11,7 +11,7 @@ and output from scratch.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -249,33 +249,65 @@ def step(state: CollectiveState, adversary, digest: Optional[bytes] = None) -> t
     if digest is None:
         digest = initial_digest(state.collective)
     plan = plan_step(state)
-    if plan.consulted:
-        idx = adversary.choose(plan.options, ChoiceContext(state.step_index, plan.at, state.positions, digest))
-        if not 0 <= idx < len(plan.options):
-            raise ValueError(f"adversary returned option index {idx} out of range")
-        choice = plan.options[idx]
-    else:
-        choice = plan.options[0]
-    return apply_choice(state, plan, choice)
+    return apply_choice(state, plan, _pick(state, plan, adversary, digest))
+
+
+def _pick(state: CollectiveState, plan: StepPlan, adversary, digest: bytes) -> Vertex:
+    """The chosen option: the adversary's pick when it has a real choice."""
+    if not plan.consulted:
+        return plan.options[0]
+    idx = adversary.choose(plan.options, ChoiceContext(state.step_index, plan.at, state.positions, digest))
+    if not 0 <= idx < len(plan.options):
+        raise ValueError(f"adversary returned option index {idx} out of range")
+    return plan.options[idx]
 
 
 def run(initial: CollectiveState, adversary, horizon: int) -> Trace:
-    """Step `horizon` times from `initial`, or fault with the partial trace."""
+    """Step `horizon` times from `initial`, or fault with the partial trace.
+
+    Automata see neither coordinates nor direction, so a step's plan depends
+    on its configuration only up to x-translation: observations, outputs,
+    next states and the carry set are equal, and the options shift with the
+    leader.  The plan of each translation class (states, positions at least
+    x 0) is computed once and reused, translated, at every later visit; the
+    records of a class share its maps.  Faults are never reused: a fault is
+    raised on the first visit, before anything is stored.
+    """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     records = [StepRecord(t=0, positions=initial.positions, states=initial.states)]
     state = initial
     digest = initial_digest(initial.collective)
+    plans: dict[tuple, tuple[StepPlan, int]] = {}  # class -> (plan, anchor it was made at)
     for _ in range(horizon):
-        at = state.positions[1]
-        try:
-            state, record = step(state, adversary, digest)
-        except (StrategyFault, PebbleFault) as fault:
-            fault.trace = Trace(tuple(records))
-            raise
+        rel, anchor = at_origin(state.positions)
+        key = (state.states, rel)
+        known = plans.get(key)
+        if known is None:
+            try:
+                plan = plan_step(state)
+            except (StrategyFault, PebbleFault) as fault:
+                fault.trace = Trace(tuple(records))
+                raise
+            plans[key] = (plan, anchor)
+        else:
+            plan, made_at = known
+            plan = _shifted(plan, anchor - made_at)
+        state, record = apply_choice(state, plan, _pick(state, plan, adversary, digest))
         records.append(record)
-        digest = advance_digest(digest, at, record.options, record.choice)
+        digest = advance_digest(digest, plan.at, plan.options, record.choice)
     return Trace(tuple(records))
+
+
+def _shifted(plan: StepPlan, dx: int) -> StepPlan:
+    """The plan of the same class translated dx columns to the right."""
+    if dx == 0:
+        return plan
+    return replace(
+        plan,
+        at=Vertex(plan.at.x + dx, plan.at.y),
+        options=tuple(Vertex(o.x + dx, o.y) for o in plan.options),
+    )
 
 
 def coordinate_of(positions: Mapping[MemberId, Vertex]) -> RationalPoint:
@@ -291,8 +323,14 @@ def coordinate(state: CollectiveState) -> RationalPoint:
 
 
 def at_origin(positions: Mapping[MemberId, Vertex]) -> tuple[FrozenMap, int]:
-    """Positions translated so the least x is 0, and the least x before."""
+    """Positions translated so the least x is 0, and the least x before.
+
+    A FrozenMap already at least x 0 comes back as it is; any other mapping
+    is copied, since its owner may change it.
+    """
     anchor = min(v.x for v in positions.values())
+    if anchor == 0 and isinstance(positions, FrozenMap):
+        return positions, 0
     return FrozenMap({m: Vertex(v.x - anchor, v.y) for m, v in positions.items()}), anchor
 
 

@@ -3,7 +3,8 @@
 One JSON object per line: a header, then one record per step.  Keys are
 sorted and separators fixed, so identical runs serialize byte-identically.
 Observations are not stored; parsing recomputes them from the previous
-record's positions, which keeps documents small and makes tampering with
+record's positions, once per translation class of the previous layout,
+never trusted.  That keeps documents small and makes tampering with
 positions visible as inconsistent observations downstream.
 """
 
@@ -15,7 +16,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from pebblewalk.collective import Collective, StepRecord, Trace
+from pebblewalk.collective import Collective, StepRecord, Trace, at_origin
 from pebblewalk.lattice import Vertex, vertex
 from pebblewalk.machine import format_output, observe, parse_output
 from pebblewalk.strategy_format import strategy_hash
@@ -125,7 +126,12 @@ def _member_map(obj, line_no: int, convert):
 
 
 def parse_document(text: str) -> TraceDocument:
-    """Rebuild a document; observations are recomputed, never trusted."""
+    """Rebuild a document; observations are recomputed, never trusted.
+
+    Observations do not change under x-translation, so they are recomputed
+    once per translation class of the previous layout and shared by every
+    record that follows a layout of that class.
+    """
     lines = text.splitlines()
     if not lines:
         raise TraceError("empty document")
@@ -149,6 +155,7 @@ def parse_document(text: str) -> TraceDocument:
         raise TraceError(f"line 1: header missing field {e.args[0]!r}") from None
 
     records: list[StepRecord] = []
+    observed: dict[FrozenMap, FrozenMap] = {}  # previous layout at least x 0 -> observations
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -189,7 +196,10 @@ def parse_document(text: str) -> TraceDocument:
             raise TraceError(f"line {line_no}: consulted must be a boolean")
         if not isinstance(carried, list) or not all(isinstance(c, int) for c in carried):
             raise TraceError(f"line {line_no}: carried must list member ids")
-        observations = FrozenMap({m: observe(prev.positions, m) for m in positions})
+        rel = at_origin(prev.positions)[0]
+        observations = observed.get(rel)
+        if observations is None:
+            observations = observed[rel] = FrozenMap({m: observe(prev.positions, m) for m in positions})
         records.append(
             StepRecord(
                 t=t,

@@ -39,6 +39,11 @@ class FrozenMap(Mapping[K, V]):
     def items(self):
         return self._d.items()
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FrozenMap):
+            return self._d == other._d
+        return super().__eq__(other)
+
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(frozenset(self._d.items()))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from pebblewalk.cli import main, parse_adversary
 from pebblewalk.collective import run
 from pebblewalk.strategies import build_free_walker
 from pebblewalk.strategy_format import emit_strategy
-from pebblewalk.tracefile import make_document, read_document, write_document
+from pebblewalk.tracefile import make_document, read_document, render_document, write_document
 from pebblewalk.walker14 import build_walker
 
 TWO_STATE_PEBBLE = """\
@@ -54,6 +55,19 @@ def test_simulate_reproducible_bytes(tmp_path):
     first = a.read_bytes()
     _, b = simulate(tmp_path, "--adversary", "seeded:5")
     assert b.read_bytes() == first
+
+
+def test_simulate_reports_rate_on_stderr_only(tmp_path, capsys):
+    code, out = simulate(tmp_path, "--adversary", "seeded:5", horizon=300)
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    match = re.fullmatch(r"simulate: 300 steps, (\d+) steps/s, (\d+) consulted", err[0])
+    assert match is not None
+    col, adversary = build_walker(), parse_adversary("seeded:5")
+    trace = run(col.initial_state(), adversary, 300)
+    assert int(match.group(2)) == sum(r.consulted for r in trace.records[1:]) > 0
+    assert out.read_text() == render_document(make_document(col, adversary, 300, trace))
 
 
 def test_simulate_rejects_negative_horizon(tmp_path, capsys):

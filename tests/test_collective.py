@@ -6,14 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from pebblewalk.adversary import FirstOption, LastOption, ScriptedChoices, SeededRandom
+from pebblewalk.adversary import FirstOption, LastOption, Oscillator, ScriptedChoices, SeededRandom
 from pebblewalk.collective import (
     Collective,
     PebbleFault,
     RationalPoint,
+    StepRecord,
     StrategyFault,
+    Trace,
     Verdict,
+    advance_digest,
     apply_choice,
+    at_origin,
     check_directed,
     check_directed_at,
     check_uniform,
@@ -22,6 +26,7 @@ from pebblewalk.collective import (
     diameter,
     diameter_of,
     find_isolated,
+    initial_digest,
     plan_step,
     run,
     step,
@@ -42,7 +47,8 @@ from pebblewalk.machine import (
     pebble,
     resolve_output,
 )
-from pebblewalk.strategies import build_free_walker
+from pebblewalk.strategies import BUILTIN_STRATEGIES, build_free_walker, load_builtin
+from pebblewalk.tracefile import make_document, render_document
 from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
 
@@ -192,6 +198,90 @@ def test_pebble_fault_on_detached_mover():
     )
     with pytest.raises(PebbleFault):
         run(col.initial_state(), FirstOption(), 1)
+
+
+def step_loop(initial, adversary, horizon):
+    """Reference for run: plain step() calls carrying the digest, no reuse.
+
+    Returns the records and the fault that ended the loop, if any.
+    """
+    records = [StepRecord(t=0, positions=initial.positions, states=initial.states)]
+    state, digest = initial, initial_digest(initial.collective)
+    for _ in range(horizon):
+        at = state.positions[1]
+        try:
+            state, record = step(state, adversary, digest)
+        except (StrategyFault, PebbleFault) as fault:
+            return records, fault
+        records.append(record)
+        digest = advance_digest(digest, at, record.options, record.choice)
+    return records, None
+
+
+ADVERSARIES = (FirstOption, LastOption, lambda: SeededRandom(42), lambda: SeededRandom(7), Oscillator)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
+def test_run_equals_step_loop_reference(name):
+    col = load_builtin(name)
+    for make_adversary in ADVERSARIES:
+        expected, fault = step_loop(col.initial_state(), make_adversary(), 3000)
+        assert fault is None
+        adversary = make_adversary()
+        trace = run(col.initial_state(), adversary, 3000)
+        assert trace.records == tuple(expected)
+        assert render_document(make_document(col, adversary, 3000, trace)) == render_document(
+            make_document(col, adversary, 3000, Trace(tuple(expected)))
+        )
+
+
+def build_tether() -> Collective:
+    """Leader that leaves its pebble and comes back until it strays too far.
+
+    Co-located with pebble 2 it waits a step (each layout recurs in two
+    states), then steps to a free neighbor; next to 2 it steps back; next
+    to 3 it steps to a free neighbor, which loses sight of both and then
+    asks for 2, an empty option set.
+    """
+    leader = Automaton(
+        initial="s",
+        rules=(
+            Rule("s", ObservationPattern({2}), STAY, "t"),
+            Rule("t", ObservationPattern({2}), MOVE_TO_FREE, "s"),
+            Rule("s", ObservationPattern(None, [("has", 3), None, None]), MOVE_TO_FREE, "s"),
+            Rule("s", ObservationPattern(None, [("has", 2), None, None]), move_to_set({2}), "s"),
+            Rule("s", W, move_to_set({2}), "s"),
+        ),
+    )
+    return Collective(
+        name="tether",
+        leader=leader,
+        pebbles=FrozenMap({2: pebble("post", []), 3: pebble("marker", [])}),
+        initial_positions=FrozenMap({1: vertex(0, 0), 2: vertex(0, 0), 3: vertex(2, 0)}),
+    )
+
+
+def test_run_fault_after_revisits_equals_step_loop_reference():
+    script = [(-1, 0), (0, 1), (-1, 0), (0, 1), (1, 0)]
+    col = build_tether()
+    expected, fault = step_loop(col.initial_state(), ScriptedChoices(script), 50)
+    assert isinstance(fault, StrategyFault) and "(step 15)" in str(fault)
+    with pytest.raises(StrategyFault) as exc:
+        run(col.initial_state(), ScriptedChoices(script), 50)
+    assert str(exc.value) == str(fault)
+    assert exc.value.trace.records == tuple(expected)
+    assert len(exc.value.trace) == 16
+
+
+def test_at_origin_reuses_an_anchored_map():
+    anchored = FrozenMap({1: vertex(0, 1), 2: vertex(3, 0)})
+    assert at_origin(anchored) == (anchored, 0)
+    assert at_origin(anchored)[0] is anchored
+    plain = {1: vertex(0, 1), 2: vertex(3, 0)}
+    rel, anchor = at_origin(plain)
+    assert anchor == 0 and rel == plain and rel is not plain
+    rel, anchor = at_origin(FrozenMap({1: vertex(-2, 1), 2: vertex(1, 0)}))
+    assert (rel, anchor) == (anchored, -2)
 
 
 def test_trace_consistency_rederivation():

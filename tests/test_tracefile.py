@@ -8,6 +8,7 @@ import pytest
 
 from pebblewalk.adversary import FirstOption, SeededRandom
 from pebblewalk.collective import check_directed, run
+from pebblewalk.machine import observe
 from pebblewalk.strategies import load_builtin
 from pebblewalk.strategy_format import strategy_hash
 from pebblewalk.tracefile import (
@@ -50,6 +51,34 @@ def test_round_trip_recovers_observations():
     for rec in again.records[1:]:
         assert rec.observations is not None
     assert again.records[3].observations == doc.records[3].observations
+
+
+def test_observations_follow_every_member_and_row_of_the_previous_layout():
+    # Layouts 0 and 1 differ only in pebble 2's row; 2 and 3 repeat them
+    # four columns to the right, so their observations are reused.
+    near = {"1": [0, 0], "2": [1, 0], "3": [0, 1]}
+    across = {"1": [0, 0], "2": [1, 1], "3": [0, 1]}
+    layouts = [near, across]
+    layouts += [{m: [x + 4, y] for m, (x, y) in lay.items()} for lay in layouts]
+    layouts.append(near)
+    header = render_document(walker_document()).splitlines()[0]
+    rows = []
+    for t, lay in enumerate(layouts):
+        row = {"t": t, "positions": lay, "states": {m: "s" for m in lay}}
+        if t > 0:
+            row.update(
+                outputs={m: "stay" for m in lay},
+                options=[lay["1"]],
+                choice=lay["1"],
+                consulted=False,
+                carried=[],
+            )
+        rows.append(json.dumps(row))
+    doc = parse_document("\n".join([header, *rows]) + "\n")
+    records = doc.records
+    assert records[1].observations != records[2].observations
+    for prev, rec in zip(records, records[1:]):
+        assert rec.observations == {m: observe(prev.positions, m) for m in prev.positions}
 
 
 def test_byte_identical_reproduction():
