@@ -249,17 +249,17 @@ def step(state: CollectiveState, adversary, digest: Optional[bytes] = None) -> t
     if digest is None:
         digest = initial_digest(state.collective)
     plan = plan_step(state)
-    return apply_choice(state, plan, _pick(state, plan, adversary, digest))
+    return apply_choice(state, plan, plan.options[_pick(state, plan, adversary, digest)])
 
 
-def _pick(state: CollectiveState, plan: StepPlan, adversary, digest: bytes) -> Vertex:
-    """The chosen option: the adversary's pick when it has a real choice."""
+def _pick(state: CollectiveState, plan: StepPlan, adversary, digest: bytes) -> int:
+    """Index of the chosen option: the adversary's pick when it has a real choice."""
     if not plan.consulted:
-        return plan.options[0]
+        return 0
     idx = adversary.choose(plan.options, ChoiceContext(state.step_index, plan.at, state.positions, digest))
     if not 0 <= idx < len(plan.options):
         raise ValueError(f"adversary returned option index {idx} out of range")
-    return plan.options[idx]
+    return idx
 
 
 def run(initial: CollectiveState, adversary, horizon: int) -> Trace:
@@ -270,32 +270,49 @@ def run(initial: CollectiveState, adversary, horizon: int) -> Trace:
     next states and the carry set are equal, and the options shift with the
     leader.  The plan of each translation class (states, positions at least
     x 0) is computed once and reused, translated, at every later visit; the
-    records of a class share its maps.  Faults are never reused: a fault is
-    raised on the first visit, before anything is stored.
+    records of a class share its maps.  The class after a step is fixed by
+    the class before it and the chosen option's index (options are sorted
+    by offset), so it is looked up once per (class, index) and then
+    followed.  Faults are never reused: a fault is raised on the first
+    visit, before anything is stored.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     records = [StepRecord(t=0, positions=initial.positions, states=initial.states)]
     state = initial
     digest = initial_digest(initial.collective)
-    plans: dict[tuple, tuple[StepPlan, int]] = {}  # class -> (plan, anchor it was made at)
-    for _ in range(horizon):
+    nodes: dict[tuple, int] = {}  # class (states, positions at least x 0) -> node id
+    plans: dict[int, tuple[StepPlan, int]] = {}  # node -> (plan, anchor it was made at)
+    moves: dict[tuple[int, int], tuple[int, int]] = {}  # (node, option index) -> (next node, anchor shift)
+
+    def locate(state: CollectiveState) -> tuple[int, int]:
         rel, anchor = at_origin(state.positions)
-        key = (state.states, rel)
-        known = plans.get(key)
+        return nodes.setdefault((state.states, rel), len(nodes)), anchor
+
+    node, anchor = locate(state)
+    for _ in range(horizon):
+        known = plans.get(node)
         if known is None:
             try:
                 plan = plan_step(state)
             except (StrategyFault, PebbleFault) as fault:
                 fault.trace = Trace(tuple(records))
                 raise
-            plans[key] = (plan, anchor)
+            plans[node] = (plan, anchor)
         else:
             plan, made_at = known
             plan = _shifted(plan, anchor - made_at)
-        state, record = apply_choice(state, plan, _pick(state, plan, adversary, digest))
+        idx = _pick(state, plan, adversary, digest)
+        state, record = apply_choice(state, plan, plan.options[idx])
         records.append(record)
         digest = advance_digest(digest, plan.at, plan.options, record.choice)
+        move = moves.get((node, idx))
+        if move is None:
+            next_node, next_anchor = locate(state)
+            moves[node, idx] = (next_node, next_anchor - anchor)
+            node, anchor = next_node, next_anchor
+        else:
+            node, anchor = move[0], anchor + move[1]
     return Trace(tuple(records))
 
 

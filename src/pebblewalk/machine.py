@@ -94,7 +94,7 @@ def parse_output(text: str) -> Output:
         return MOVE_TO_FREE
     if text.startswith("set:"):
         body = text[4:]
-        if body and all(tok.isdigit() for tok in body.split(",")):
+        if body and all(tok.isascii() and tok.isdigit() for tok in body.split(",")):
             return move_to_set(int(tok) for tok in body.split(","))
     raise ValueError(f"unrecognized output spelling {text!r}")
 

@@ -49,9 +49,9 @@ FORMAT_NAME = "pebblewalk-strategy"
 FORMAT_VERSION = 1
 
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*\Z")
-_SET_LITERAL = re.compile(r"\{(\d+(,\d+)*)?\}\Z")
-_HAS = re.compile(r"has\((\d+)\)\Z")
-_PLACE = re.compile(r"\((-?\d+),(-?\d+)\)\Z")
+_SET_LITERAL = re.compile(r"\{(\d+(,\d+)*)?\}\Z", re.ASCII)
+_HAS = re.compile(r"has\((\d+)\)\Z", re.ASCII)
+_PLACE = re.compile(r"\((-?\d+),(-?\d+)\)\Z", re.ASCII)
 _TOKEN = re.compile(r"\S+")
 
 
@@ -128,7 +128,7 @@ def _take_name(line: _Line, what: str) -> str:
 def _take_int(line: _Line, what: str) -> int:
     col = line.col()
     tok = line.take(what)
-    if not tok.isdigit():
+    if not (tok.isascii() and tok.isdigit()):
         raise ParseError(line.number, col, f"expected {what}, got {tok!r}")
     return int(tok)
 

@@ -6,6 +6,14 @@ Observations are not stored; parsing recomputes them from the previous
 record's positions, once per translation class of the previous layout,
 never trusted.  That keeps documents small and makes tampering with
 positions visible as inconsistent observations downstream.
+
+A walker trace repeats a handful of record parts shifted along x, so both
+directions work once per distinct part, with memos that live for one call:
+rendering encodes each shared states, outputs and carried object once, and
+parsing checks and converts each distinct vertex, member id, states map,
+outputs map and carried list once.  Parsing accepts only the types and
+spellings rendering writes, so every accepted document re-renders
+byte-identically.
 """
 
 from __future__ import annotations
@@ -66,11 +74,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _vertex_pair(v: Vertex) -> list[int]:
-    return [v.x, v.y]
-
-
 def render_document(doc: TraceDocument) -> str:
+    """One header line, then one line per record, keys sorted.
+
+    Records of a translation class share their states, outputs and carried
+    objects, so each shared object is encoded once per call; positions,
+    options, choice and t are formatted for every record.
+    """
     h = doc.header
     lines = [
         _dump(
@@ -85,64 +95,172 @@ def render_document(doc: TraceDocument) -> str:
             }
         )
     ]
+    # id of a record's states, outputs or carried object -> its JSON, one memo per field
+    states_json: dict[int, str] = {}
+    outputs_json: dict[int, str] = {}
+    carried_json: dict[int, str] = {}
+    orders: dict[tuple, list] = {}  # member ids in map order -> the same, sorted as JSON keys
+
+    def encode(memo: dict, obj, to_json) -> str:
+        text = memo.get(id(obj))
+        if text is None:
+            text = memo[id(obj)] = _dump(to_json(obj))
+        return text
+
     for rec in doc.trace.records:
-        row = {
-            "t": rec.t,
-            "positions": {str(m): _vertex_pair(v) for m, v in rec.positions.items()},
-            "states": {str(m): s for m, s in rec.states.items()},
-        }
+        pos = rec.positions
+        members = tuple(pos)
+        order = orders.get(members)
+        if order is None:
+            order = orders[members] = sorted(members, key=str)
+        positions = ",".join([f'"{m}":[{v.x},{v.y}]' for m, v in zip(order, map(pos.__getitem__, order))])
+        states = encode(states_json, rec.states, _string_keys)
         if rec.t > 0:
-            row["outputs"] = {str(m): format_output(o) for m, o in rec.outputs.items()}
-            row["options"] = [_vertex_pair(v) for v in rec.options]
-            row["choice"] = _vertex_pair(rec.choice)
-            row["consulted"] = rec.consulted
-            row["carried"] = sorted(rec.carried)
-        lines.append(_dump(row))
+            options = ",".join([f"[{v.x},{v.y}]" for v in rec.options])
+            lines.append(
+                f'{{"carried":{encode(carried_json, rec.carried, sorted)},'
+                f'"choice":[{rec.choice.x},{rec.choice.y}],'
+                f'"consulted":{"true" if rec.consulted else "false"},'
+                f'"options":[{options}],'
+                f'"outputs":{encode(outputs_json, rec.outputs, _output_spellings)},'
+                f'"positions":{{{positions}}},"states":{states},"t":{rec.t}}}'
+            )
+        else:
+            lines.append(f'{{"positions":{{{positions}}},"states":{states},"t":{rec.t}}}')
     return "\n".join(lines) + "\n"
 
 
-def _parsed_vertex(pair, line_no: int) -> Vertex:
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(c, int) for c in pair)
-    ):
+def _string_keys(states) -> dict:
+    return {str(m): s for m, s in states.items()}
+
+
+def _output_spellings(outputs) -> dict:
+    return {str(m): format_output(o) for m, o in outputs.items()}
+
+
+class _Decoder:
+    """The checks and conversions of one parse, each done once per distinct
+    input.
+
+    Memo keys are exact: a vertex is keyed by (x, y) only once both are
+    ints, and a string map by its items only once every value is a str,
+    since 1 == 1.0 == True hash alike.  A map's member set is checked when
+    it is first seen; the member set of a document never changes.
+    """
+
+    def __init__(self):
+        self.members: frozenset = frozenset()
+        self.ids: dict[str, int] = {}
+        self.vertices: dict[tuple[int, int], Vertex] = {}
+        self.maps: dict[tuple, FrozenMap] = {}  # (what, *items) -> member map
+        self.carried: dict[tuple, frozenset] = {}
+
+    def member_id(self, key: str, line_no: int) -> int:
+        m = self.ids.get(key)
+        if m is None:
+            # Only the spelling str(m) renders back: ASCII digits, no leading zero.
+            if not (key.isascii() and key.isdigit() and (key[0] != "0" or key == "0")):
+                raise TraceError(f"line {line_no}: bad member id {key!r}")
+            try:
+                m = self.ids[key] = int(key)
+            except ValueError:  # too many digits to convert
+                raise TraceError(f"line {line_no}: bad member id {key!r}") from None
+        return m
+
+    def vertex(self, pair, line_no: int) -> Vertex:
+        if type(pair) is list and len(pair) == 2:
+            x, y = pair
+            if type(x) is int and type(y) is int:
+                v = self.vertices.get((x, y))
+                if v is None:
+                    try:
+                        v = self.vertices[x, y] = vertex(x, y)
+                    except ValueError as e:
+                        raise TraceError(f"line {line_no}: {e}") from None
+                return v
         raise TraceError(f"line {line_no}: bad coordinate pair {pair!r}")
+
+    def positions(self, obj, line_no: int) -> FrozenMap:
+        if type(obj) is not dict:
+            raise TraceError(f"line {line_no}: expected a member map, got {obj!r}")
+        member_id, vertex = self.member_id, self.vertex
+        return FrozenMap({member_id(k, line_no): vertex(p, line_no) for k, p in obj.items()})
+
+    def strings(self, obj, line_no: int, what: str, convert=None) -> FrozenMap:
+        """A member map of strings, shared by every record that spells it
+        alike; convert(value, line_no) runs once per distinct map."""
+        if type(obj) is not dict:
+            raise TraceError(f"line {line_no}: expected a member map, got {obj!r}")
+        for value in obj.values():
+            if type(value) is not str:
+                raise TraceError(f"line {line_no}: {what} must be a string, got {value!r}")
+        key = (what, *obj.items())
+        out = self.maps.get(key)
+        if out is None:
+            out = FrozenMap(
+                {
+                    self.member_id(k, line_no): value if convert is None else convert(value, line_no)
+                    for k, value in obj.items()
+                }
+            )
+            if out.keys() != self.members:
+                raise TraceError(f"line {line_no}: {what}s and positions disagree on members")
+            self.maps[key] = out
+        return out
+
+    def carry_set(self, obj, line_no: int) -> frozenset:
+        if type(obj) is list:
+            for c in obj:
+                if type(c) is not int:
+                    break
+            else:
+                key = tuple(obj)
+                out = self.carried.get(key)
+                if out is None:
+                    out = frozenset(key)
+                    # Rendered sorted and without repeats; only pebbles ride along.
+                    if list(key) != sorted(out) or not out <= self.members - {1}:
+                        raise TraceError(f"line {line_no}: carried must list pebble ids in increasing order")
+                    self.carried[key] = out
+                return out
+        raise TraceError(f"line {line_no}: carried must list member ids")
+
+
+def _output(spelling: str, line_no: int):
     try:
-        return vertex(pair[0], pair[1])
+        out = parse_output(spelling)
     except ValueError as e:
         raise TraceError(f"line {line_no}: {e}") from None
-
-
-def _member_map(obj, line_no: int, convert):
-    if not isinstance(obj, dict):
-        raise TraceError(f"line {line_no}: expected a member map, got {obj!r}")
-    out = {}
-    for key, value in obj.items():
-        if not key.isdigit():
-            raise TraceError(f"line {line_no}: bad member id {key!r}")
-        out[int(key)] = convert(value)
-    return FrozenMap(out)
+    if format_output(out) != spelling:
+        raise TraceError(f"line {line_no}: output {spelling!r} is not spelled as {format_output(out)!r}")
+    return out
 
 
 def parse_document(text: str) -> TraceDocument:
     """Rebuild a document; observations are recomputed, never trusted.
 
-    Observations do not change under x-translation, so they are recomputed
-    once per translation class of the previous layout and shared by every
-    record that follows a layout of that class.
+    Every value must have the type and spelling the renderer writes, so an
+    accepted document re-renders byte-identically.  Observations do not
+    change under x-translation, so they are recomputed once per translation
+    class of the previous layout and shared by every record that follows a
+    layout of that class.  Each distinct vertex, member id, states map,
+    outputs map and carried list is checked and converted once; records
+    that spell a map alike share one FrozenMap.
     """
     lines = text.splitlines()
     if not lines:
         raise TraceError("empty document")
+    # json.loads raises ValueError on bad JSON or an int too long to convert,
+    # and RecursionError on nesting too deep.
     try:
         head = json.loads(lines[0])
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise TraceError(f"line 1: {e}") from None
     if not isinstance(head, dict) or head.get("format") != FORMAT_NAME:
         raise TraceError("line 1: missing trace header")
-    if head.get("version") != FORMAT_VERSION:
-        raise TraceError(f"line 1: unsupported version {head.get('version')!r}")
+    version = head.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise TraceError(f"line 1: unsupported version {version!r}")
     try:
         header = TraceHeader(
             strategy=head["strategy"],
@@ -154,6 +272,7 @@ def parse_document(text: str) -> TraceDocument:
     except KeyError as e:
         raise TraceError(f"line 1: header missing field {e.args[0]!r}") from None
 
+    decode = _Decoder()
     records: list[StepRecord] = []
     observed: dict[FrozenMap, FrozenMap] = {}  # previous layout at least x 0 -> observations
     for line_no, raw in enumerate(lines[1:], start=2):
@@ -161,45 +280,43 @@ def parse_document(text: str) -> TraceDocument:
             continue
         try:
             row = json.loads(raw)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise TraceError(f"line {line_no}: {e}") from None
-        if not isinstance(row, dict) or "t" not in row:
+        if type(row) is not dict or "t" not in row:
             raise TraceError(f"line {line_no}: not a step record")
         t = row["t"]
-        if t != len(records):
-            raise TraceError(f"line {line_no}: step index {t}, expected {len(records)}")
-        positions = _member_map(
-            row.get("positions"), line_no, lambda p: _parsed_vertex(p, line_no)
-        )
-        states = _member_map(row.get("states"), line_no, str)
-        if set(states) != set(positions):
-            raise TraceError(f"line {line_no}: states and positions disagree on members")
+        if type(t) is not int or t != len(records):
+            raise TraceError(f"line {line_no}: step index {t!r}, expected {len(records)}")
+        positions = decode.positions(row.get("positions"), line_no)
+        if t == 0:
+            if not positions:
+                raise TraceError(f"line {line_no}: a record needs at least one member")
+            decode.members = frozenset(positions)
+        elif positions.keys() != decode.members:
+            raise TraceError(f"line {line_no}: member set changed mid-trace")
+        states = decode.strings(row.get("states"), line_no, "state")
         if t == 0:
             records.append(StepRecord(t=0, positions=positions, states=states))
             continue
-        prev = records[-1]
-        if set(positions) != set(prev.positions):
-            raise TraceError(f"line {line_no}: member set changed mid-trace")
         try:
-            outputs = _member_map(
-                row["outputs"], line_no, lambda s: _parse_output_checked(s, line_no)
-            )
-            if not isinstance(row["options"], list):
+            outputs = decode.strings(row["outputs"], line_no, "output", _output)
+            if type(row["options"]) is not list:
                 raise TraceError(f"line {line_no}: options must list coordinate pairs")
-            options = tuple(_parsed_vertex(p, line_no) for p in row["options"])
-            choice = _parsed_vertex(row["choice"], line_no)
+            options = tuple([decode.vertex(p, line_no) for p in row["options"]])
+            choice = decode.vertex(row["choice"], line_no)
             consulted = row["consulted"]
-            carried = row["carried"]
+            carried = decode.carry_set(row["carried"], line_no)
         except KeyError as e:
             raise TraceError(f"line {line_no}: record missing field {e.args[0]!r}") from None
-        if not isinstance(consulted, bool):
+        if choice not in options:
+            raise TraceError(f"line {line_no}: choice {choice} is not among the options")
+        if type(consulted) is not bool:
             raise TraceError(f"line {line_no}: consulted must be a boolean")
-        if not isinstance(carried, list) or not all(isinstance(c, int) for c in carried):
-            raise TraceError(f"line {line_no}: carried must list member ids")
-        rel = at_origin(prev.positions)[0]
+        prev = records[-1].positions
+        rel = at_origin(prev)[0]
         observations = observed.get(rel)
         if observations is None:
-            observations = observed[rel] = FrozenMap({m: observe(prev.positions, m) for m in positions})
+            observations = observed[rel] = FrozenMap({m: observe(prev, m) for m in positions})
         records.append(
             StepRecord(
                 t=t,
@@ -210,21 +327,12 @@ def parse_document(text: str) -> TraceDocument:
                 options=options,
                 choice=choice,
                 consulted=consulted,
-                carried=frozenset(carried),
+                carried=carried,
             )
         )
     if not records:
         raise TraceError("document has a header but no records")
     return TraceDocument(header, Trace(tuple(records)))
-
-
-def _parse_output_checked(s, line_no: int):
-    if not isinstance(s, str):
-        raise TraceError(f"line {line_no}: output must be a string, got {s!r}")
-    try:
-        return parse_output(s)
-    except ValueError as e:
-        raise TraceError(f"line {line_no}: {e}") from None
 
 
 def write_document(doc: TraceDocument, path: str) -> None:

@@ -197,6 +197,27 @@ def test_check_and_render_reject_mistyped_record(tmp_path):
     assert main(["render", str(out)]) == 2
 
 
+def test_check_and_render_reject_non_ascii_member_id(tmp_path, capsys):
+    _, out = simulate(tmp_path, horizon=3)
+    out.write_text(out.read_text().replace('"2":', '"\\u00b2":'))
+    capsys.readouterr()
+    assert main(["check", str(out), "--c1", "2", "--c2", "1"]) == 2
+    assert main(["render", str(out)]) == 2
+    assert "bad member id '²'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("members 2", "members ²"), ("then s\n", "then s priority ²\n")],
+    ids=["members", "priority"],
+)
+def test_defeat_rejects_non_ascii_digits(tmp_path, capsys, old, new):
+    path = tmp_path / "twostep.strategy"
+    path.write_text(TWO_STATE_PEBBLE.replace(old, new, 1))
+    assert main(["defeat", str(path)]) == 2
+    assert "²" in capsys.readouterr().err
+
+
 def test_check_rejects_bad_window(tmp_path):
     _, out = simulate(tmp_path, horizon=5)
     assert main(["check", str(out), "--c1", "2", "--c2", "0"]) == 2

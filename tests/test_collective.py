@@ -48,9 +48,10 @@ from pebblewalk.machine import (
     resolve_output,
 )
 from pebblewalk.strategies import BUILTIN_STRATEGIES, build_free_walker, load_builtin
-from pebblewalk.tracefile import make_document, render_document
+from pebblewalk.tracefile import make_document, parse_document, render_document
 from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
+from trace_reference import assert_one_object_per_value, reference_render
 
 W = ObservationPattern(None)
 
@@ -223,6 +224,8 @@ ADVERSARIES = (FirstOption, LastOption, lambda: SeededRandom(42), lambda: Seeded
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
 def test_run_equals_step_loop_reference(name):
+    # The step loop's records share no maps, run's share them per class and
+    # parsed records per distinct value: the codec must treat all alike.
     col = load_builtin(name)
     for make_adversary in ADVERSARIES:
         expected, fault = step_loop(col.initial_state(), make_adversary(), 3000)
@@ -230,9 +233,13 @@ def test_run_equals_step_loop_reference(name):
         adversary = make_adversary()
         trace = run(col.initial_state(), adversary, 3000)
         assert trace.records == tuple(expected)
-        assert render_document(make_document(col, adversary, 3000, trace)) == render_document(
-            make_document(col, adversary, 3000, Trace(tuple(expected)))
-        )
+        text = render_document(make_document(col, adversary, 3000, trace))
+        reference = make_document(col, adversary, 3000, Trace(tuple(expected)))
+        assert text == reference_render(reference)
+        assert render_document(reference) == text
+        parsed = parse_document(text)
+        assert parsed.trace == trace
+        assert_one_object_per_value(parsed.records[1:])
 
 
 def build_tether() -> Collective:

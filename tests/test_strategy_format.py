@@ -33,7 +33,7 @@ def test_parse_output_spellings():
     assert parse_output("stay") == STAY
     assert parse_output("free") == MOVE_TO_FREE
     assert parse_output("set:2,4") == move_to_set({2, 4})
-    for bad in ("", "set:", "go", "set:1,", "SET:2"):
+    for bad in ("", "set:", "go", "set:1,", "SET:2", "set:²", "set:٣"):
         with pytest.raises(ValueError):
             parse_output(bad)
 
@@ -90,6 +90,22 @@ def error_at(text):
     with pytest.raises(ParseError) as exc:
         parse_strategy(text)
     return exc.value
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("members 1", "members ٣"),
+        ("place 1 (0,0)", "place 1 (٣,0)"),
+        ("roam: * | *", "roam: {٣} | *"),
+        ("roam: * | *", "roam: * | has(٣) * *"),
+    ],
+    ids=["members", "place", "set", "has"],
+)
+def test_rejects_non_ascii_digits(old, new):
+    # int() reads Unicode decimal digits; the format allows ASCII only.
+    err = error_at(MINIMAL.replace(old, new, 1))
+    assert "٣" in err.reason
 
 
 def test_missing_format_header():

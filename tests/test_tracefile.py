@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebblewalk.adversary import FirstOption, SeededRandom
-from pebblewalk.collective import check_directed, run
+from pebblewalk.collective import StepRecord, Trace, check_directed, run
+from pebblewalk.lattice import vertex
 from pebblewalk.machine import observe
 from pebblewalk.strategies import load_builtin
 from pebblewalk.strategy_format import strategy_hash
@@ -19,7 +23,9 @@ from pebblewalk.tracefile import (
     render_document,
     write_document,
 )
+from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
+from trace_reference import assert_one_object_per_value, dump, reference_render
 
 
 def walker_document(seed=42, horizon=50):
@@ -86,6 +92,38 @@ def test_byte_identical_reproduction():
     b = render_document(walker_document())
     assert a == b
     assert render_document(parse_document(a)) == a
+
+
+def test_records_sharing_no_maps_render_like_the_reference():
+    doc = walker_document(horizon=40)
+    fresh = [
+        replace(
+            rec,
+            positions=FrozenMap(dict(rec.positions)),
+            states=FrozenMap(dict(rec.states)),
+            outputs=None if rec.outputs is None else FrozenMap(dict(rec.outputs)),
+            carried=None if rec.carried is None else frozenset(list(rec.carried)),
+        )
+        for rec in doc.records
+    ]
+    for field in ("states", "outputs", "carried"):
+        assert len({id(getattr(rec, field)) for rec in fresh[1:]}) == len(fresh) - 1
+    unshared = replace(doc, trace=Trace(tuple(fresh)))
+    text = render_document(unshared)
+    assert text == reference_render(unshared) == render_document(doc)
+    parsed = parse_document(text)
+    assert parsed == doc
+    assert_one_object_per_value(parsed.records[1:])
+
+
+def test_members_render_in_json_key_order():
+    # Member 10 sorts between 1 and 2 as a JSON key.
+    positions = FrozenMap({m: vertex(m, 0) for m in range(1, 12)})
+    states = FrozenMap({m: "s" for m in positions})
+    doc = replace(walker_document(horizon=1), trace=Trace((StepRecord(0, positions, states),)))
+    text = render_document(doc)
+    assert text == reference_render(doc)
+    assert parse_document(text) == doc
 
 
 def test_deterministic_key_order():
@@ -164,7 +202,15 @@ def test_rejects_unknown_output():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("carried", 5), ("carried", [[2]]), ("options", 7), ("outputs", {"1": 5})],
+    [
+        ("carried", 5),
+        ("carried", [[2]]),
+        ("options", 7),
+        ("outputs", {"1": 5}),
+        ("t", 1.0),
+        ("t", True),
+        ("consulted", 1),
+    ],
 )
 def test_rejects_mistyped_record_field(field, value):
     def mutate(lines):
@@ -174,6 +220,126 @@ def test_rejects_mistyped_record_field(field, value):
 
     msg = corrupt(mutate)
     assert msg.startswith("line 3")
+
+
+def rename_member(row, new):
+    for field in ("positions", "states", "outputs"):
+        if field in row:
+            row[field][new] = row[field].pop("2")
+
+
+def set_field(*path):
+    def mutate(row, value):
+        for key in path[:-1]:
+            row = row[key]
+        row[path[-1]] = value
+
+    return mutate
+
+
+def drop_output(row, _):
+    del row["outputs"]["5"]
+
+
+# Each value parses to something the renderer spells differently, or to a
+# record no run produces; record t=1 of walker_document() is
+# carried [2], choice [1,0], options [[1,0]], members 1..5.
+@pytest.mark.parametrize(
+    "mutate, value, fragment",
+    [
+        pytest.param(set_field("positions", "3", 0), True, "coordinate", id="bool-position"),
+        pytest.param(set_field("choice", 0), True, "coordinate", id="bool-choice"),
+        pytest.param(set_field("options", 0, 1), False, "coordinate", id="bool-option"),
+        pytest.param(set_field("carried", 0), True, "carried", id="bool-carried"),
+        pytest.param(set_field("states", "2"), 7, "state must be a string", id="int-state"),
+        pytest.param(rename_member, "02", "member id", id="leading-zero-member"),
+        pytest.param(rename_member, "²", "member id", id="non-ascii-member"),
+        pytest.param(set_field("carried"), [1], "carried", id="leader-carried"),
+        pytest.param(set_field("carried"), [7], "carried", id="stranger-carried"),
+        pytest.param(set_field("carried"), [2, 2], "carried", id="repeated-carried"),
+        pytest.param(set_field("carried"), [3, 2], "carried", id="unsorted-carried"),
+        pytest.param(set_field("choice"), [5, 0], "not among the options", id="choice-not-offered"),
+        pytest.param(drop_output, None, "disagree on members", id="output-missing"),
+        pytest.param(set_field("outputs", "6"), "stay", "disagree on members", id="output-stranger"),
+        pytest.param(set_field("outputs", "1"), "set:²", "set:²", id="non-ascii-output"),
+        pytest.param(set_field("outputs", "1"), "set:03", "set:03", id="leading-zero-output"),
+        pytest.param(set_field("outputs", "1"), "set:4,3", "set:4,3", id="unsorted-output"),
+    ],
+)
+def test_rejects_value_the_renderer_never_writes(mutate, value, fragment):
+    def edit(lines):
+        row = json.loads(lines[2])
+        mutate(row, value)
+        lines[2] = dump(row)
+
+    msg = corrupt(edit)
+    assert msg.startswith("line 3") and fragment in msg
+
+
+def test_rejects_record_without_members():
+    def edit(lines):
+        empty = {"positions": {}, "states": {}, "outputs": {}, "options": [[0, 0]], "choice": [0, 0]}
+        lines[1:] = [
+            dump({"positions": {}, "states": {}, "t": 0}),
+            dump({**empty, "consulted": False, "carried": [], "t": 1}),
+        ]
+
+    assert "at least one member" in corrupt(edit)
+
+
+@pytest.mark.parametrize(
+    "line", ['{"t":' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000], ids=["long-int", "deep-nesting"]
+)
+def test_rejects_line_json_cannot_decode(line):
+    assert corrupt(lambda lines: lines.__setitem__(2, line)).startswith("line 3")
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_rejects_version_the_renderer_never_writes(version):
+    def edit(lines):
+        head = json.loads(lines[0])
+        head["version"] = version
+        lines[0] = dump(head)
+
+    assert "version" in corrupt(edit)
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["stay", "free", "set:2", "set:2,3", "set:02", "02", "²", "rear"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["1", "2", "6", "02", "²", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_LINES = render_document(walker_document(horizon=4)).splitlines()
+
+
+def field_paths(obj, prefix=()):
+    """Every key or index path into a parsed JSON line."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_raises_only_trace_errors_and_accepted_documents_re_render(data):
+    line = data.draw(st.integers(0, len(FUZZ_LINES) - 1))
+    obj = json.loads(FUZZ_LINES[line])
+    path = data.draw(st.sampled_from(list(field_paths(obj))))
+    set_field(*path)(obj, data.draw(JSON))
+    text = "\n".join([*FUZZ_LINES[:line], dump(obj), *FUZZ_LINES[line + 1 :]]) + "\n"
+    try:
+        doc = parse_document(text)
+    except TraceError:
+        return
+    assert render_document(doc) == text
 
 
 def test_rejects_member_set_change():
