@@ -3,13 +3,15 @@
 
 Runs the marching collective under three adversaries, re-counts the pebble
 schemas and their symmetry classes, rebuilds the transfer graph with its
-confinement cycle, and defeats each small builtin strategy.  Exits nonzero
-if any recomputed value is off.
+confinement cycle, searches every ordered schema pair for worst-case
+indistinguishability, and defeats each small builtin strategy.  Exits
+nonzero if any recomputed value is off.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 sys.path.insert(0, "src")
@@ -24,11 +26,15 @@ from pebblewalk.adversary import (
 )
 from pebblewalk.collective import coordinate
 from pebblewalk.schemas import (
+    DISTINCT,
+    WITNESS,
     enumerate_schemas,
     find_confinement_cycle,
     sorted_schemas,
     symmetry_classes,
     transfer_graph,
+    validate_witness,
+    worst_case_indistinguishable,
 )
 from pebblewalk.strategies import load_builtin
 from pebblewalk.walker14 import build_walker, verify_theorem2
@@ -91,6 +97,21 @@ cycle = find_confinement_cycle(graph)
 check("confinement cycle found", cycle is not None, True)
 if cycle is not None:
     print(f"  cycle length {len(cycle.steps)}, x-spread {cycle.x_spread}")
+
+section("worst-case indistinguishability, every ordered schema pair, depth 12")
+for k, witnesses, distinct in ((2, 13, 12), (3, 49, 72)):
+    schemas = sorted_schemas(enumerate_schemas(k))
+    outcomes = [worst_case_indistinguishable(a, b) for a in schemas for b in schemas]
+    verdicts = Counter(o.verdict for o in outcomes)
+    check(f"{k}-pebble verdicts", dict(verdicts), {WITNESS: witnesses, DISTINCT: distinct})
+    rejected = 0
+    for o in outcomes:
+        if o.witness is not None:
+            try:
+                validate_witness(o.witness)
+            except ValueError:
+                rejected += 1
+    check(f"{k}-pebble witnesses rejected on replay", rejected, 0)
 
 section("defeats for the small builtins")
 for name in ("baseline-10", "baseline-11", "baseline-12", "baseline-13-caterpillar"):

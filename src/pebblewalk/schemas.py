@@ -10,7 +10,10 @@ configurations can share one.  On top of that quotient the module provides:
 * the reflection-symmetry equivalence on schemas,
 * a bounded search for worst-case confusability: a shared realization that
   feeds the automaton identical observation streams in two different
-  worlds forever,
+  worlds forever.  Each search builds one move table per layout it meets
+  (every single move with the automaton's observation after it) and joins
+  the two worlds' tables; each schema pair observes every leader spot of
+  every interpretation once, and no table outlives the call,
 * the graph of single-pebble relocations between neighboring vertices,
   labeled by whether the target vertex was occupied, and
 * extraction of confined cycles from that graph, certified by a concrete
@@ -27,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 from .collective import at_origin
 from .graph import Graph, bfs_path, strong_components
 from .lattice import IDENTITY, X_REFLECTION, Y_REFLECTION, Symmetry, Vertex, neighbors, vertex
-from .machine import MemberId, observe, occupants
+from .machine import MemberId, Observation, observe, occupants
 from .util import FrozenMap
 
 TO_OCCUPIED = "to-occupied"
@@ -281,32 +284,75 @@ def _subsets(items: tuple) -> tuple[frozenset, ...]:
     )
 
 
-def _joint_successors(pos_a: FrozenMap, pos_b: FrozenMap):
-    leader_a, leader_b = pos_a[1], pos_b[1]
-    alpha = tuple(sorted(m for m, v in pos_a.items() if m != 1 and v == leader_a))
+class _Move(NamedTuple):
+    carried: frozenset
+    layout: FrozenMap
+    occupied: frozenset
+    seen: Observation  # the automaton's observation after the move
+
+
+class _Reach(NamedTuple):
+    """The automaton's moves to one neighbor, one per carried subset."""
+
+    offset: tuple[int, int]
+    crowd: frozenset
+    moves: tuple[_Move, ...]
+
+
+def _move_table(positions: FrozenMap) -> tuple[_Reach, ...]:
+    """Every single move of the automaton, in neighbor then subset order.
+
+    The carried subsets come from the pebbles on the automaton's own vertex,
+    so two layouts with equal observations list the same subsets in the same
+    order."""
+    leader = positions[1]
+    alpha = tuple(sorted(m for m, v in positions.items() if m != 1 and v == leader))
     carried_options = _subsets(alpha)
-    for wa in neighbors(leader_a):
-        crowd_a = occupants(pos_a, wa)
-        for wb in neighbors(leader_b):
-            crowd_b = occupants(pos_b, wb)
-            if bool(crowd_a) != bool(crowd_b):
+    table = []
+    for w in neighbors(leader):
+        moves = []
+        for carried in carried_options:
+            moved = _move_crowd(positions, w, carried)
+            moves.append(_Move(carried, moved, frozenset(moved.values()), observe(moved, 1)))
+        offset = (w.x - leader.x, w.y - leader.y)
+        table.append(_Reach(offset, occupants(positions, w), tuple(moves)))
+    return tuple(table)
+
+
+class _Memo(dict):
+    """Dict that computes a missing value from its key once and keeps it."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _joint_successors(pos_a: FrozenMap, pos_b: FrozenMap, tables: _Memo, connected: _Memo):
+    """Join the two layouts' move tables on crowd and observation.
+
+    `tables` maps a layout to its move table and `connected` an occupied set
+    to its connectedness; both belong to one search."""
+    table_b = tables[pos_b]
+    for reach_a in tables[pos_a]:
+        for reach_b in table_b:
+            if reach_a.crowd != reach_b.crowd:
                 continue
-            if crowd_a and crowd_a != crowd_b:
-                continue
-            for carried in carried_options:
-                na = _move_crowd(pos_a, wa, carried)
-                nb = _move_crowd(pos_b, wb, carried)
-                if observe(na, 1) != observe(nb, 1):
+            for move_a, move_b in zip(reach_a.moves, reach_b.moves):
+                if move_a.seen != move_b.seen:
                     continue
-                if not _connected(frozenset(na.values())) or not _connected(frozenset(nb.values())):
+                if not connected[move_a.occupied] or not connected[move_b.occupied]:
                     continue
                 step = JointStep(
-                    offset_a=(wa.x - leader_a.x, wa.y - leader_a.y),
-                    offset_b=(wb.x - leader_b.x, wb.y - leader_b.y),
-                    carried=carried,
-                    to_occupied=bool(crowd_a),
+                    offset_a=reach_a.offset,
+                    offset_b=reach_b.offset,
+                    carried=move_a.carried,
+                    to_occupied=bool(reach_a.crowd),
                 )
-                yield step, na, nb
+                yield step, move_a.layout, move_b.layout
 
 
 def validate_witness(witness: Witness) -> None:
@@ -426,6 +472,7 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
     g = Graph()
     parent: list[Optional[int]] = []  # node -> index of its BFS-tree edge
     frontier_cut = False
+    tables, connected = _Memo(_move_table), _Memo(_connected)
 
     for pos_a, pos_b in starts:
         key = _joint_key(pos_a, pos_b)
@@ -439,7 +486,7 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
     while queue:
         for _ in range(len(queue)):
             u = queue.popleft()
-            for step, na, nb in _joint_successors(*g.reps[u]):
+            for step, na, nb in _joint_successors(*g.reps[u], tables, connected):
                 key = _joint_key(na, nb)
                 v = g.index.get(key)
                 if v is None:
@@ -481,31 +528,43 @@ def _leader_spots(pebbles: Mapping[MemberId, Vertex]) -> tuple[Vertex, ...]:
     return tuple(sorted(spots))
 
 
-def _config_starts(pebbles_a: FrozenMap, pebbles_b: FrozenMap):
-    for la in _leader_spots(pebbles_a):
-        pos_a = pebbles_a.set(1, la)
-        if not _connected(frozenset(pos_a.values())):
-            continue
-        obs_a = observe(pos_a, 1)
-        for lb in _leader_spots(pebbles_b):
-            pos_b = pebbles_b.set(1, lb)
-            if observe(pos_b, 1) != obs_a:
-                continue
-            if not _connected(frozenset(pos_b.values())):
-                continue
+def _placements(pebbles: FrozenMap) -> tuple[tuple[FrozenMap, Observation], ...]:
+    """Connected layouts with the automaton on or beside a pebble, in sorted
+    spot order, each with the automaton's observation."""
+    placed = []
+    for spot in _leader_spots(pebbles):
+        positions = pebbles.set(1, spot)
+        if _connected(frozenset(positions.values())):
+            placed.append((positions, observe(positions, 1)))
+    return tuple(placed)
+
+
+def _by_observation(placed) -> dict[Observation, list[FrozenMap]]:
+    groups: dict[Observation, list[FrozenMap]] = {}
+    for positions, seen in placed:
+        groups.setdefault(seen, []).append(positions)
+    return groups
+
+
+def _config_starts(placed_a, groups_b: Mapping[Observation, list[FrozenMap]]):
+    """Start pairs in a-spot order, then b-spot order, agreeing on observation."""
+    for pos_a, seen in placed_a:
+        for pos_b in groups_b.get(seen, ()):
             yield pos_a, pos_b
 
 
 def _schema_starts(a: Schema, b: Schema):
     mid_a, mid_b = _middle_vertex(a), _middle_vertex(b)
-    for ia in _interpretations(a):
-        for ib in _interpretations(b):
+    placed_a = [(ia, _placements(ia)) for ia in _interpretations(a)]
+    groups_b = [(ib, _by_observation(_placements(ib))) for ib in _interpretations(b)]
+    for ia, placed in placed_a:
+        for ib, groups in groups_b:
             if mid_a is not None and mid_b is not None:
                 center_a = next(m for m, v in ia.items() if v == mid_a)
                 center_b = next(m for m, v in ib.items() if v == mid_b)
                 if center_a != center_b:
                     continue
-            yield from _config_starts(ia, ib)
+            yield from _config_starts(placed, groups)
 
 
 def _prioritized(pairs) -> list:
@@ -530,6 +589,11 @@ def worst_case_indistinguishable(
     tell apart layouts whose center pebbles differ.  The witness realization
     is bounded by `depth` steps; `distinct` is reported only when the joint
     search space was exhausted without a cut.
+
+    Per call, each interpretation's leader placements are observed once and
+    grouped by observation, each layout's moves and their observations are
+    tabled once, and each occupied set is checked for connectedness once;
+    all of it is dropped on return, so calls share nothing.
     """
     if a.pebbles != b.pebbles:
         raise ValueError("schemas with different pebble counts are incomparable")
@@ -549,7 +613,8 @@ def worst_case_indistinguishable_configs(
         raise ValueError("layouts must place the same nonempty set of pebbles")
     if 1 in pa:
         raise ValueError("member 1 is the automaton, not a pebble")
-    return _search(_prioritized(_config_starts(pa, pb)), depth, max_nodes)
+    starts = _config_starts(_placements(pa), _by_observation(_placements(pb)))
+    return _search(_prioritized(starts), depth, max_nodes)
 
 
 # --- confined cycles -------------------------------------------------------

@@ -53,6 +53,9 @@ _SET_LITERAL = re.compile(r"\{(\d+(,\d+)*)?\}\Z", re.ASCII)
 _HAS = re.compile(r"has\((\d+)\)\Z", re.ASCII)
 _PLACE = re.compile(r"\((-?\d+),(-?\d+)\)\Z", re.ASCII)
 _TOKEN = re.compile(r"\S+")
+# Every number in the format (ids, counts, priorities, coordinates) fits in
+# this many digits; longer ones are refused before int() converts them.
+MAX_DIGITS = 18
 
 
 class ParseError(ValueError):
@@ -125,12 +128,19 @@ def _take_name(line: _Line, what: str) -> str:
     return tok
 
 
+def _int(line: _Line, col: int, digits: str, what: str) -> int:
+    """int() of already matched ASCII digits, optionally signed."""
+    if len(digits) > MAX_DIGITS + digits.startswith("-"):
+        raise ParseError(line.number, col, f"{what} has more than {MAX_DIGITS} digits")
+    return int(digits)
+
+
 def _take_int(line: _Line, what: str) -> int:
     col = line.col()
     tok = line.take(what)
     if not (tok.isascii() and tok.isdigit()):
         raise ParseError(line.number, col, f"expected {what}, got {tok!r}")
-    return int(tok)
+    return _int(line, col, tok, what)
 
 
 def _parse_set(line: _Line, tok: str, col: int) -> frozenset[int]:
@@ -139,7 +149,7 @@ def _parse_set(line: _Line, tok: str, col: int) -> frozenset[int]:
         raise ParseError(line.number, col, f"invalid set literal {tok!r}")
     if not m.group(1):
         return frozenset()
-    return frozenset(int(x) for x in m.group(1).split(","))
+    return frozenset(_int(line, col, x, "member id") for x in m.group(1).split(","))
 
 
 def _parse_entry(line: _Line):
@@ -149,7 +159,7 @@ def _parse_entry(line: _Line):
         return None
     has = _HAS.match(tok)
     if has:
-        return ("has", int(has.group(1)))
+        return ("has", _int(line, col, has.group(1), "member id"))
     return _parse_set(line, tok, col)
 
 
@@ -170,6 +180,8 @@ def _parse_pattern(line: _Line) -> ObservationPattern:
 def _parse_output(line: _Line):
     col = line.col()
     tok = line.take("output")
+    if tok.startswith("set:") and any(len(d) > MAX_DIGITS for d in tok[4:].split(",")):
+        raise ParseError(line.number, col, f"member id has more than {MAX_DIGITS} digits")
     try:
         return parse_output(tok)
     except ValueError as e:
@@ -392,8 +404,9 @@ def parse_strategy(text: str) -> StrategyFile:
             m = _PLACE.match(spot)
             if not m:
                 raise ParseError(number, spot_col, f"invalid coordinate pair {spot!r}")
+            x, y = (_int(line, spot_col, g, "coordinate") for g in m.groups())
             try:
-                v = vertex(int(m.group(1)), int(m.group(2)))
+                v = vertex(x, y)
             except ValueError as e:
                 raise ParseError(number, spot_col, str(e)) from None
             if mid in places:
@@ -412,13 +425,15 @@ def parse_strategy(text: str) -> StrategyFile:
     if leader_initial is None:
         raise ParseError(line_count, 1, "missing leader initial line")
 
-    want_pebbles = list(range(2, members + 1))
     for pid, (_, decl_line) in sorted(pebble_names.items()):
-        if pid not in want_pebbles:
+        if not 2 <= pid <= members:
             raise ParseError(decl_line, 1, f"pebble id {pid} outside 2..{members}")
-    for pid in want_pebbles:
-        if pid not in pebble_names:
-            raise ParseError(line_count, 1, f"pebble {pid} is never declared")
+    if len(pebble_names) < members - 1:
+        # Declared ids are distinct and lie in 2..members, so one is missing
+        # below len(pebble_names) + 2; no list of all ids is built.
+        missing = next(pid for pid in range(2, members + 1) if pid not in pebble_names)
+        raise ParseError(line_count, 1, f"pebble {missing} is never declared")
+    want_pebbles = range(2, members + 1)
 
     member_ids = {1, *want_pebbles}
     for rule, rline, _ in leader_rules + [r for rows in pebble_rows.values() for r in rows]:

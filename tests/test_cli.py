@@ -218,6 +218,13 @@ def test_defeat_rejects_non_ascii_digits(tmp_path, capsys, old, new):
     assert "²" in capsys.readouterr().err
 
 
+def test_defeat_rejects_overlong_member_count(tmp_path, capsys):
+    path = tmp_path / "twostep.strategy"
+    path.write_text(TWO_STATE_PEBBLE.replace("members 2", "members " + "9" * 5000, 1))
+    assert main(["defeat", str(path)]) == 2
+    assert "member count has more than 18 digits" in capsys.readouterr().err
+
+
 def test_check_rejects_bad_window(tmp_path):
     _, out = simulate(tmp_path, horizon=5)
     assert main(["check", str(out), "--c1", "2", "--c2", "0"]) == 2

@@ -38,6 +38,8 @@ from pebblewalk.schemas import (
 )
 from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
+import pebblewalk.schemas as schemas_module
+import schemas_reference
 
 # --- independent brute-force oracle ------------------------------------
 
@@ -428,25 +430,43 @@ def test_worst_case_requires_equal_counts():
 
 
 @pytest.mark.parametrize(
-    "bounds, verdicts, explored, witness_steps",
+    "pebbles, bounds, verdicts, explored, witness_steps",
     [
         (
+            2,
             {"depth": 1},
             {("witness", False): 4, ("distinct", False): 12, ("depth-exhausted", True): 9},
             500,
             4,
         ),
         (
+            2,
             {"depth": 12, "max_nodes": 30},
             {("witness", True): 4, ("distinct", False): 12, ("depth-exhausted", True): 9},
             480,
             4,
         ),
-        ({"depth": 12}, {("witness", False): 13, ("distinct", False): 12}, 880, 22),
+        (2, {"depth": 12}, {("witness", False): 13, ("distinct", False): 12}, 880, 22),
+        (
+            3,
+            {"depth": 1},
+            {("witness", False): 4, ("distinct", False): 72, ("depth-exhausted", True): 45},
+            9668,
+            4,
+        ),
+        (
+            3,
+            {"depth": 12, "max_nodes": 30},
+            {("witness", True): 13, ("distinct", False): 72, ("depth-exhausted", True): 36},
+            7824,
+            22,
+        ),
+        (3, {"depth": 12}, {("witness", False): 49, ("distinct", False): 72}, 16056, 94),
     ],
+    ids=["2-depth1", "2-depth12-max30", "2-depth12", "3-depth1", "3-depth12-max30", "3-depth12"],
 )
-def test_two_pebble_pairs_under_search_bounds(bounds, verdicts, explored, witness_steps):
-    schemas = sorted_schemas(enumerate_schemas(2))
+def test_all_pairs_under_search_bounds(pebbles, bounds, verdicts, explored, witness_steps):
+    schemas = sorted_schemas(enumerate_schemas(pebbles))
     outs = [worst_case_indistinguishable(a, b, **bounds) for a in schemas for b in schemas]
     assert Counter((o.verdict, o.frontier_cut) for o in outs) == verdicts
     assert sum(o.explored for o in outs) == explored
@@ -454,6 +474,38 @@ def test_two_pebble_pairs_under_search_bounds(bounds, verdicts, explored, witnes
     assert sum(len(w.prefix) + len(w.cycle) for w in witnesses) == witness_steps
     for w in witnesses:
         validate_witness(w)
+
+
+TWO_PEBBLE_SCHEMAS = sorted_schemas(enumerate_schemas(2))
+ORDER_PAIRS = [
+    *((a, b) for a in TWO_PEBBLE_SCHEMAS for b in TWO_PEBBLE_SCHEMAS),
+    *((ROW0_TRIPLE, b) for b in sorted_schemas(enumerate_schemas(3))),
+]
+
+
+def test_search_enumerates_like_the_reference(monkeypatch):
+    """Move tables and observation groups change no successor or start, nor
+    their order, at any node the depth-12 searches expand."""
+    tabled = schemas_module._joint_successors
+    expanded = []
+
+    def checked(pos_a, pos_b, *memo):
+        got = list(tabled(pos_a, pos_b, *memo))
+        assert got == list(schemas_reference._joint_successors(pos_a, pos_b))
+        expanded.append(pos_a)
+        return got
+
+    monkeypatch.setattr(schemas_module, "_joint_successors", checked)
+    for a, b in ORDER_PAIRS:
+        for ia in schemas_module._interpretations(a):
+            placed_a = schemas_module._placements(ia)
+            for ib in schemas_module._interpretations(b):
+                groups_b = schemas_module._by_observation(schemas_module._placements(ib))
+                got = list(schemas_module._config_starts(placed_a, groups_b))
+                assert got == list(schemas_reference._config_starts(ia, ib))
+        assert list(schemas_module._schema_starts(a, b)) == list(schemas_reference._schema_starts(a, b))
+        worst_case_indistinguishable(a, b, depth=12)
+    assert expanded
 
 
 # --- confinement cycles ---------------------------------------------------

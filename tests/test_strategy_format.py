@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from pebblewalk.adversary import FirstOption, LastOption, SeededRandom
@@ -12,6 +14,7 @@ from pebblewalk.lattice import vertex
 from pebblewalk.machine import MOVE_TO_FREE, STAY, move_to_set, parse_output
 from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
 from pebblewalk.strategy_format import (
+    MAX_DIGITS,
     ParseError,
     StrategyFile,
     emit_strategy,
@@ -108,6 +111,49 @@ def test_rejects_non_ascii_digits(old, new):
     assert "٣" in err.reason
 
 
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("members 1", f"members {BIG}"),
+        ("members 1", "members " + "9" * 4000),
+        ("members 1", "members " + "9" * (MAX_DIGITS + 1)),
+        ("then roam", f"then roam priority {BIG}"),
+        ("roam: * | *", f"roam: {{{BIG}}} | *"),
+        ("roam: * | *", f"roam: {{2,{BIG}}} | *"),
+        ("roam: * | *", f"roam: * | has({BIG}) * *"),
+        ("place 1 (0,0)", f"place 1 ({BIG},0)"),
+        ("place 1 (0,0)", f"place 1 (-{BIG},0)"),
+        ("place 1 (0,0)", f"place {BIG} (0,0)"),
+        ("-> free", f"-> set:{BIG}"),
+        ("pebblewalk-strategy 1", f"pebblewalk-strategy {BIG}"),
+    ],
+    ids=[
+        "members", "members-4000", "members-cap", "priority", "set", "set-second", "has",
+        "place-x", "place-negative-x", "place-id", "output", "version",
+    ],
+)
+def test_rejects_numbers_longer_than_the_digit_cap(old, new):
+    err = error_at(MINIMAL.replace(old, new, 1))
+    assert f"more than {MAX_DIGITS} digits" in err.reason
+    assert len(err.reason) < 100
+
+
+def test_numbers_at_the_digit_cap_parse():
+    top = "9" * MAX_DIGITS
+    text = MINIMAL.replace("place 1 (0,0)", f"place 1 (-{top},0)")
+    assert parse_strategy(text).collective.initial_positions[1] == vertex(-int(top), 0)
+    text = MINIMAL.replace("then roam", f"then roam priority {top}")
+    assert parse_strategy(text).collective.name == "drifter"
+
+
+def test_large_member_count_fails_without_listing_every_id():
+    err = error_at(MINIMAL.replace("members 1", "members " + "9" * MAX_DIGITS))
+    assert "pebble 2 is never declared" in err.reason
+
+
 def test_missing_format_header():
     err = error_at("strategy x\n")
     assert (err.line, err.col) == (1, 1)
@@ -166,6 +212,14 @@ def test_undeclared_pebble():
     bad = MINIMAL.replace("members 1", "members 2")
     err = error_at(bad)
     assert "pebble 2 is never declared" in err.reason
+
+
+def test_first_missing_pebble_is_named():
+    text = emit_strategy(load_builtin("baseline-12"))
+    members = len(load_builtin("baseline-12").members)
+    bad = "\n".join(line for line in text.splitlines() if not line.startswith("pebble 3 "))
+    err = error_at(bad.replace(f"members {members}", f"members {members + 2}"))
+    assert "pebble 3 is never declared" in err.reason
 
 
 def test_two_state_pebble_rejected_by_validator():
@@ -285,3 +339,59 @@ place 3 (1,0)
     rule = col.leader.rules[0]
     assert rule.pattern.alpha == frozenset({2})
     assert rule.pattern.entries == (frozenset(), ("has", 3), None)
+
+
+# --- mutation fuzzing ---------------------------------------------------
+
+FUZZ_TEXTS = [emit_strategy(load_builtin(name)).splitlines() for name in sorted(BUILTIN_STRATEGIES)]
+TOKENS = st.one_of(
+    st.sampled_from(
+        [
+            "0", "1", "2", "3", "7", "-1", "01", "²", "9" * 30, "{}", "{1}", "{2,3}", "{1,}", "{3",
+            "has(2)", "has(9)", "has(x)", "*", "|", "->", "then", "priority", "stay", "free",
+            "set:2", "set:", "set:9", "when", "(0,0)", "(1,1)", "(0,2)", "(0", "gather:", "walk",
+            "rule", "pebble", "place", "members", "strategy", "leader", "initial", "format:", "#",
+        ]
+    ),
+    st.sampled_from([tok for lines in FUZZ_TEXTS for line in lines for tok in line.split()]),
+    st.text(max_size=6),
+)
+
+
+def mutate(data, lines: list[str]) -> list[str]:
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    op = data.draw(st.sampled_from(["replace", "delete", "insert", "drop-line", "copy-line", "swap-lines"]))
+    if op == "drop-line":
+        del lines[i]
+    elif op == "copy-line":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+    elif op == "swap-lines":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "insert":
+        tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(TOKENS))
+        lines[i] = " ".join(tokens)
+    elif tokens:
+        k = data.draw(st.integers(0, len(tokens) - 1))
+        if op == "replace":
+            tokens[k] = data.draw(TOKENS)
+        else:
+            del tokens[k]
+        lines[i] = " ".join(tokens)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_raises_only_parse_errors_and_accepted_texts_re_emit(data):
+    lines = data.draw(st.sampled_from(FUZZ_TEXTS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = mutate(data, lines)
+    try:
+        sf = parse_strategy("\n".join(lines) + "\n")
+    except ParseError:
+        return
+    assert emit_strategy(sf.collective) == sf.text
+    assert parse_strategy(sf.text).text == sf.text
