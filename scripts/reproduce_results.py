@@ -4,8 +4,9 @@
 Runs the marching collective under three adversaries, re-counts the pebble
 schemas and their symmetry classes, rebuilds the transfer graph with its
 confinement cycle, searches every ordered schema pair for worst-case
-indistinguishability, and defeats each small builtin strategy.  Exits
-nonzero if any recomputed value is off.
+indistinguishability, and defeats each small builtin strategy, checking the
+size of each lasso search's quotient graph.  Exits nonzero if any
+recomputed value is off.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ sys.path.insert(0, "src")
 from pebblewalk.adversary import (
     FirstOption,
     LastOption,
+    SearchStats,
     SeededRandom,
     defeat_strategy,
     finalize_certificate,
@@ -114,8 +116,17 @@ for k, witnesses, distinct in ((2, 13, 12), (3, 49, 72)):
     check(f"{k}-pebble witnesses rejected on replay", rejected, 0)
 
 section("defeats for the small builtins")
+# Quotient size of each search at depth 200: nodes, edges, faults, pruned.
+QUOTIENT_SIZES = {
+    "baseline-10": SearchStats(2, 6, 0, 0),
+    "baseline-11": SearchStats(2, 6, 0, 0),
+    "baseline-12": SearchStats(3, 7, 0, 0),
+    "baseline-13-caterpillar": SearchStats(48, 54, 0, 0),
+    "walker14": SearchStats(16, 17, 0, 0),
+}
 for name in ("baseline-10", "baseline-11", "baseline-12", "baseline-13-caterpillar"):
     col = load_builtin(name)
+    check(f"{name} quotient size", search_lasso(col.initial_state(), max_depth=200).stats, QUOTIENT_SIZES[name])
     outcome = defeat_strategy(col, max_depth=200)
     check(f"{name} defeated", outcome.defeated, True)
     if outcome.defeated:
@@ -131,6 +142,7 @@ section("negative control")
 outcome = search_lasso(build_walker().initial_state(), max_depth=200)
 check("walker lasso certificate", outcome.certificate, None)
 check("walker search complete", outcome.complete, True)
+check("walker quotient size", outcome.stats, QUOTIENT_SIZES["walker14"])
 
 print(f"\n{'all values reproduced' if failures == 0 else f'{failures} mismatches'}")
 sys.exit(0 if failures == 0 else 1)

@@ -5,7 +5,9 @@ Directed movement must survive every adversary, so refuting a strategy means
 exhibiting one infinite realization whose coordinate stays put.  The witness
 format is a lasso: a finite choice prefix followed by a choice cycle that
 returns the collective to the exact same configuration and internal states,
-hence replays forever with zero net displacement.
+hence replays forever with zero net displacement.  The search grows its
+graph over the translation classes of a `collective.Quotient`, the table
+`run` steps through; `canonicalize` names a certificate's base class.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from pebblewalk.collective import (
     Collective,
     CollectiveState,
     PebbleFault,
+    Quotient,
     StrategyFault,
     apply_choice,
     at_origin,
     diameter_of,
-    plan_step,
     run,
 )
 from pebblewalk.graph import Graph, bfs_path, strong_components
@@ -177,19 +179,6 @@ class _Edge:
     consulted: bool
 
 
-def _successors(state: CollectiveState):
-    """Yield (offset, consulted, next_state) per option; None on faults."""
-    try:
-        plan = plan_step(state)
-    except (StrategyFault, PebbleFault):
-        return None
-    result = []
-    for opt in plan.options:
-        nxt, _ = apply_choice(state, plan, opt)
-        result.append(((opt.x - plan.at.x, opt.y - plan.at.y), plan.consulted, nxt))
-    return result
-
-
 def search_lasso(
     initial: CollectiveState,
     max_depth: int,
@@ -198,16 +187,21 @@ def search_lasso(
     """Breadth-first expand the choice graph modulo x-translation and look
     for a closed walk with zero net anchor shift.
 
-    Edge weights are the per-step shift of the leftmost occupied column; a
-    closed walk of total weight zero revisits an absolute configuration
-    exactly, so it extends to an infinite realization whose coordinate is
-    confined.  Certificates are replay-validated before being returned.
+    Nodes are the classes of a Quotient local to the call, each planned at
+    its representative; a successor is located only when it passes the
+    diameter bound, so quotient nodes and graph nodes share their
+    breadth-first numbering.  Edge weights are the per-step shift of the
+    leftmost occupied column; a closed walk of total weight zero revisits an
+    absolute configuration exactly, so it extends to an infinite
+    realization whose coordinate is confined.  Certificates are
+    replay-validated before being returned.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     g = Graph()
-    key0, _ = canonicalize(initial.positions, initial.states)
-    g.add_node(key0, CollectiveState(initial.collective, key0[1], initial.states), 0)
+    table = Quotient()
+    table.locate(initial)
+    g.add_node(0, table.reps[0], 0)
     queue = deque([0])
     faults = 0
     pruned = 0
@@ -218,22 +212,23 @@ def search_lasso(
         if g.depths[u] >= max_depth:
             truncated = True
             continue
-        succs = _successors(g.reps[u])
-        if succs is None:
+        rep = table.reps[u]
+        try:
+            plan = table.plan(u, rep, 0)
+        except (StrategyFault, PebbleFault):
             faults += 1
             continue
-        for offset, consulted, nxt in succs:
+        for idx, opt in enumerate(plan.options):
+            nxt, _ = apply_choice(rep, plan, opt)
             if diameter_of(nxt.positions) > diameter_bound:
                 pruned += 1
                 truncated = True
                 continue
-            key, anchor = canonicalize(nxt.positions, nxt.states)
-            if key in g.index:
-                v = g.index[key]
-            else:
-                v = g.add_node(key, CollectiveState(nxt.collective, key[1], nxt.states), g.depths[u] + 1)
+            v, shift = table.follow(u, idx, 0, nxt)
+            if v == len(g.reps):
+                g.add_node(v, table.reps[v], g.depths[u] + 1)
                 queue.append(v)
-            g.add_edge(_Edge(u, v, anchor, offset, consulted))
+            g.add_edge(_Edge(u, v, shift, (opt.x - plan.at.x, opt.y - plan.at.y), plan.consulted))
 
     walk = _find_zero_walk(g)
     stats = SearchStats(len(g.reps), len(g.edges), faults, pruned)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -38,7 +39,7 @@ from pebblewalk.schemas import (
     transfer_graph,
 )
 from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
-from pebblewalk.strategy_format import ParseError, parse_strategy
+from pebblewalk.strategy_format import MAX_DIGITS, ParseError, parse_strategy
 from pebblewalk.render import render_records
 from pebblewalk.tracefile import (
     TraceError,
@@ -68,6 +69,10 @@ def load_strategy(spec: str) -> Collective:
     raise ParseError(1, 1, f"{spec!r} is neither a builtin strategy nor a file")
 
 
+# ASCII digits only: int() would also take "٣" or "²".
+_SEEDED = re.compile(rf"seeded:(-?[0-9]{{1,{MAX_DIGITS}}})")
+
+
 def parse_adversary(spec: str):
     if spec == "first":
         return FirstOption()
@@ -75,8 +80,9 @@ def parse_adversary(spec: str):
         return LastOption()
     if spec == "oscillator":
         return Oscillator()
-    if spec.startswith("seeded:") and spec[7:].lstrip("-").isdigit():
-        return SeededRandom(int(spec[7:]))
+    seeded = _SEEDED.fullmatch(spec)
+    if seeded:
+        return SeededRandom(int(seeded[1]))
     raise ValueError(
         f"unknown adversary {spec!r}; use first, last, oscillator, or seeded:<n>"
     )

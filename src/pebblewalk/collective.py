@@ -6,6 +6,12 @@ is a real choice, and the leader moves together with every co-located pebble
 whose own output was a move (the carry set).  Everyone else stays.  The
 trace keeps enough of each step to replay and to re-derive every observation
 and output from scratch.
+
+Automata see neither coordinates nor direction, so stepping works on
+translation classes: a Quotient numbers the classes one call meets, plans
+each once, and follows (class, option index) to (next class, anchor shift).
+`run` and the lasso search in `adversary` both step through one; `step` is
+the plain reference that plans every configuration afresh.
 """
 
 from __future__ import annotations
@@ -262,57 +268,81 @@ def _pick(state: CollectiveState, plan: StepPlan, adversary, digest: bytes) -> i
     return idx
 
 
-def run(initial: CollectiveState, adversary, horizon: int) -> Trace:
-    """Step `horizon` times from `initial`, or fault with the partial trace.
+class Quotient:
+    """The translation classes of one collective's configurations, numbered
+    in the order they are met.
 
     Automata see neither coordinates nor direction, so a step's plan depends
     on its configuration only up to x-translation: observations, outputs,
     next states and the carry set are equal, and the options shift with the
-    leader.  The plan of each translation class (states, positions at least
-    x 0) is computed once and reused, translated, at every later visit; the
-    records of a class share its maps.  The class after a step is fixed by
-    the class before it and the chosen option's index (options are sorted
-    by offset), so it is looked up once per (class, index) and then
-    followed.  Faults are never reused: a fault is raised on the first
-    visit, before anything is stored.
+    leader.  A class is keyed by (states, positions at least x 0), its
+    representative is that layout at step 0, and a configuration's anchor is
+    its least x.  Each class is planned once and its plan translated at
+    later visits.  Options are sorted by offset, so the class after a step
+    is fixed by the class before it and the chosen option's index: a
+    (node, option index) pair is located once and then followed to
+    (next node, anchor shift).  Faults are never stored: a class's first
+    visit plans the configuration itself, so a fault keeps its true step
+    index.  A table belongs to one call and is not shared.
+    """
+
+    def __init__(self) -> None:
+        self.index: dict[tuple, int] = {}  # (states, positions at least x 0) -> node
+        self.reps: list[CollectiveState] = []
+        self.plans: dict[int, tuple[StepPlan, int]] = {}  # node -> (plan, anchor it was made at)
+        self.moves: dict[tuple[int, int], tuple[int, int]] = {}  # (node, option index) -> (next node, anchor shift)
+
+    def locate(self, state: CollectiveState) -> tuple[int, int]:
+        """The node and anchor of state's class; a new class gets the next node."""
+        rel, anchor = at_origin(state.positions)
+        key = (state.states, rel)
+        if key not in self.index:
+            self.index[key] = len(self.reps)
+            self.reps.append(CollectiveState(state.collective, rel, state.states))
+        return self.index[key], anchor
+
+    def plan(self, node: int, state: CollectiveState, anchor: int) -> StepPlan:
+        """The plan of state, which lies in class node at anchor."""
+        if node not in self.plans:
+            self.plans[node] = (plan_step(state), anchor)
+        plan, made_at = self.plans[node]
+        return _shifted(plan, anchor - made_at)
+
+    def follow(self, node: int, idx: int, anchor: int, nxt: CollectiveState) -> tuple[int, int]:
+        """Next node and anchor shift of option idx at node; nxt, the
+        configuration that option led to from anchor, is located only the
+        first time the pair is followed."""
+        if (node, idx) not in self.moves:
+            next_node, next_anchor = self.locate(nxt)
+            self.moves[node, idx] = (next_node, next_anchor - anchor)
+        return self.moves[node, idx]
+
+
+def run(initial: CollectiveState, adversary, horizon: int) -> Trace:
+    """Step `horizon` times from `initial`, or fault with the partial trace.
+
+    Steps go through a Quotient local to the call, so each translation
+    class is planned once and the records of a class share its maps.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     records = [StepRecord(t=0, positions=initial.positions, states=initial.states)]
     state = initial
     digest = initial_digest(initial.collective)
-    nodes: dict[tuple, int] = {}  # class (states, positions at least x 0) -> node id
-    plans: dict[int, tuple[StepPlan, int]] = {}  # node -> (plan, anchor it was made at)
-    moves: dict[tuple[int, int], tuple[int, int]] = {}  # (node, option index) -> (next node, anchor shift)
-
-    def locate(state: CollectiveState) -> tuple[int, int]:
-        rel, anchor = at_origin(state.positions)
-        return nodes.setdefault((state.states, rel), len(nodes)), anchor
-
-    node, anchor = locate(state)
+    table = Quotient()
+    node, anchor = table.locate(state)
     for _ in range(horizon):
-        known = plans.get(node)
-        if known is None:
-            try:
-                plan = plan_step(state)
-            except (StrategyFault, PebbleFault) as fault:
-                fault.trace = Trace(tuple(records))
-                raise
-            plans[node] = (plan, anchor)
-        else:
-            plan, made_at = known
-            plan = _shifted(plan, anchor - made_at)
+        try:
+            plan = table.plan(node, state, anchor)
+        except (StrategyFault, PebbleFault) as fault:
+            fault.trace = Trace(tuple(records))
+            raise
         idx = _pick(state, plan, adversary, digest)
         state, record = apply_choice(state, plan, plan.options[idx])
         records.append(record)
         digest = advance_digest(digest, plan.at, plan.options, record.choice)
-        move = moves.get((node, idx))
-        if move is None:
-            next_node, next_anchor = locate(state)
-            moves[node, idx] = (next_node, next_anchor - anchor)
-            node, anchor = next_node, next_anchor
-        else:
-            node, anchor = move[0], anchor + move[1]
+        node, shift = table.follow(node, idx, anchor, state)
+        anchor += shift
     return Trace(tuple(records))
 
 

@@ -473,6 +473,7 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
     parent: list[Optional[int]] = []  # node -> index of its BFS-tree edge
     frontier_cut = False
     tables, connected = _Memo(_move_table), _Memo(_connected)
+    origins = _Memo(lambda positions: at_origin(positions)[0])
 
     for pos_a, pos_b in starts:
         key = _joint_key(pos_a, pos_b)
@@ -487,7 +488,7 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
         for _ in range(len(queue)):
             u = queue.popleft()
             for step, na, nb in _joint_successors(*g.reps[u], tables, connected):
-                key = _joint_key(na, nb)
+                key = (origins[na], origins[nb])
                 v = g.index.get(key)
                 if v is None:
                     if g.depths[u] + 1 > depth or len(g.reps) >= max_nodes:
@@ -592,8 +593,9 @@ def worst_case_indistinguishable(
 
     Per call, each interpretation's leader placements are observed once and
     grouped by observation, each layout's moves and their observations are
-    tabled once, and each occupied set is checked for connectedness once;
-    all of it is dropped on return, so calls share nothing.
+    tabled once, each moved layout is translated to least x 0 once, and each
+    occupied set is checked for connectedness once; all of it is dropped on
+    return, so calls share nothing.
     """
     if a.pebbles != b.pebbles:
         raise ValueError("schemas with different pebble counts are incomparable")

@@ -310,8 +310,13 @@ def parse_document(text: str) -> TraceDocument:
             raise TraceError(f"line {line_no}: record missing field {e.args[0]!r}") from None
         if choice not in options:
             raise TraceError(f"line {line_no}: choice {choice} is not among the options")
+        # Offsets from one leader vertex order like the vertices themselves.
+        if len(options) > 1 and any(a >= b for a, b in zip(options, options[1:])):
+            raise TraceError(f"line {line_no}: options must be distinct and sorted by offset")
         if type(consulted) is not bool:
             raise TraceError(f"line {line_no}: consulted must be a boolean")
+        if consulted != (len(options) >= 2):
+            raise TraceError(f"line {line_no}: consulted must be true exactly when there are two or more options")
         prev = records[-1].positions
         rel = at_origin(prev)[0]
         observations = observed.get(rel)

@@ -43,6 +43,8 @@ from pebblewalk.strategies import (
 )
 from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
+import lasso_reference
+from test_collective import build_tether
 
 W = ObservationPattern(None)
 
@@ -286,6 +288,19 @@ def test_search_is_deterministic():
     a = search_lasso(col.initial_state(), max_depth=40)
     b = search_lasso(col.initial_state(), max_depth=40)
     assert a.certificate == b.certificate
+
+
+@pytest.mark.parametrize("name", [*sorted(BUILTIN_STRATEGIES), "tether"])
+def test_search_expands_like_the_reference(name):
+    # Covers found, not-found and depth-exhausted outcomes, prunes and faults.
+    col = build_tether() if name == "tether" else load_builtin(name)
+    for max_depth in (1, 5, 200):
+        for diameter_bound in (0, 2, 4):
+            got = search_lasso(col.initial_state(), max_depth, diameter_bound)
+            want = lasso_reference.search_lasso(col.initial_state(), max_depth, diameter_bound)
+            assert got.certificate == want.certificate
+            assert got.complete == want.complete
+            assert got.stats == want.stats
 
 
 def test_builtin_catalog():

@@ -99,10 +99,16 @@ def test_simulate_rejects_unknown_strategy(tmp_path, capsys):
     assert "neither a builtin" in capsys.readouterr().err
 
 
+# Seeds are an optional minus and 1-18 ASCII digits, like strategy numbers.
+BAD_SEEDED = ("seeded:", "seeded:٣", "seeded:²", "seeded:--5", "seeded:" + "1" * 19, "seeded:" + "1" * 5000)
+
+
 def test_simulate_rejects_bad_adversary(tmp_path, capsys):
-    code, _ = simulate(tmp_path, "--adversary", "psychic")
-    assert code == 2
-    assert "unknown adversary" in capsys.readouterr().err
+    for spec in ("psychic", *BAD_SEEDED):
+        code, _ = simulate(tmp_path, "--adversary", spec)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown adversary" in err and "use first, last, oscillator, or seeded:<n>" in err
 
 
 def test_simulate_runtime_fault_exits_three(tmp_path, capsys):
@@ -136,8 +142,12 @@ def test_parse_adversary_specs():
     assert parse_adversary("last").name == "last"
     assert parse_adversary("seeded:7").seed == 7
     assert parse_adversary("oscillator").name == "oscillator"
-    with pytest.raises(ValueError):
-        parse_adversary("seeded:")
+    assert parse_adversary("seeded:42").name == "seeded:42"
+    assert parse_adversary("seeded:-7").seed == -7
+    assert parse_adversary("seeded:" + "9" * 18).seed == 10**18 - 1
+    for spec in BAD_SEEDED:
+        with pytest.raises(ValueError, match="unknown adversary"):
+            parse_adversary(spec)
 
 
 def test_check_walker_holds(tmp_path, capsys):
@@ -195,6 +205,19 @@ def test_check_and_render_reject_mistyped_record(tmp_path):
     out.write_text("\n".join(lines) + "\n")
     assert main(["check", str(out), "--c1", "2", "--c2", "1"]) == 2
     assert main(["render", str(out)]) == 2
+
+
+def test_check_rejects_options_out_of_order(tmp_path, capsys):
+    _, out = simulate(tmp_path, horizon=3)
+    lines = out.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["options"] = [row["choice"], [0, 1]]
+    row["consulted"] = True
+    lines[2] = json.dumps(row)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(out), "--c1", "2", "--c2", "1"]) == 2
+    assert "sorted by offset" in capsys.readouterr().err
 
 
 def test_check_and_render_reject_non_ascii_member_id(tmp_path, capsys):

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from pebblewalk.adversary import FirstOption, LastOption, Oscillator, ScriptedChoices, SeededRandom
+import pebblewalk.collective as collective_module
+from pebblewalk.adversary import FirstOption, LastOption, Oscillator, ScriptedChoices, SeededRandom, search_lasso
 from pebblewalk.collective import (
     Collective,
     PebbleFault,
+    Quotient,
     RationalPoint,
     StepRecord,
     StrategyFault,
@@ -278,6 +280,21 @@ def test_run_fault_after_revisits_equals_step_loop_reference():
     assert str(exc.value) == str(fault)
     assert exc.value.trace.records == tuple(expected)
     assert len(exc.value.trace) == 16
+
+
+def test_walker_run_meets_the_search_quotient(monkeypatch):
+    tables = []
+
+    class Recorded(Quotient):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(collective_module, "Quotient", Recorded)
+    run(build_walker().initial_state(), SeededRandom(42), 3000)
+    (table,) = tables
+    assert len(table.reps) == len(table.plans) == 16
+    assert search_lasso(build_walker().initial_state(), max_depth=200).stats.nodes == 16
 
 
 def test_at_origin_reuses_an_anchored_map():

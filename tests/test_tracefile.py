@@ -241,6 +241,11 @@ def drop_output(row, _):
     del row["outputs"]["5"]
 
 
+def consulted_options(row, value):
+    row["options"] = value
+    row["consulted"] = True
+
+
 # Each value parses to something the renderer spells differently, or to a
 # record no run produces; record t=1 of walker_document() is
 # carried [2], choice [1,0], options [[1,0]], members 1..5.
@@ -259,6 +264,10 @@ def drop_output(row, _):
         pytest.param(set_field("carried"), [2, 2], "carried", id="repeated-carried"),
         pytest.param(set_field("carried"), [3, 2], "carried", id="unsorted-carried"),
         pytest.param(set_field("choice"), [5, 0], "not among the options", id="choice-not-offered"),
+        pytest.param(consulted_options, [[1, 0], [0, 1]], "sorted by offset", id="reversed-options"),
+        pytest.param(consulted_options, [[1, 0], [1, 0]], "sorted by offset", id="repeated-option"),
+        pytest.param(set_field("options"), [[0, 1], [1, 0]], "consulted", id="two-options-unconsulted"),
+        pytest.param(set_field("consulted"), True, "consulted", id="consulted-single-option"),
         pytest.param(drop_output, None, "disagree on members", id="output-missing"),
         pytest.param(set_field("outputs", "6"), "stay", "disagree on members", id="output-stranger"),
         pytest.param(set_field("outputs", "1"), "set:²", "set:²", id="non-ascii-output"),
