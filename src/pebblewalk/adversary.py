@@ -410,6 +410,7 @@ class DefeatOutcome:
     status: str  # "defeated" | "inconclusive"
     certificate: Optional[LassoCertificate] = None
     detail: str = ""
+    stats: Optional[SearchStats] = None  # the lasso search's graph size
 
     @property
     def defeated(self) -> bool:
@@ -423,10 +424,10 @@ def defeat_strategy(
 ) -> DefeatOutcome:
     """Find a confinement witness for a collective with at most 3 pebbles.
 
-    Runs the lasso search once.  A found lasso is returned as a replayed
-    certificate; otherwise the outcome is inconclusive, and its detail says
-    whether the whole quotient graph was expanded or the search was cut off
-    by `max_depth` or the diameter bound.
+    Runs the lasso search once and keeps its stats.  A found lasso is
+    returned as a replayed certificate; otherwise the outcome is
+    inconclusive, and its detail says whether the whole quotient graph was
+    expanded or the search was cut off by `max_depth` or the diameter bound.
     """
     if len(collective.pebbles) > 3:
         raise ValueError("defeat_strategy handles collectives with at most 3 pebbles")
@@ -435,9 +436,9 @@ def defeat_strategy(
         raise ValueError("invalid pebbles: " + "; ".join(problems))
     outcome = search_lasso(collective.initial_state(), max_depth, diameter_bound)
     if outcome.certificate is not None:
-        return DefeatOutcome("defeated", outcome.certificate)
+        return DefeatOutcome("defeated", outcome.certificate, stats=outcome.stats)
     if outcome.complete:
         detail = "choice graph fully expanded without a zero-displacement lasso"
     else:
         detail = f"depth {max_depth} exhausted (diameter bound {diameter_bound})"
-    return DefeatOutcome("inconclusive", detail=detail)
+    return DefeatOutcome("inconclusive", detail=detail, stats=outcome.stats)

@@ -3,9 +3,10 @@
 One step: every member observes, every member's table fires, the leader's
 output is resolved to an option set, the adversary picks a target when there
 is a real choice, and the leader moves together with every co-located pebble
-whose own output was a move (the carry set).  Everyone else stays.  The
-trace keeps enough of each step to replay and to re-derive every observation
-and output from scratch.
+whose own output was a move (the carry set).  Everyone else stays.  A trace
+record keeps positions, states, outputs, options, choice and carry set; an
+observation is a function of the layout, so a record's observations are
+observe(previous positions, member) and are not stored.
 
 Automata see neither coordinates nor direction, so stepping works on
 translation classes: a Quotient numbers the classes one call meets, plans
@@ -25,7 +26,6 @@ from pebblewalk.lattice import Symmetry, Vertex, are_neighbors
 from pebblewalk.machine import (
     Automaton,
     MemberId,
-    Observation,
     Output,
     Pebble,
     StateId,
@@ -92,12 +92,12 @@ class CollectiveState:
 @dataclass(frozen=True)
 class StepRecord:
     """One trace row.  Row 0 has only positions and states; later rows add
-    what was observed and decided while entering this configuration."""
+    what was decided while entering this configuration.  What each member
+    observed is observe(previous row's positions, member)."""
 
     t: int
     positions: FrozenMap
     states: FrozenMap
-    observations: Optional[FrozenMap] = None  # MemberId -> Observation, taken at t-1
     outputs: Optional[FrozenMap] = None  # MemberId -> Output
     options: Optional[tuple[Vertex, ...]] = None  # leader's option set, offset-sorted
     choice: Optional[Vertex] = None
@@ -168,10 +168,9 @@ def advance_digest(digest: bytes, at: Vertex, options: Sequence[Vertex], choice:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Choice-independent part of a step: everyone's observation, output, and
-    next state, plus the leader's offset-sorted option set."""
+    """Choice-independent part of a step: everyone's output and next state,
+    plus the leader's offset-sorted option set."""
 
-    observations: FrozenMap
     outputs: FrozenMap
     next_states: FrozenMap
     at: Vertex
@@ -192,12 +191,10 @@ def plan_step(state: CollectiveState) -> StepPlan:
     """
     col = state.collective
     positions, states = state.positions, state.states
-    observations = {m: observe(positions, m) for m in col.members}
     outputs: dict[MemberId, Output] = {}
     next_states: dict[MemberId, StateId] = {}
     for m in col.members:
-        out, nxt = col.machine_for(m).act(states[m], observations[m])
-        outputs[m], next_states[m] = out, nxt
+        outputs[m], next_states[m] = col.machine_for(m).act(states[m], observe(positions, m))
 
     at = positions[1]
     opts = resolve_output(outputs[1], at, positions)
@@ -216,7 +213,6 @@ def plan_step(state: CollectiveState) -> StepPlan:
             )
         carried.add(pid)
     return StepPlan(
-        observations=FrozenMap(observations),
         outputs=FrozenMap(outputs),
         next_states=FrozenMap(next_states),
         at=at,
@@ -240,7 +236,6 @@ def apply_choice(state: CollectiveState, plan: StepPlan, choice: Vertex) -> tupl
         t=state.step_index + 1,
         positions=new_state.positions,
         states=new_state.states,
-        observations=plan.observations,
         outputs=plan.outputs,
         options=plan.options,
         choice=choice,
@@ -273,9 +268,9 @@ class Quotient:
     in the order they are met.
 
     Automata see neither coordinates nor direction, so a step's plan depends
-    on its configuration only up to x-translation: observations, outputs,
-    next states and the carry set are equal, and the options shift with the
-    leader.  A class is keyed by (states, positions at least x 0), its
+    on its configuration only up to x-translation: outputs, next states and
+    the carry set are equal, and the options shift with the leader.  A
+    class is keyed by (states, positions at least x 0), its
     representative is that layout at step 0, and a configuration's anchor is
     its least x.  Each class is planned once and its plan translated at
     later visits.  Options are sorted by offset, so the class after a step

@@ -31,7 +31,7 @@ from .collective import at_origin
 from .graph import Graph, bfs_path, strong_components
 from .lattice import IDENTITY, X_REFLECTION, Y_REFLECTION, Symmetry, Vertex, neighbors, vertex
 from .machine import MemberId, Observation, observe, occupants
-from .util import FrozenMap
+from .util import FrozenMap, Memo
 
 TO_OCCUPIED = "to-occupied"
 TO_FREE = "to-free"
@@ -319,19 +319,7 @@ def _move_table(positions: FrozenMap) -> tuple[_Reach, ...]:
     return tuple(table)
 
 
-class _Memo(dict):
-    """Dict that computes a missing value from its key once and keeps it."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
-def _joint_successors(pos_a: FrozenMap, pos_b: FrozenMap, tables: _Memo, connected: _Memo):
+def _joint_successors(pos_a: FrozenMap, pos_b: FrozenMap, tables: Memo, connected: Memo):
     """Join the two layouts' move tables on crowd and observation.
 
     `tables` maps a layout to its move table and `connected` an occupied set
@@ -472,8 +460,8 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
     g = Graph()
     parent: list[Optional[int]] = []  # node -> index of its BFS-tree edge
     frontier_cut = False
-    tables, connected = _Memo(_move_table), _Memo(_connected)
-    origins = _Memo(lambda positions: at_origin(positions)[0])
+    tables, connected = Memo(_move_table), Memo(_connected)
+    origins = Memo(lambda positions: at_origin(positions)[0])
 
     for pos_a, pos_b in starts:
         key = _joint_key(pos_a, pos_b)

@@ -2,10 +2,11 @@
 
 One JSON object per line: a header, then one record per step.  Keys are
 sorted and separators fixed, so identical runs serialize byte-identically.
-Observations are not stored; parsing recomputes them from the previous
-record's positions, once per translation class of the previous layout,
-never trusted.  That keeps documents small and makes tampering with
-positions visible as inconsistent observations downstream.
+Observations are not stored: they are a function of the previous record's
+positions.  Reading a document file also checks that each record's
+positions follow from the previous record's (`check_steps`): the leader
+stands on the choice, each carried pebble rode with it from the leader's
+previous vertex, and no one else moved.
 
 A walker trace repeats a handful of record parts shifted along x, so both
 directions work once per distinct part, with memos that live for one call:
@@ -24,11 +25,11 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from pebblewalk.collective import Collective, StepRecord, Trace, at_origin
-from pebblewalk.lattice import Vertex, vertex
-from pebblewalk.machine import format_output, observe, parse_output
+from pebblewalk.collective import Collective, StepRecord, Trace
+from pebblewalk.lattice import Vertex, neighbors, vertex
+from pebblewalk.machine import format_output, parse_output
 from pebblewalk.strategy_format import strategy_hash
-from pebblewalk.util import FrozenMap
+from pebblewalk.util import FrozenMap, Memo
 
 FORMAT_NAME = "pebblewalk-trace"
 FORMAT_VERSION = 1
@@ -237,15 +238,13 @@ def _output(spelling: str, line_no: int):
 
 
 def parse_document(text: str) -> TraceDocument:
-    """Rebuild a document; observations are recomputed, never trusted.
+    """Rebuild a document, checking each record on its own.
 
     Every value must have the type and spelling the renderer writes, so an
-    accepted document re-renders byte-identically.  Observations do not
-    change under x-translation, so they are recomputed once per translation
-    class of the previous layout and shared by every record that follows a
-    layout of that class.  Each distinct vertex, member id, states map,
-    outputs map and carried list is checked and converted once; records
-    that spell a map alike share one FrozenMap.
+    accepted document re-renders byte-identically.  Whether the records
+    follow one another is `check_steps`'s question.  Each distinct vertex,
+    member id, states map, outputs map and carried list is checked and
+    converted once; records that spell a map alike share one FrozenMap.
     """
     lines = text.splitlines()
     if not lines:
@@ -274,7 +273,6 @@ def parse_document(text: str) -> TraceDocument:
 
     decode = _Decoder()
     records: list[StepRecord] = []
-    observed: dict[FrozenMap, FrozenMap] = {}  # previous layout at least x 0 -> observations
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -317,17 +315,11 @@ def parse_document(text: str) -> TraceDocument:
             raise TraceError(f"line {line_no}: consulted must be a boolean")
         if consulted != (len(options) >= 2):
             raise TraceError(f"line {line_no}: consulted must be true exactly when there are two or more options")
-        prev = records[-1].positions
-        rel = at_origin(prev)[0]
-        observations = observed.get(rel)
-        if observations is None:
-            observations = observed[rel] = FrozenMap({m: observe(prev, m) for m in positions})
         records.append(
             StepRecord(
                 t=t,
                 positions=positions,
                 states=states,
-                observations=observations,
                 outputs=outputs,
                 options=options,
                 choice=choice,
@@ -338,6 +330,32 @@ def parse_document(text: str) -> TraceDocument:
     if not records:
         raise TraceError("document has a header but no records")
     return TraceDocument(header, Trace(tuple(records)))
+
+
+def check_steps(trace: Trace) -> None:
+    """Raise TraceError unless each record of a parsed trace follows from
+    the one before.
+
+    Measured against the previous record's positions: every option is the
+    leader's previous vertex or a neighbour of it, the leader and every
+    carried pebble stand on the choice, every carried pebble stood on the
+    leader's previous vertex, and every other member stands where it stood.
+    Whole maps are compared at once; a failure is then narrowed to a member.
+    """
+    near = Memo(lambda v: frozenset((v, *neighbors(v))))  # vertex -> it and its neighbours
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        before, at, choice = prev.positions, prev.positions[1], rec.choice
+        if not near[at].issuperset(rec.options):
+            raise TraceError(f"step {rec.t}: options must be the leader's previous vertex {at} or its neighbours")
+        if not dict.fromkeys(rec.carried, at).items() <= before.items():
+            raise TraceError(f"step {rec.t}: a carried pebble did not stand on the leader's previous vertex {at}")
+        expected = dict(before.items())
+        expected.update(dict.fromkeys((1, *rec.carried), choice))
+        if rec.positions.items() != expected.items():
+            m = min(m for m in expected if rec.positions[m] != expected[m])
+            if m == 1 or m in rec.carried:
+                raise TraceError(f"step {rec.t}: member {m} is at {rec.positions[m]}, not on the choice {choice}")
+            raise TraceError(f"step {rec.t}: member {m} moved from {before[m]} without the leader")
 
 
 def write_document(doc: TraceDocument, path: str) -> None:
@@ -355,5 +373,8 @@ def write_document(doc: TraceDocument, path: str) -> None:
 
 
 def read_document(path: str) -> TraceDocument:
+    """Parse a document file and check that its records follow one another."""
     with open(path) as fh:
-        return parse_document(fh.read())
+        doc = parse_document(fh.read())
+    check_steps(doc.trace)
+    return doc

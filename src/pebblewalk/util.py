@@ -57,3 +57,15 @@ class FrozenMap(Mapping[K, V]):
         d = dict(self._d)
         d[key] = value
         return FrozenMap(d)
+
+
+class Memo(dict):
+    """Dict that computes a missing value from its key once and keeps it."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value

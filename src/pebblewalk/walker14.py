@@ -24,7 +24,6 @@ from pebblewalk.collective import (
     check_directed,
     diameter_of,
     run,
-    step,
 )
 from pebblewalk.lattice import Vertex
 from pebblewalk.machine import (
@@ -142,17 +141,15 @@ def build_walker(roles: RoleAssignment = RoleAssignment(), origin_x: int = 0) ->
 
 
 def iterate(state: CollectiveState, adversary) -> tuple[CollectiveState, int]:
-    """Run steps until the leader is back at the loop header; 9 or 11 steps."""
+    """One loop: the state at the first loop header that `run` reaches from
+    state within 12 steps, and its step count (9 or 11).  The adversary sees
+    the history `run` gives it, so the loop is run's first loop."""
     if state.states[1] != LOOP_HEADER:
         raise ValueError("iterate must start at the loop header")
-    steps = 0
-    while True:
-        state, _ = step(state, adversary)
-        steps += 1
-        if state.states[1] == LOOP_HEADER:
-            return state, steps
-        if steps > 11:
-            raise RuntimeError(f"loop did not close within 11 steps (at {steps})")
+    for rec in run(state, adversary, 12).records[1:]:
+        if rec.states[1] == LOOP_HEADER:
+            return CollectiveState(state.collective, rec.positions, rec.states, state.step_index + rec.t), rec.t
+    raise RuntimeError("loop did not close within 12 steps")
 
 
 def occupied_schema(positions) -> Schema:

@@ -175,6 +175,7 @@ def test_defeat_small_collectives(build):
     col = build()
     outcome = defeat_strategy(col, max_depth=200)
     assert outcome.defeated
+    assert outcome.stats == search_lasso(col.initial_state(), max_depth=200).stats
     cert = outcome.certificate
     assert finalize_certificate(col.initial_state(), cert) is not None
 
@@ -196,6 +197,7 @@ def test_search_cut_off_by_diameter_bound():
 def test_defeat_truncated_search_is_inconclusive():
     outcome = defeat_strategy(build_caterpillar(), max_depth=3)
     assert outcome.status == "inconclusive"
+    assert outcome.stats == search_lasso(build_caterpillar().initial_state(), max_depth=3).stats
     assert not outcome.defeated
     assert outcome.certificate is None
     assert outcome.detail == "depth 3 exhausted (diameter bound 4)"

@@ -253,6 +253,39 @@ def test_check_rejects_bad_window(tmp_path):
     assert main(["check", str(out), "--c1", "2", "--c2", "0"]) == 2
 
 
+def check_leader_off_choice(tmp_path):
+    _, out = simulate(tmp_path, horizon=3)
+    lines = out.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["positions"]["1"] = json.loads(lines[1])["positions"]["1"]
+    lines[2] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    out.write_text("\n".join(lines) + "\n")
+    return ["check", str(out), "--c1", "2", "--c2", "1"]
+
+
+def defeat_depth_zero(tmp_path):
+    return ["defeat", "baseline-10", "--max-depth", "0"]
+
+
+def render_window_zero(tmp_path):
+    return ["render", str(simulate(tmp_path, horizon=2)[1]), "--window", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        pytest.param(check_leader_off_choice, "not on the choice", id="check-leader-off-choice"),
+        pytest.param(defeat_depth_zero, "max_depth must be >= 1", id="defeat-depth-0"),
+        pytest.param(render_window_zero, "window must be at least 1", id="render-window-0"),
+    ],
+)
+def test_bad_input_exits_two(tmp_path, capsys, argv, fragment):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_schemas_list_counts(capsys):
     assert main(["schemas", "2", "--emit", "list"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pebblewalk.adversary import FirstOption, SeededRandom
 from pebblewalk.collective import StepRecord, Trace, check_directed, run
 from pebblewalk.lattice import vertex
-from pebblewalk.machine import observe
 from pebblewalk.strategies import load_builtin
 from pebblewalk.strategy_format import strategy_hash
 from pebblewalk.tracefile import (
@@ -49,42 +48,6 @@ def test_round_trip_equality():
     again = parse_document(render_document(doc))
     assert again.header == doc.header
     assert again.records == doc.records
-
-
-def test_round_trip_recovers_observations():
-    doc = walker_document(horizon=12)
-    again = parse_document(render_document(doc))
-    for rec in again.records[1:]:
-        assert rec.observations is not None
-    assert again.records[3].observations == doc.records[3].observations
-
-
-def test_observations_follow_every_member_and_row_of_the_previous_layout():
-    # Layouts 0 and 1 differ only in pebble 2's row; 2 and 3 repeat them
-    # four columns to the right, so their observations are reused.
-    near = {"1": [0, 0], "2": [1, 0], "3": [0, 1]}
-    across = {"1": [0, 0], "2": [1, 1], "3": [0, 1]}
-    layouts = [near, across]
-    layouts += [{m: [x + 4, y] for m, (x, y) in lay.items()} for lay in layouts]
-    layouts.append(near)
-    header = render_document(walker_document()).splitlines()[0]
-    rows = []
-    for t, lay in enumerate(layouts):
-        row = {"t": t, "positions": lay, "states": {m: "s" for m in lay}}
-        if t > 0:
-            row.update(
-                outputs={m: "stay" for m in lay},
-                options=[lay["1"]],
-                choice=lay["1"],
-                consulted=False,
-                carried=[],
-            )
-        rows.append(json.dumps(row))
-    doc = parse_document("\n".join([header, *rows]) + "\n")
-    records = doc.records
-    assert records[1].observations != records[2].observations
-    for prev, rec in zip(records, records[1:]):
-        assert rec.observations == {m: observe(prev.positions, m) for m in prev.positions}
 
 
 def test_byte_identical_reproduction():
@@ -246,6 +209,13 @@ def consulted_options(row, value):
     row["consulted"] = True
 
 
+def offer_only(row, value):
+    row["options"] = [value]
+    row["choice"] = value
+    for m in ("1", "2"):
+        row["positions"][m] = value
+
+
 # Each value parses to something the renderer spells differently, or to a
 # record no run produces; record t=1 of walker_document() is
 # carried [2], choice [1,0], options [[1,0]], members 1..5.
@@ -283,6 +253,30 @@ def test_rejects_value_the_renderer_never_writes(mutate, value, fragment):
 
     msg = corrupt(edit)
     assert msg.startswith("line 3") and fragment in msg
+
+
+# Record t=1 of walker_document() follows positions 1 and 2 at (0,0),
+# 3 at (1,0), 4 at (2,0) and 5 at (1,1); one row per rule of check_steps.
+@pytest.mark.parametrize(
+    "mutate, value, fragment",
+    [
+        pytest.param(offer_only, [3, 0], "or its neighbours", id="option-out-of-reach"),
+        pytest.param(set_field("positions", "1"), [0, 0], "member 1 is at (0,0), not on", id="leader-off-choice"),
+        pytest.param(set_field("carried"), [2, 3], "carried pebble did not stand", id="carried-from-elsewhere"),
+        pytest.param(set_field("positions", "2"), [0, 0], "member 2 is at (0,0), not on", id="carried-left-behind"),
+        pytest.param(set_field("positions", "4"), [7, 0], "member 4 moved from (2,0)", id="member-jumped"),
+    ],
+)
+def test_reading_rejects_record_that_does_not_follow(tmp_path, mutate, value, fragment):
+    lines = render_document(walker_document(horizon=5)).splitlines()
+    row = json.loads(lines[2])
+    mutate(row, value)
+    lines[2] = dump(row)
+    path = tmp_path / "bad.trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceError) as exc:
+        read_document(str(path))
+    assert str(exc.value).startswith("step 1:") and fragment in str(exc.value)
 
 
 def test_rejects_record_without_members():

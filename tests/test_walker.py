@@ -48,6 +48,19 @@ def test_iteration_step_counts():
     assert last_steps == 11
 
 
+def test_iteration_is_runs_first_loop():
+    # The adversary sees run's history digest, so iterate's loop is run's.
+    col = build_walker()
+    for seed in range(50):
+        final, steps = iterate(col.initial_state(), SeededRandom(seed))
+        header = next(
+            rec for rec in run(col.initial_state(), SeededRandom(seed), 12).records[1:]
+            if rec.states[1] == LOOP_HEADER
+        )
+        assert (steps, final.positions, final.states) == (header.t, header.positions, header.states)
+        assert final.step_index == steps
+
+
 @pytest.mark.parametrize("adversary", [FirstOption(), LastOption()])
 def test_iteration_translates_layout_by_one(adversary):
     col = build_walker()
