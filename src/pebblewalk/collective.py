@@ -142,13 +142,6 @@ class ChoiceContext:
     digest: bytes
 
 
-def _offset_key(at: Vertex):
-    def key(v: Vertex) -> tuple[int, int]:
-        return (v.x - at.x, v.y - at.y)
-
-    return key
-
-
 def initial_digest(collective: Collective) -> bytes:
     h = hashlib.blake2b(b"pebblewalk-run", digest_size=16)
     h.update(collective.name.encode())
@@ -216,7 +209,7 @@ def plan_step(state: CollectiveState) -> StepPlan:
         outputs=FrozenMap(outputs),
         next_states=FrozenMap(next_states),
         at=at,
-        options=tuple(sorted(opts, key=_offset_key(at))),
+        options=tuple(sorted(opts, key=lambda v: (v.x - at.x, v.y - at.y))),
         carried=frozenset(carried),
     )
 
@@ -225,10 +218,7 @@ def apply_choice(state: CollectiveState, plan: StepPlan, choice: Vertex) -> tupl
     """Move the leader and its carry set to the chosen option."""
     if choice not in plan.options:
         raise ValueError(f"{choice} is not among the step's options {plan.options}")
-    new_pos = dict(state.positions)
-    new_pos[1] = choice
-    for pid in plan.carried:
-        new_pos[pid] = choice
+    new_pos = {**state.positions, **dict.fromkeys((1, *plan.carried), choice)}
     new_state = CollectiveState(
         state.collective, FrozenMap(new_pos), plan.next_states, state.step_index + 1
     )

@@ -349,8 +349,7 @@ def check_steps(trace: Trace) -> None:
             raise TraceError(f"step {rec.t}: options must be the leader's previous vertex {at} or its neighbours")
         if not dict.fromkeys(rec.carried, at).items() <= before.items():
             raise TraceError(f"step {rec.t}: a carried pebble did not stand on the leader's previous vertex {at}")
-        expected = dict(before.items())
-        expected.update(dict.fromkeys((1, *rec.carried), choice))
+        expected = {**before, **dict.fromkeys((1, *rec.carried), choice)}
         if rec.positions.items() != expected.items():
             m = min(m for m in expected if rec.positions[m] != expected[m])
             if m == 1 or m in rec.carried:

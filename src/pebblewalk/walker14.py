@@ -21,9 +21,12 @@ from pebblewalk.collective import (
     Collective,
     CollectiveState,
     Trace,
+    advance_digest,
     check_directed,
     diameter_of,
+    initial_digest,
     run,
+    step,
 )
 from pebblewalk.lattice import Vertex
 from pebblewalk.machine import (
@@ -141,14 +144,19 @@ def build_walker(roles: RoleAssignment = RoleAssignment(), origin_x: int = 0) ->
 
 
 def iterate(state: CollectiveState, adversary) -> tuple[CollectiveState, int]:
-    """One loop: the state at the first loop header that `run` reaches from
-    state within 12 steps, and its step count (9 or 11).  The adversary sees
-    the history `run` gives it, so the loop is run's first loop."""
+    """Run steps until the leader is back at the loop header; 9 or 11 steps.
+
+    The adversary sees the history digest `run` gives it, so the loop is
+    run's first loop, and it is not consulted past the header."""
     if state.states[1] != LOOP_HEADER:
         raise ValueError("iterate must start at the loop header")
-    for rec in run(state, adversary, 12).records[1:]:
-        if rec.states[1] == LOOP_HEADER:
-            return CollectiveState(state.collective, rec.positions, rec.states, state.step_index + rec.t), rec.t
+    digest = initial_digest(state.collective)
+    for steps in range(1, 13):
+        at = state.positions[1]
+        state, rec = step(state, adversary, digest)
+        if state.states[1] == LOOP_HEADER:
+            return state, steps
+        digest = advance_digest(digest, at, rec.options, rec.choice)
     raise RuntimeError("loop did not close within 12 steps")
 
 

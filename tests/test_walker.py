@@ -61,6 +61,19 @@ def test_iteration_is_runs_first_loop():
         assert final.step_index == steps
 
 
+def test_iteration_stops_consulting_at_the_header():
+    # A stateful script must not lose a choice to the next loop's push-front.
+    col = build_walker()
+    for offset, loop in (((0, 1), 9), ((1, 0), 11)):
+        script = ScriptedChoices([offset])
+        final, steps = iterate(col.initial_state(), script)
+        assert (steps, final.step_index, script.cursor) == (loop, loop, 1)
+    script = ScriptedChoices([(0, 1), (1, 0)])
+    state, first = iterate(col.initial_state(), script)
+    state, second = iterate(state, script)
+    assert (first, second, state.step_index, script.cursor) == (9, 11, 20, 2)
+
+
 @pytest.mark.parametrize("adversary", [FirstOption(), LastOption()])
 def test_iteration_translates_layout_by_one(adversary):
     col = build_walker()
