@@ -5,15 +5,14 @@ Directed movement must survive every adversary, so refuting a strategy means
 exhibiting one infinite realization whose coordinate stays put.  The witness
 format is a lasso: a finite choice prefix followed by a choice cycle that
 returns the collective to the exact same configuration and internal states,
-hence replays forever with zero net displacement.  The search grows its
-graph over the translation classes of a `collective.Quotient`, the table
-`run` steps through; `canonicalize` names a certificate's base class.
+hence replays forever with zero net displacement.  The search expands a
+`collective.Quotient`, the graph `walk` steps through, and reads its lasso
+prefix off the quotient's discovery tree.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -22,6 +21,7 @@ from pebblewalk.collective import (
     ChoiceContext,
     Collective,
     CollectiveState,
+    Move as _Edge,  # noqa: F401  (tests build graphs of Moves under this name)
     PebbleFault,
     Quotient,
     StrategyFault,
@@ -116,10 +116,7 @@ class Oscillator:
         return best
 
 
-CanonicalKey = tuple  # (((member, state)...), positions translated to least x 0)
-
-
-def canonicalize(positions: FrozenMap, states: FrozenMap) -> tuple[CanonicalKey, int]:
+def canonicalize(positions: FrozenMap, states: FrozenMap) -> tuple[tuple, int]:
     """Translate the configuration so its least x is 0; return key and shift."""
     rel, anchor = at_origin(positions)
     return (tuple(sorted(states.items())), rel), anchor
@@ -133,14 +130,14 @@ class LassoCertificate:
     counts include forced steps.  net_displacement is the coordinate change
     over one cycle (always (0, 0) for a certificate that replays), and
     confinement_radius bounds how far the coordinate strays from the cycle
-    start while the cycle runs.
+    start while the cycle runs.  The cycle starts at the configuration
+    the prefix reaches, which the replay checks it returns to.
     """
 
     prefix: tuple[Offset, ...]
     prefix_steps: int
     cycle: tuple[Offset, ...]
     cycle_steps: int
-    base_state: CanonicalKey
     net_displacement: tuple[Fraction, Fraction]
     confinement_radius: Fraction
 
@@ -170,15 +167,6 @@ class SearchOutcome:
         return "not-found" if self.complete else "depth-exhausted"
 
 
-@dataclass(frozen=True)
-class _Edge:
-    src: int
-    dst: int
-    weight: int
-    offset: Offset
-    consulted: bool
-
-
 def search_lasso(
     initial: CollectiveState,
     max_depth: int,
@@ -187,34 +175,32 @@ def search_lasso(
     """Breadth-first expand the choice graph modulo x-translation and look
     for a closed walk with zero net anchor shift.
 
-    Nodes are the classes of a Quotient local to the call, each planned at
-    its representative; a successor is located only when it passes the
-    diameter bound, so quotient nodes and graph nodes share their
-    breadth-first numbering.  Edge weights are the per-step shift of the
-    leftmost occupied column; a closed walk of total weight zero revisits an
-    absolute configuration exactly, so it extends to an infinite
-    realization whose coordinate is confined.  Certificates are
-    replay-validated before being returned.
+    The graph is a Quotient local to the call: nodes are its classes, each
+    planned at its representative and expanded in node order, which is
+    breadth-first order, and edges are its Moves.  A successor is followed
+    only when it passes the diameter bound.  Move weights are the per-step
+    shift of the leftmost occupied column; a closed walk of total weight
+    zero revisits an absolute configuration exactly, so it extends to an
+    infinite realization whose coordinate is confined.  The lasso's prefix
+    is the discovery-tree path to the walk's base, a shortest path from the
+    initial class.  Certificates are replay-validated before being returned.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    g = Graph()
-    table = Quotient()
-    table.locate(initial)
-    g.add_node(0, table.reps[0], 0)
-    queue = deque([0])
+    g = Quotient()
+    g.locate(initial)
     faults = 0
     pruned = 0
     truncated = False
 
-    while queue:
-        u = queue.popleft()
+    # A list iterator also yields what is appended while it runs, so this
+    # loop reaches every class that following adds, in breadth-first order.
+    for u, rep in enumerate(g.reps):
         if g.depths[u] >= max_depth:
             truncated = True
             continue
-        rep = table.reps[u]
         try:
-            plan = table.plan(u, rep, 0)
+            plan = g.plan(u, rep, 0)
         except (StrategyFault, PebbleFault):
             faults += 1
             continue
@@ -224,19 +210,15 @@ def search_lasso(
                 pruned += 1
                 truncated = True
                 continue
-            v, shift = table.follow(u, idx, 0, nxt)
-            if v == len(g.reps):
-                g.add_node(v, table.reps[v], g.depths[u] + 1)
-                queue.append(v)
-            g.add_edge(_Edge(u, v, shift, (opt.x - plan.at.x, opt.y - plan.at.y), plan.consulted))
+            g.follow(u, plan, idx, 0, nxt)
 
-    walk = _find_zero_walk(g)
+    found = _find_zero_walk(g)
     stats = SearchStats(len(g.reps), len(g.edges), faults, pruned)
-    if walk is None:
+    if found is None:
         return SearchOutcome(None, not truncated, stats)
-    base, cycle_edges = walk
-    prefix_edges = bfs_path(g, 0, base)
-    cert = _certificate_from_edges(initial, g, prefix_edges, cycle_edges, base)
+    base, cycle_edges = found
+    _, prefix_edges = g.tree_path(base)
+    cert = _certificate_from_edges(initial, g, prefix_edges, cycle_edges)
     return SearchOutcome(cert, not truncated, stats)
 
 
@@ -353,17 +335,14 @@ def _certificate_from_edges(
     g: Graph,
     prefix_edges: list[int],
     cycle_edges: list[int],
-    base: int,
 ) -> Optional[LassoCertificate]:
     prefix = tuple(g.edges[ei].offset for ei in prefix_edges if g.edges[ei].consulted)
     cycle = tuple(g.edges[ei].offset for ei in cycle_edges if g.edges[ei].consulted)
-    key, _ = canonicalize(g.reps[base].positions, g.reps[base].states)
     cert = LassoCertificate(
         prefix=prefix,
         prefix_steps=len(prefix_edges),
         cycle=cycle,
         cycle_steps=len(cycle_edges),
-        base_state=key,
         net_displacement=(Fraction(0), Fraction(0)),
         confinement_radius=Fraction(0),
     )
@@ -399,7 +378,6 @@ def finalize_certificate(initial: CollectiveState, cert: LassoCertificate) -> Op
         prefix_steps=cert.prefix_steps,
         cycle=cert.cycle,
         cycle_steps=cert.cycle_steps,
-        base_state=cert.base_state,
         net_displacement=(coords[p + c].x - coords[p].x, coords[p + c].y - coords[p].y),
         confinement_radius=radius,
     )

@@ -10,9 +10,10 @@ observe(previous positions, member) and are not stored.
 
 Automata see neither coordinates nor direction, so stepping works on
 translation classes: a Quotient numbers the classes one call meets, plans
-each once, and follows (class, option index) to (next class, anchor shift).
-`run` and the lasso search in `adversary` both step through one; `step` is
-the plain reference that plans every configuration afresh.
+each once, and follows (class, option index) along a Move to (next class,
+anchor shift).  `walk` streams steps through one, `run` collects a prefix of
+that stream, and the lasso search in `adversary` expands one as its graph;
+`step` is the plain reference that plans every configuration afresh.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from pebblewalk.graph import Graph
 from pebblewalk.lattice import Symmetry, Vertex, are_neighbors
 from pebblewalk.machine import (
     Automaton,
@@ -253,9 +256,20 @@ def _pick(state: CollectiveState, plan: StepPlan, adversary, digest: bytes) -> i
     return idx
 
 
-class Quotient:
+class Move(NamedTuple):
+    """A quotient edge: option `offset` (relative to the leader) at class src
+    leads to class dst and moves the anchor by `weight` columns."""
+
+    src: int
+    dst: int
+    weight: int
+    offset: tuple[int, int]
+    consulted: bool
+
+
+class Quotient(Graph):
     """The translation classes of one collective's configurations, numbered
-    in the order they are met.
+    in the order they are met, as a graph of Moves.
 
     Automata see neither coordinates nor direction, so a step's plan depends
     on its configuration only up to x-translation: outputs, next states and
@@ -265,26 +279,27 @@ class Quotient:
     its least x.  Each class is planned once and its plan translated at
     later visits.  Options are sorted by offset, so the class after a step
     is fixed by the class before it and the chosen option's index: a
-    (node, option index) pair is located once and then followed to
-    (next node, anchor shift).  Faults are never stored: a class's first
-    visit plans the configuration itself, so a fault keeps its true step
-    index.  A table belongs to one call and is not shared.
+    (node, option index) pair is located once, which adds its Move, and then
+    followed along it.  A class found by a Move lies one deeper than the
+    Move's source, so `tree_path` gives the first way `walk` or the lasso
+    search reached it.  Faults are never stored: a class's first visit
+    plans the configuration itself, so a fault keeps its true step index.
+    A table belongs to one call and is not shared.
     """
 
     def __init__(self) -> None:
-        self.index: dict[tuple, int] = {}  # (states, positions at least x 0) -> node
-        self.reps: list[CollectiveState] = []
+        super().__init__()
         self.plans: dict[int, tuple[StepPlan, int]] = {}  # node -> (plan, anchor it was made at)
-        self.moves: dict[tuple[int, int], tuple[int, int]] = {}  # (node, option index) -> (next node, anchor shift)
+        self.moves: dict[tuple[int, int], Move] = {}  # (node, option index) -> its edge
 
-    def locate(self, state: CollectiveState) -> tuple[int, int]:
+    def locate(self, state: CollectiveState, depth: int = 0) -> tuple[int, int]:
         """The node and anchor of state's class; a new class gets the next node."""
         rel, anchor = at_origin(state.positions)
         key = (state.states, rel)
-        if key not in self.index:
-            self.index[key] = len(self.reps)
-            self.reps.append(CollectiveState(state.collective, rel, state.states))
-        return self.index[key], anchor
+        node = self.index.get(key)
+        if node is None:
+            node = self.add_node(key, CollectiveState(state.collective, rel, state.states), depth)
+        return node, anchor
 
     def plan(self, node: int, state: CollectiveState, anchor: int) -> StepPlan:
         """The plan of state, which lies in class node at anchor."""
@@ -293,41 +308,56 @@ class Quotient:
         plan, made_at = self.plans[node]
         return _shifted(plan, anchor - made_at)
 
-    def follow(self, node: int, idx: int, anchor: int, nxt: CollectiveState) -> tuple[int, int]:
-        """Next node and anchor shift of option idx at node; nxt, the
-        configuration that option led to from anchor, is located only the
-        first time the pair is followed."""
-        if (node, idx) not in self.moves:
-            next_node, next_anchor = self.locate(nxt)
-            self.moves[node, idx] = (next_node, next_anchor - anchor)
-        return self.moves[node, idx]
+    def follow(self, node: int, plan: StepPlan, idx: int, anchor: int, nxt: CollectiveState) -> Move:
+        """The Move of option idx of plan, made at node's anchor; nxt, the
+        configuration that option led to, is located only the first time
+        the pair is followed."""
+        move = self.moves.get((node, idx))
+        if move is None:
+            next_node, next_anchor = self.locate(nxt, self.depths[node] + 1)
+            at, opt = plan.at, plan.options[idx]
+            move = self.moves[node, idx] = Move(
+                node, next_node, next_anchor - anchor, (opt.x - at.x, opt.y - at.y), plan.consulted
+            )
+            self.add_edge(move)
+        return move
 
 
-def run(initial: CollectiveState, adversary, horizon: int) -> Trace:
-    """Step `horizon` times from `initial`, or fault with the partial trace.
+def walk(initial: CollectiveState, adversary) -> Iterator[tuple[CollectiveState, StepRecord]]:
+    """Step from `initial` without end, yielding each new state and record.
 
-    Steps go through a Quotient local to the call, so each translation
-    class is planned once and the records of a class share its maps.
+    A step is planned, and the adversary consulted, only when it is drawn,
+    and the history digest advances for a step only once the next is drawn,
+    so a reader that stops leaves the adversary untouched past its last
+    step.  Plans and faults come through a Quotient local to the call, so
+    each translation class is planned once and the records of a class share
+    its maps.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    records = [StepRecord(t=0, positions=initial.positions, states=initial.states)]
     state = initial
     digest = initial_digest(initial.collective)
     table = Quotient()
     node, anchor = table.locate(state)
-    for _ in range(horizon):
-        try:
-            plan = table.plan(node, state, anchor)
-        except (StrategyFault, PebbleFault) as fault:
-            fault.trace = Trace(tuple(records))
-            raise
+    while True:
+        plan = table.plan(node, state, anchor)
         idx = _pick(state, plan, adversary, digest)
-        state, record = apply_choice(state, plan, plan.options[idx])
-        records.append(record)
+        nxt, record = apply_choice(state, plan, plan.options[idx])
+        yield nxt, record
         digest = advance_digest(digest, plan.at, plan.options, record.choice)
-        node, shift = table.follow(node, idx, anchor, state)
-        anchor += shift
+        move = table.follow(node, plan, idx, anchor, nxt)
+        node, anchor, state = move.dst, anchor + move.weight, nxt
+
+
+def run(initial: CollectiveState, adversary, horizon: int) -> Trace:
+    """The first `horizon` steps of `walk`, or a fault with the partial trace."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    records = [StepRecord(t=0, positions=initial.positions, states=initial.states)]
+    try:
+        for _, record in islice(walk(initial, adversary), horizon):
+            records.append(record)
+    except (StrategyFault, PebbleFault) as fault:
+        fault.trace = Trace(tuple(records))
+        raise
     return Trace(tuple(records))
 
 
@@ -425,18 +455,17 @@ def _check_windows(trace: Trace, c1: int, c2: int, moments, has_pair) -> Verdict
 
 def _sum_coordinates(trace: Trace) -> list[tuple]:
     # Displacement equality over mean coordinates reduces to equality over
-    # integer position sums when the member count never changes; fall back
-    # to exact rationals for hand-built traces that violate that.
-    counts = {len(r.positions) for r in trace.records}
-    if len(counts) <= 1:
-        return [
-            (
-                sum(v.x for v in r.positions.values()),
-                sum(v.y for v in r.positions.values()),
-            )
-            for r in trace.records
-        ]
-    return [(p.x, p.y) for p in trace.coordinates()]
+    # integer position sums while the member count holds, as it does in
+    # every trace run or read_document makes.
+    if len({len(r.positions) for r in trace.records}) > 1:
+        raise ValueError("member count changes mid-trace")
+    return [
+        (
+            sum(v.x for v in r.positions.values()),
+            sum(v.y for v in r.positions.values()),
+        )
+        for r in trace.records
+    ]
 
 
 def _has_equal_displacement_pair(coords: list[tuple], t: int, c2: int) -> bool:

@@ -1,8 +1,9 @@
 """The quotient graph both searches grow, with its path and SCC routines.
 
 Nodes are translation classes indexed by canonical key; each keeps one
-representative and its breadth-first depth.  Edges are any objects with
-integer `src` and `dst` fields plus the payload their search needs.
+representative, its depth and the edge that discovered it.  Edges are any
+objects with integer `src` and `dst` fields plus the payload their search
+needs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ from typing import Any, Hashable, Optional
 
 
 class Graph:
-    """Canonical-quotient choice graph grown by breadth-first expansion."""
+    """Canonical-quotient choice graph grown from depth-0 roots.
+
+    A node added at depth > 0 is discovered by the first edge into it, which
+    its search adds right after the node, at the node's depth less one; those
+    edges form the discovery tree that `tree_path` reads.
+    """
 
     def __init__(self) -> None:
         self.index: dict[Hashable, int] = {}
@@ -20,6 +26,7 @@ class Graph:
         self.depths: list[int] = []
         self.edges: list[Any] = []
         self.out: list[list[int]] = []
+        self.tree: list[Optional[int]] = []  # node -> index of the edge that discovered it
 
     def add_node(self, key: Hashable, rep: Any, depth: int) -> int:
         idx = len(self.reps)
@@ -27,11 +34,22 @@ class Graph:
         self.reps.append(rep)
         self.depths.append(depth)
         self.out.append([])
+        self.tree.append(None)
         return idx
 
     def add_edge(self, e: Any) -> None:
+        if self.depths[e.dst] and self.tree[e.dst] is None:
+            self.tree[e.dst] = len(self.edges)
         self.out[e.src].append(len(self.edges))
         self.edges.append(e)
+
+    def tree_path(self, v: int) -> tuple[int, list[int]]:
+        """The root v descends from, and the discovery edges from it to v."""
+        path = []
+        while self.tree[v] is not None:
+            path.append(self.tree[v])
+            v = self.edges[path[-1]].src
+        return v, path[::-1]
 
 
 def bfs_path(g: Graph, src: int, dst: int, within: Optional[set[int]] = None) -> list[int]:

@@ -413,23 +413,13 @@ class _JointEdge(NamedTuple):
     step: JointStep
 
 
-def _prefix_steps(g: Graph, parent: list[Optional[int]], idx: int):
-    """Steps along BFS-tree edges from a start node to idx, and that start."""
-    steps = []
-    while parent[idx] is not None:
-        e = g.edges[parent[idx]]
-        steps.append(e.step)
-        idx = e.src
-    return list(reversed(steps)), idx
-
-
 def _closing_transfers(g: Graph) -> list[int]:
     """Transfer edges on some cycle: exactly those whose ends share an SCC."""
     comp = strong_components(g)
     return [ei for ei, e in enumerate(g.edges) if e.step.carried and comp[e.src] == comp[e.dst]]
 
 
-def _extract_witness(g: Graph, parent: list[Optional[int]], depth: int) -> Optional[Witness]:
+def _extract_witness(g: Graph, depth: int) -> Optional[Witness]:
     candidates = sorted(
         _closing_transfers(g),
         key=lambda ei: (g.depths[g.edges[ei].dst], g.edges[ei].src, g.edges[ei].dst),
@@ -441,11 +431,11 @@ def _extract_witness(g: Graph, parent: list[Optional[int]], depth: int) -> Optio
         back = bfs_path(g, dst, src)
         if g.depths[dst] + len(back) + 1 > depth:
             continue
-        prefix, root = _prefix_steps(g, parent, dst)
+        root, prefix = g.tree_path(dst)
         witness = Witness(
             start_a=g.reps[root][0],
             start_b=g.reps[root][1],
-            prefix=tuple(prefix),
+            prefix=tuple(g.edges[i].step for i in prefix),
             cycle=(*(g.edges[i].step for i in back), step),
         )
         try:
@@ -458,7 +448,6 @@ def _extract_witness(g: Graph, parent: list[Optional[int]], depth: int) -> Optio
 
 def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
     g = Graph()
-    parent: list[Optional[int]] = []  # node -> index of its BFS-tree edge
     frontier_cut = False
     tables, connected = Memo(_move_table), Memo(_connected)
     origins = Memo(lambda positions: at_origin(positions)[0])
@@ -467,7 +456,6 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
         key = _joint_key(pos_a, pos_b)
         if key not in g.index:
             g.add_node(key, (pos_a, pos_b), 0)
-            parent.append(None)
     if not g.reps:
         return IndistinguishabilityOutcome(DISTINCT, None, 0, False)
 
@@ -483,10 +471,9 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
                         frontier_cut = True
                         continue
                     v = g.add_node(key, (na, nb), g.depths[u] + 1)
-                    parent.append(len(g.edges))
                     queue.append(v)
                 g.add_edge(_JointEdge(u, v, step))
-        witness = _extract_witness(g, parent, depth)
+        witness = _extract_witness(g, depth)
         if witness is not None:
             return IndistinguishabilityOutcome(WITNESS, witness, len(g.reps), frontier_cut)
     if frontier_cut or _closing_transfers(g):

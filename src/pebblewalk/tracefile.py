@@ -12,9 +12,12 @@ A walker trace repeats a handful of record parts shifted along x, so both
 directions work once per distinct part, with memos that live for one call:
 rendering encodes each shared states, outputs and carried object once, and
 parsing checks and converts each distinct vertex, member id, states map,
-outputs map and carried list once.  Parsing accepts only the types and
-spellings rendering writes, so every accepted document re-renders
-byte-identically.
+outputs map and carried list once.  Parsing accepts only the types,
+spellings and line layout rendering writes: one `{...}` object per line with
+its keys and member ids in sorted order, lines ended by a lone `\n`, and
+exactly one after the last.  Decoding JSON erases what lies between and
+inside its tokens, so whitespace between tokens, string escapes, `-0` and a
+repeated key are the layout freedoms left unchecked.
 """
 
 from __future__ import annotations
@@ -185,7 +188,9 @@ class _Decoder:
         if type(obj) is not dict:
             raise TraceError(f"line {line_no}: expected a member map, got {obj!r}")
         member_id, vertex = self.member_id, self.vertex
-        return FrozenMap({member_id(k, line_no): vertex(p, line_no) for k, p in obj.items()})
+        out = FrozenMap({member_id(k, line_no): vertex(p, line_no) for k, p in obj.items()})
+        _check_sorted(obj, line_no)
+        return out
 
     def strings(self, obj, line_no: int, what: str, convert=None) -> FrozenMap:
         """A member map of strings, shared by every record that spells it
@@ -206,6 +211,7 @@ class _Decoder:
             )
             if out.keys() != self.members:
                 raise TraceError(f"line {line_no}: {what}s and positions disagree on members")
+            _check_sorted(obj, line_no)
             self.maps[key] = out
         return out
 
@@ -227,6 +233,27 @@ class _Decoder:
         raise TraceError(f"line {line_no}: carried must list member ids")
 
 
+def _check_sorted(obj: dict, line_no: int) -> None:
+    if list(obj) != sorted(obj):
+        raise TraceError(f"line {line_no}: keys must be in sorted order")
+
+
+def _row(raw: str, line_no: int) -> dict:
+    """The JSON object on one line, which must be laid out as rendered."""
+    if "\r" in raw:
+        raise TraceError(f"line {line_no}: a line ends in \\n alone and holds no \\r")
+    if raw[:1] != "{" or raw[-1:] != "}":
+        raise TraceError(f"line {line_no}: a line holds one JSON object from its first character to its last")
+    # json.loads raises ValueError on bad JSON or an int too long to convert,
+    # and RecursionError on nesting too deep.
+    try:
+        row = json.loads(raw)
+    except (ValueError, RecursionError) as e:
+        raise TraceError(f"line {line_no}: {e}") from None
+    _check_sorted(row, line_no)
+    return row
+
+
 def _output(spelling: str, line_no: int):
     try:
         out = parse_output(spelling)
@@ -240,22 +267,21 @@ def _output(spelling: str, line_no: int):
 def parse_document(text: str) -> TraceDocument:
     """Rebuild a document, checking each record on its own.
 
-    Every value must have the type and spelling the renderer writes, so an
-    accepted document re-renders byte-identically.  Whether the records
+    Every value must have the type and spelling the renderer writes, and
+    every line its layout (see the module docstring).  Whether the records
     follow one another is `check_steps`'s question.  Each distinct vertex,
     member id, states map, outputs map and carried list is checked and
     converted once; records that spell a map alike share one FrozenMap.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if lines[-1] or len(lines) > 2 and not lines[-2]:
+        last = text.rstrip("\n").count("\n") + 1
+        raise TraceError(f"line {last}: a document ends in exactly one \\n after its last line")
+    del lines[-1]
     if not lines:
         raise TraceError("empty document")
-    # json.loads raises ValueError on bad JSON or an int too long to convert,
-    # and RecursionError on nesting too deep.
-    try:
-        head = json.loads(lines[0])
-    except (ValueError, RecursionError) as e:
-        raise TraceError(f"line 1: {e}") from None
-    if not isinstance(head, dict) or head.get("format") != FORMAT_NAME:
+    head = _row(lines[0], 1)
+    if head.get("format") != FORMAT_NAME:
         raise TraceError("line 1: missing trace header")
     version = head.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
@@ -274,13 +300,8 @@ def parse_document(text: str) -> TraceDocument:
     decode = _Decoder()
     records: list[StepRecord] = []
     for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            row = json.loads(raw)
-        except (ValueError, RecursionError) as e:
-            raise TraceError(f"line {line_no}: {e}") from None
-        if type(row) is not dict or "t" not in row:
+        row = _row(raw, line_no)
+        if "t" not in row:
             raise TraceError(f"line {line_no}: not a step record")
         t = row["t"]
         if type(t) is not int or t != len(records):

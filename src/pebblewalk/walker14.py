@@ -16,17 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from pebblewalk.collective import (
     Collective,
     CollectiveState,
     Trace,
-    advance_digest,
     check_directed,
+    coordinate_of,
     diameter_of,
-    initial_digest,
     run,
-    step,
+    walk,
 )
 from pebblewalk.lattice import Vertex
 from pebblewalk.machine import (
@@ -146,17 +146,13 @@ def build_walker(roles: RoleAssignment = RoleAssignment(), origin_x: int = 0) ->
 def iterate(state: CollectiveState, adversary) -> tuple[CollectiveState, int]:
     """Run steps until the leader is back at the loop header; 9 or 11 steps.
 
-    The adversary sees the history digest `run` gives it, so the loop is
-    run's first loop, and it is not consulted past the header."""
+    The steps are `walk`'s, so the loop is run's first loop, and the
+    adversary is not consulted past the header."""
     if state.states[1] != LOOP_HEADER:
         raise ValueError("iterate must start at the loop header")
-    digest = initial_digest(state.collective)
-    for steps in range(1, 13):
-        at = state.positions[1]
-        state, rec = step(state, adversary, digest)
+    for steps, (state, _) in enumerate(islice(walk(state, adversary), 12), start=1):
         if state.states[1] == LOOP_HEADER:
             return state, steps
-        digest = advance_digest(digest, at, rec.options, rec.choice)
     raise RuntimeError("loop did not close within 12 steps")
 
 
@@ -215,13 +211,10 @@ def verify_theorem2(
     if bad_lengths:
         failures.append(f"loop lengths outside {{9, 11}}: {sorted(set(bad_lengths))}")
 
-    coords = trace.coordinates()
+    coords = [coordinate_of(trace.records[b].positions) for b in boundaries]
     displacement = None
     if len(boundaries) >= 2:
-        deltas = {
-            (coords[b2].x - coords[b1].x, coords[b2].y - coords[b1].y)
-            for b1, b2 in zip(boundaries, boundaries[1:])
-        }
+        deltas = {(b.x - a.x, b.y - a.y) for a, b in zip(coords, coords[1:])}
         if len(deltas) > 1:
             failures.append(f"per-loop displacement not constant: {sorted(deltas)}")
         else:

@@ -82,5 +82,5 @@ def search_lasso(
         return SearchOutcome(None, not truncated, stats)
     base, cycle_edges = walk
     prefix_edges = bfs_path(g, 0, base)
-    cert = _certificate_from_edges(initial, g, prefix_edges, cycle_edges, base)
+    cert = _certificate_from_edges(initial, g, prefix_edges, cycle_edges)
     return SearchOutcome(cert, not truncated, stats)

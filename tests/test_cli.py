@@ -319,6 +319,39 @@ def test_defeat_baseline_eleven(capsys):
     assert "cycle" in out
 
 
+# The full defeat stdout of each baseline, as the engine prints it: a change
+# to stepping or to the lasso search must leave these bytes alone.
+DEFEAT_STDOUT = {
+    "baseline-10": (
+        "defeated baseline-10: lasso with 1-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
+        "prefix choices: [(0, 1)]\n"
+        "cycle choices:  [(1, 0), (-1, 0)]\n"
+    ),
+    "baseline-11": (
+        "defeated baseline-11: lasso with 1-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
+        "prefix choices: [(0, 1)]\n"
+        "cycle choices:  [(1, 0), (-1, 0)]\n"
+    ),
+    "baseline-12": (
+        "defeated baseline-12: lasso with 2-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
+        "prefix choices: [(0, 1)]\n"
+        "cycle choices:  [(1, 0), (-1, 0)]\n"
+    ),
+    "baseline-13-caterpillar": (
+        "defeated baseline-13-caterpillar: lasso with 12-step prefix, 30-step cycle, net displacement (0,0),"
+        " confinement radius 5/4\n"
+        "prefix choices: [(0, 1), (1, 0)]\n"
+        "cycle choices:  [(1, 0), (0, -1), (-1, 0), (-1, 0), (0, 1), (1, 0)]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFEAT_STDOUT))
+def test_defeat_baseline_stdout_is_pinned(capsys, name):
+    assert main(["defeat", name]) == 0
+    assert capsys.readouterr().out == DEFEAT_STDOUT[name]
+
+
 def test_defeat_truncated_search_is_inconclusive(capsys):
     assert main(["defeat", "baseline-13-caterpillar", "--max-depth", "1"]) == 1
     assert capsys.readouterr().out == "inconclusive: depth 1 exhausted (diameter bound 4)\n"

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+import pebblewalk.adversary as adversary_module
 import pebblewalk.collective as collective_module
 from pebblewalk.adversary import FirstOption, LastOption, Oscillator, ScriptedChoices, SeededRandom, search_lasso
 from pebblewalk.collective import (
@@ -33,6 +36,7 @@ from pebblewalk.collective import (
     run,
     step,
     transform_positions,
+    walk,
 )
 from pebblewalk.lattice import X_REFLECTION, Y_REFLECTION, Vertex, vertex, x_translation
 from pebblewalk.machine import (
@@ -282,7 +286,8 @@ def test_run_fault_after_revisits_equals_step_loop_reference():
     assert len(exc.value.trace) == 16
 
 
-def test_walker_run_meets_the_search_quotient(monkeypatch):
+def recorded_quotients(monkeypatch, module):
+    """The Quotients that module makes from now on, in the order made."""
     tables = []
 
     class Recorded(Quotient):
@@ -290,11 +295,72 @@ def test_walker_run_meets_the_search_quotient(monkeypatch):
             super().__init__()
             tables.append(self)
 
-    monkeypatch.setattr(collective_module, "Quotient", Recorded)
+    monkeypatch.setattr(module, "Quotient", Recorded)
+    return tables
+
+
+def test_walker_run_meets_the_search_quotient(monkeypatch):
+    tables = recorded_quotients(monkeypatch, collective_module)
     run(build_walker().initial_state(), SeededRandom(42), 3000)
     (table,) = tables
     assert len(table.reps) == len(table.plans) == 16
     assert search_lasso(build_walker().initial_state(), max_depth=200).stats.nodes == 16
+
+
+class Counting:
+    """Adversary wrapper that records the step index of each consultation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def choose(self, options, ctx):
+        self.asked.append(ctx.step_index)
+        return self.inner.choose(options, ctx)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
+def test_walk_draws_what_run_collects(name):
+    col = load_builtin(name)
+    for make_adversary in (FirstOption, LastOption, lambda: SeededRandom(42)):
+        for k in (0, 1, 9, 11, 300):
+            adversary = Counting(make_adversary())
+            drawn = list(islice(walk(col.initial_state(), adversary), k))
+            records = [record for _, record in drawn]
+            assert records == list(run(col.initial_state(), make_adversary(), k).records[1:])
+            assert [(s.positions, s.states, s.step_index) for s, _ in drawn] == [
+                (r.positions, r.states, r.t) for r in records
+            ]
+            assert adversary.asked == [r.t - 1 for r in records if r.consulted]
+
+
+def assert_discovery_tree(g):
+    """Every node's tree path runs src -> dst from a depth-0 root, one
+    level deeper per edge."""
+    for v in range(len(g.reps)):
+        root, path = g.tree_path(v)
+        assert g.depths[root] == 0
+        node = root
+        for ei in path:
+            edge = g.edges[ei]
+            assert edge.src == node
+            assert g.depths[edge.dst] == g.depths[node] + 1
+            node = edge.dst
+        assert node == v
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
+def test_run_and_search_quotients_hold_their_discovery_tree(monkeypatch, name):
+    run_tables = recorded_quotients(monkeypatch, collective_module)
+    search_tables = recorded_quotients(monkeypatch, adversary_module)
+    col = load_builtin(name)
+    run(col.initial_state(), SeededRandom(42), 3000)
+    assert len(run_tables) == 1
+    search_lasso(col.initial_state(), max_depth=200)  # a found lasso's replay runs again
+    assert len(search_tables) == 1
+    for table in run_tables + search_tables:
+        assert len(table.edges) > 1
+        assert_discovery_tree(table)
 
 
 def test_at_origin_reuses_an_anchored_map():
@@ -431,6 +497,9 @@ def test_check_directed_parameter_validation():
         check_directed(trace, c1=-1, c2=4)
     with pytest.raises(ValueError):
         check_directed(trace, c1=1, c2=0)
+    grown = replace(trace.records[2], positions=FrozenMap({1: vertex(0, 0), 2: vertex(0, 0)}))
+    with pytest.raises(ValueError, match="member count changes mid-trace"):
+        check_directed(Trace((*trace.records[:2], grown, *trace.records[3:])), c1=1, c2=1)
 
 
 def test_check_uniform_constant_trace():

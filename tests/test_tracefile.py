@@ -216,9 +216,24 @@ def offer_only(row, value):
         row["positions"][m] = value
 
 
-# Each value parses to something the renderer spells differently, or to a
-# record no run produces; record t=1 of walker_document() is
-# carried [2], choice [1,0], options [[1,0]], members 1..5.
+def respell(row, spelling):
+    """Line 3 as spelling(line), where line is the row rendered with its newline."""
+    return spelling(dump(row) + "\n")
+
+
+def reverse_keys(row, field):
+    """Line 3 with the keys of row[field], or of the row itself, in reverse order."""
+    obj = row if field is None else row[field]
+    items = list(obj.items())
+    obj.clear()
+    obj.update(reversed(items))
+    return json.dumps(row, separators=(",", ":")) + "\n"
+
+
+# Each value parses to something the renderer spells or lays out
+# differently, or to a record no run produces; record t=1 of
+# walker_document() is carried [2], choice [1,0], options [[1,0]],
+# members 1..5, and with horizon 1 it is line 3, the document's last.
 @pytest.mark.parametrize(
     "mutate, value, fragment",
     [
@@ -243,15 +258,24 @@ def offer_only(row, value):
         pytest.param(set_field("outputs", "1"), "set:²", "set:²", id="non-ascii-output"),
         pytest.param(set_field("outputs", "1"), "set:03", "set:03", id="leading-zero-output"),
         pytest.param(set_field("outputs", "1"), "set:4,3", "set:4,3", id="unsorted-output"),
+        pytest.param(respell, lambda line: " \t\n", "first character", id="blank-line"),
+        pytest.param(respell, lambda line: line[:-1] + "\r\n", "\\r", id="crlf"),
+        pytest.param(respell, lambda line: " " + line, "first character", id="leading-space"),
+        pytest.param(respell, lambda line: line[:-1], "exactly one", id="missing-final-newline"),
+        pytest.param(respell, lambda line: line + "\n", "exactly one", id="extra-final-newline"),
+        pytest.param(reverse_keys, None, "sorted order", id="unsorted-record-keys"),
+        pytest.param(reverse_keys, "positions", "sorted order", id="unsorted-positions"),
+        pytest.param(reverse_keys, "states", "sorted order", id="unsorted-states"),
+        pytest.param(reverse_keys, "outputs", "sorted order", id="unsorted-outputs"),
     ],
 )
 def test_rejects_value_the_renderer_never_writes(mutate, value, fragment):
-    def edit(lines):
-        row = json.loads(lines[2])
-        mutate(row, value)
-        lines[2] = dump(row)
-
-    msg = corrupt(edit)
+    header, first, line = render_document(walker_document(horizon=1)).splitlines(keepends=True)
+    row = json.loads(line)
+    line = mutate(row, value)
+    with pytest.raises(TraceError) as exc:
+        parse_document(header + first + (dump(row) + "\n" if line is None else line))
+    msg = str(exc.value)
     assert msg.startswith("line 3") and fragment in msg
 
 
@@ -291,10 +315,18 @@ def test_rejects_record_without_members():
 
 
 @pytest.mark.parametrize(
-    "line", ['{"t":' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000], ids=["long-int", "deep-nesting"]
+    "line", ['{"t":' + "1" * 5000 + "}", '{"t":' + "[" * 100_000 + "]" * 100_000 + "}"], ids=["long-int", "deep-nesting"]
 )
 def test_rejects_line_json_cannot_decode(line):
     assert corrupt(lambda lines: lines.__setitem__(2, line)).startswith("line 3")
+
+
+def test_rejects_header_keys_out_of_order():
+    def edit(lines):
+        head = json.loads(lines[0])
+        lines[0] = json.dumps(dict(reversed(head.items())), separators=(",", ":"))
+
+    assert corrupt(edit) == "line 1: keys must be in sorted order"
 
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
@@ -337,7 +369,14 @@ def test_parse_raises_only_trace_errors_and_accepted_documents_re_render(data):
     obj = json.loads(FUZZ_LINES[line])
     path = data.draw(st.sampled_from(list(field_paths(obj))))
     set_field(*path)(obj, data.draw(JSON))
-    text = "\n".join([*FUZZ_LINES[:line], dump(obj), *FUZZ_LINES[line + 1 :]]) + "\n"
+    spelled = dump(obj)
+    if data.draw(st.booleans()):  # the line's keys in a drawn order
+        keys = data.draw(st.permutations(sorted(obj)))
+        spelled = "{" + ",".join(f"{json.dumps(k)}:{dump(obj[k])}" for k in keys) + "}"
+    lines = [*FUZZ_LINES[:line], spelled, *FUZZ_LINES[line + 1 :]]
+    if data.draw(st.booleans()):  # plus a blank line anywhere
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", " ", "\t", "\r"])))
+    text = "\n".join(lines) + "\n"
     try:
         doc = parse_document(text)
     except TraceError:
