@@ -76,12 +76,25 @@ class Collective:
             states[pid] = p.name
         return CollectiveState(self, pos, FrozenMap(states), 0)
 
-    def validate_pebbles(self) -> list[str]:
-        problems: list[str] = []
-        universe = set(self.members)
-        for pid in sorted(self.pebbles):
-            problems += validate_pebble(self.pebbles[pid], self.leader, universe, observer=pid)
+    def pebble_problems(self, pid: MemberId) -> tuple[str, ...]:
+        """validate_pebble's messages for pebble pid among all members.
+
+        The collective is immutable, so each pebble is checked once per
+        object: the strategy parser and `defeat_strategy` read one result.
+        """
+        memo = self.__dict__.get("_pebble_problems")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_pebble_problems", memo)
+        problems = memo.get(pid)
+        if problems is None:
+            problems = memo[pid] = tuple(
+                validate_pebble(self.pebbles[pid], self.leader, set(self.members), observer=pid)
+            )
         return problems
+
+    def validate_pebbles(self) -> list[str]:
+        return [problem for pid in sorted(self.pebbles) for problem in self.pebble_problems(pid)]
 
 
 @dataclass(frozen=True)

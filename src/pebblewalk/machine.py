@@ -11,7 +11,6 @@ are invariant under every symmetry of the lattice by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Mapping, Optional, Union
 
 from pebblewalk.lattice import Vertex, neighbors
@@ -256,20 +255,33 @@ def consistent_observations(universe: Iterable[MemberId], observer: Optional[Mem
     """All observations realizable by some placement of the given members.
 
     Consistency means each member occupies one occupant set at most and the
-    observer appears nowhere.  Members of the universe may also be absent
-    (outside the observation range).
+    observer appears nowhere.  Every visible member (the universe minus the
+    observer) lies in one of the four cells: the observer's own vertex or
+    one of its three neighbours.  Members out of range are not modelled
+    (ROADMAP item 4).
+
+    The three neighbour cells form a multiset, so an assignment of members
+    to cells only matters up to renaming cells 1-3.  Members are placed in
+    sorted order and cell k+1 is opened only after cell k (a
+    restricted-growth assignment), which yields each distinct observation
+    exactly once.  The order is that of the first assignment meeting each
+    observation in `product(range(4), repeat=len(visible))` order.
     """
     visible = sorted(set(universe) - ({observer} if observer is not None else set()))
-    seen: set[Observation] = set()
+    cells: tuple[list[MemberId], ...] = ([], [], [], [])
     out: list[Observation] = []
-    for assignment in product(range(4), repeat=len(visible)):
-        cells: tuple[set[MemberId], ...] = (set(), set(), set(), set())
-        for who, cell in zip(visible, assignment):
-            cells[cell].add(who)
-        obs = Observation.make(cells[0], cells[1:])
-        if obs not in seen:
-            seen.add(obs)
-            out.append(obs)
+
+    def place(i: int, opened: int) -> None:
+        if i == len(visible):
+            out.append(Observation.make(cells[0], cells[1:]))
+            return
+        who = visible[i]
+        for cell in range(min(opened, 2) + 2):
+            cells[cell].append(who)
+            place(i + 1, max(opened, cell))
+            cells[cell].pop()
+
+    place(0, 0)
     return out
 
 
@@ -317,12 +329,23 @@ def occupants(positions: Mapping[MemberId, Vertex], v: Vertex) -> MemberSet:
 
 def observe(positions: Mapping[MemberId, Vertex], who: MemberId) -> Observation:
     """Build the observation member `who` perceives in the given configuration."""
-    at = positions[who]
-    crowds: dict[Vertex, list[MemberId]] = {}
-    for m, pos in positions.items():
-        crowds.setdefault(pos, []).append(m)
-    alpha = [m for m in crowds[at] if m != who]
-    return Observation.make(alpha, [crowds.get(n, ()) for n in neighbors(at)])
+    x, y = positions[who]
+    alpha: list[MemberId] = []
+    left: list[MemberId] = []
+    right: list[MemberId] = []
+    across: list[MemberId] = []
+    for m, (mx, my) in positions.items():
+        if my != y:
+            if mx == x:
+                across.append(m)
+        elif mx == x:
+            if m != who:
+                alpha.append(m)
+        elif mx == x - 1:
+            left.append(m)
+        elif mx == x + 1:
+            right.append(m)
+    return Observation.make(alpha, (left, right, across))
 
 
 def resolve_output(out: Output, at: Vertex, positions: Mapping[MemberId, Vertex]) -> set[Vertex]:

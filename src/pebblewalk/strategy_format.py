@@ -41,7 +41,6 @@ from pebblewalk.machine import (
     consistent_observations,
     format_output,
     parse_output,
-    validate_pebble,
 )
 from pebblewalk.util import FrozenMap
 
@@ -465,9 +464,8 @@ def parse_strategy(text: str) -> StrategyFile:
         initial_positions=FrozenMap({m: v for m, (v, _) in places.items()}),
     )
 
-    universe = set(collective.members)
     for pid in want_pebbles:
-        problems = validate_pebble(pebbles[pid], leader, universe, observer=pid)
+        problems = collective.pebble_problems(pid)
         if problems:
             raise ParseError(pebble_names[pid][1], 1, problems[0])
 

@@ -296,6 +296,13 @@ def parse_document(text: str) -> TraceDocument:
         )
     except KeyError as e:
         raise TraceError(f"line 1: header missing field {e.args[0]!r}") from None
+    for field in ("strategy", "strategy_hash", "adversary"):
+        if type(head[field]) is not str:
+            raise TraceError(f"line 1: {field} must be a string, got {head[field]!r}")
+    if header.seed is not None and type(header.seed) is not int:
+        raise TraceError(f"line 1: seed must be null or an integer, got {header.seed!r}")
+    if type(header.horizon) is not int or header.horizon < 0:
+        raise TraceError(f"line 1: horizon must be a nonnegative integer, got {header.horizon!r}")
 
     decode = _Decoder()
     records: list[StepRecord] = []

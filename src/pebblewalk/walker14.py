@@ -147,7 +147,10 @@ def iterate(state: CollectiveState, adversary) -> tuple[CollectiveState, int]:
     """Run steps until the leader is back at the loop header; 9 or 11 steps.
 
     The steps are `walk`'s, so the loop is run's first loop, and the
-    adversary is not consulted past the header."""
+    adversary is not consulted past the header.  Each call starts the
+    history digest afresh from `initial_digest`, and the digest sees only
+    offsets relative to the leader, so chained calls under `SeededRandom`
+    repeat one loop; sample loop lengths from one `run` instead."""
     if state.states[1] != LOOP_HEADER:
         raise ValueError("iterate must start at the loop header")
     for steps, (state, _) in enumerate(islice(walk(state, adversary), 12), start=1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from pebblewalk.machine import (
 )
 from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
+import observations_reference
 
 
 def positions(**kwargs) -> FrozenMap:
@@ -199,6 +201,23 @@ def test_consistent_observations_exclude_observer():
     for obs in consistent_observations({1, 2, 3}, observer=2):
         assert 2 not in obs.alpha
         assert all(2 not in cell for cell in obs.neighborhood)
+
+
+@pytest.mark.parametrize("members", range(1, 8))
+def test_consistent_observations_match_the_reference(members):
+    universe = range(1, members + 1)
+    for observer in (None, 1, 2, members):
+        want = observations_reference.consistent_observations(universe, observer)
+        assert consistent_observations(universe, observer) == want
+
+
+def test_observe_matches_the_reference():
+    window = [vertex(x, y) for x in range(3) for y in (0, 1)]
+    for members in range(1, 5):
+        for placed in itertools.product(window, repeat=members):
+            layout = FrozenMap(dict(enumerate(placed, start=1)))
+            for who in layout:
+                assert observe(layout, who) == observations_reference.observe(layout, who)
 
 
 def test_validator_accepts_walker_pebbles():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -22,3 +24,67 @@ def test_reproduce_results_runs_from_any_directory(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("all values reproduced\n")
+
+
+STUB = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed, trace = int(args["--seed"]), args["--trace"] == "1"
+if trace:
+    metrics = {"pin.machine.validate_pebble.calls": {"value": 7, "unit": "count"},
+               "pin.machine.validate_pebble.self_s": {"value": 0.5, "unit": "s"}}
+else:
+    metrics = {f"{w}.{m}": {"value": seed + i, "unit": "?"}
+               for w in ("march", "pin") for i, m in enumerate(("setup_s", "ops_per_s", "op_tail_s", "peak_rss_mb"))}
+print("a line the bench ignores")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+"""
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys):
+    bench = load_bench()
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB)
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    change = tmp_path / "change"
+    change.mkdir()
+    calls = []
+
+    def command(checkout):
+        calls.append(checkout.name)
+        return [sys.executable, str(stub)]
+
+    argv = ["3", "--parent", str(parent), "--pairs", "2", "--first-seed", "5"]
+    assert bench.main(argv, command=command, root=change) == 0
+    # Alternating pairs, then one traced run per side.
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    report = json.loads((change / "BENCH_3.json").read_text())
+    assert list(report) == ["n", "python", "nproc", "machine", "run_seconds", "seeds", "trace_seed", "sides"]
+    assert report["seeds"] == [5, 6]
+    assert list(report["sides"]) == ["parent", "change"]
+    side = report["sides"]["change"]
+    assert list(side) == ["sha", "dirty", "failed", "attempted", "end_to_end", "runs", "trace_failed", "trace_counts"]
+    assert list(side["end_to_end"]) == ["march", "pin"]
+    ops = side["end_to_end"]["pin"]["ops_per_s"]
+    assert ops == {"unit": "1/s", "median": 6.5, "q1": 5.75, "q3": 7.25, "values": [6, 7]}
+    assert list(side["end_to_end"]["pin"]) == ["setup_s", "ops_per_s", "op_tail_s", "peak_rss_mb"]
+    assert side["runs"] == [
+        {"seed": 5, "first": False, "failed": 0, "attempted": 3},
+        {"seed": 6, "first": True, "failed": 0, "attempted": 3},
+    ]
+    assert side["trace_counts"] == {"pin.machine.validate_pebble.calls": 7}
+
+    before = (change / "BENCH_3.json").read_text()
+    calls.clear()
+    assert bench.main(argv, command=command, root=change) == 2
+    assert calls == []
+    assert (change / "BENCH_3.json").read_text() == before
+    assert "never overwritten" in capsys.readouterr().err

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from pebblewalk.adversary import FirstOption, LastOption, SeededRandom
+import pebblewalk.collective as collective_module
+from pebblewalk.adversary import FirstOption, LastOption, SeededRandom, defeat_strategy
 from pebblewalk.collective import run
 from pebblewalk.lattice import vertex
 from pebblewalk.machine import MOVE_TO_FREE, STAY, move_to_set, parse_output
@@ -21,6 +23,8 @@ from pebblewalk.strategy_format import (
     parse_strategy,
     strategy_hash,
 )
+
+BASELINES = [name for name in sorted(BUILTIN_STRATEGIES) if name.startswith("baseline-")]
 
 MINIMAL = """\
 format: pebblewalk-strategy 1
@@ -236,6 +240,7 @@ place 2 (0,0)
     err = error_at(text)
     assert err.line == 6
     assert "states" in err.reason
+    assert str(err) == "line 6, col 1: pebble 'flip' has 2 states, needs exactly 1"
 
 
 def test_pebble_moving_without_leader_rejected():
@@ -252,6 +257,48 @@ place 2 (0,0)
     err = error_at(text)
     assert err.line == 6
     assert "without member 1" in err.reason
+    assert str(err) == (
+        "line 6, col 1: pebble 'stray' moves on Observation(alpha=frozenset(),"
+        " neighborhood=(frozenset(), frozenset(), frozenset({1}))) without member 1 co-located"
+    )
+
+
+def test_pebble_output_the_leader_never_emits_rejected():
+    text = """\
+format: pebblewalk-strategy 1
+strategy chaser
+members 3
+leader initial s
+rule s: * | * -> free then s
+pebble 2 chase when {1} | * -> set:3
+pebble 3 idle
+place 1 (0,0)
+place 2 (0,0)
+place 3 (1,0)
+"""
+    assert str(error_at(text)) == (
+        "line 6, col 1: pebble 'chase' emits set:3 on Observation(alpha=frozenset({1}),"
+        " neighborhood=(frozenset(), frozenset(), frozenset({3}))), which member 1 never emits there"
+    )
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_each_collective_validates_its_pebbles_once(monkeypatch, name):
+    calls = []
+    checked = collective_module.validate_pebble
+
+    def counting(p, *args, **kwargs):
+        calls.append(p.name)
+        return checked(p, *args, **kwargs)
+
+    monkeypatch.setattr(collective_module, "validate_pebble", counting)
+    col = parse_strategy(emit_strategy(load_builtin(name))).collective
+    assert defeat_strategy(col).defeated
+    assert col.validate_pebbles() == []
+    assert len(calls) == len(col.pebbles)
+    copy = replace(col)
+    assert copy.validate_pebbles() == []
+    assert len(calls) == 2 * len(col.pebbles)
 
 
 def test_overlap_without_priorities_is_an_error():

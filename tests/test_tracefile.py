@@ -339,6 +339,29 @@ def test_rejects_version_the_renderer_never_writes(version):
     assert "version" in corrupt(edit)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", 1.0),
+        ("horizon", -5),
+        ("horizon", True),
+        ("seed", True),
+        ("seed", "42"),
+        ("adversary", []),
+        ("strategy", {"b": 1, "a": 2}),
+        ("strategy_hash", None),
+    ],
+)
+def test_rejects_header_field_of_the_wrong_type(field, value):
+    def edit(lines):
+        head = json.loads(lines[0])
+        head[field] = value
+        lines[0] = json.dumps(head, separators=(",", ":"))
+
+    msg = corrupt(edit)
+    assert msg.startswith(f"line 1: {field} must be")
+
+
 JSON = st.recursive(
     st.none()
     | st.booleans()
