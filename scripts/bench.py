@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Record one benchmark trajectory point as BENCH_<n>.json.
 
-    python3 scripts/bench.py 10 --parent ../parent-checkout --pairs 10 --first-seed 11
+    python3 scripts/bench.py 10 --parent ../parent-checkout --first-seed 11
 
 Runs the benchmark that BENCHMARK.json declares (`perfbench/run.py`,
-unchanged) with `--workload all` on this checkout and, given `--parent`, on
-a second checkout, in alternating pairs: pair i runs at seed first-seed + i,
+unchanged) with `--workload all` on this checkout and on the parent's
+checkout in 10 alternating pairs: pair i runs at seed first-seed + i,
 parent first when i is even.  Each checkout then gets one `--trace 1` run at
 seed 1.  The file holds each checkout's git SHA, the Python version, every
 run's four end-to-end metrics per workload with their median and quartiles,
@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 TRACE_SEED = 1
 COUNT_UNITS = ("count", "bytes")
 
@@ -46,9 +47,10 @@ def summary(command, checkout: Path, seed: int, seconds: float, trace: int) -> d
     args = ["--workload", "all", "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run([*command(checkout), *args], cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
-    if not lines:
-        sys.exit(f"bench: no output from the benchmark in {checkout} (exit {proc.returncode})")
-    return json.loads(lines[-1])
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.exit(f"bench: no JSON summary from the benchmark in {checkout} at seed {seed} (exit {proc.returncode})")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -61,8 +63,7 @@ def quartiles(values: list[float]) -> dict:
 def main(argv=None, command=benchmark_command, root: Path = ROOT) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, help="number of the BENCH_<n>.json to write")
-    parser.add_argument("--parent", type=Path, help="checkout of the parent commit to measure alongside")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     out = root / f"BENCH_{args.n}.json"
@@ -73,10 +74,10 @@ def main(argv=None, command=benchmark_command, root: Path = ROOT) -> int:
     seconds = benchmark["run_seconds"]
     metrics = [m["name"] for m in benchmark["end_to_end"]]
     units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
-    sides = {"parent": args.parent.resolve(), "change": root} if args.parent else {"change": root}
+    sides = {"parent": args.parent.resolve(), "change": root}
 
     runs: dict = {side: [] for side in sides}
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seeds = [args.first_seed + i for i in range(PAIRS)]
     for i, seed in enumerate(seeds):
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
         for side in order:

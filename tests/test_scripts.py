@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -48,8 +50,9 @@ def load_bench():
     return bench
 
 
-def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys):
+def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeypatch):
     bench = load_bench()
+    monkeypatch.setattr(bench, "PAIRS", 2)
     stub = tmp_path / "stub.py"
     stub.write_text(STUB)
     parent = tmp_path / "parent"
@@ -62,7 +65,7 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys):
         calls.append(checkout.name)
         return [sys.executable, str(stub)]
 
-    argv = ["3", "--parent", str(parent), "--pairs", "2", "--first-seed", "5"]
+    argv = ["3", "--parent", str(parent), "--first-seed", "5"]
     assert bench.main(argv, command=command, root=change) == 0
     # Alternating pairs, then one traced run per side.
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
@@ -88,3 +91,18 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys):
     assert calls == []
     assert (change / "BENCH_3.json").read_text() == before
     assert "never overwritten" in capsys.readouterr().err
+
+
+def test_bench_names_the_checkout_and_seed_when_the_summary_is_not_json(tmp_path):
+    bench = load_bench()
+    stub = tmp_path / "crash.py"
+    stub.write_text("print('started')\nraise SystemExit(3)\n")
+    (tmp_path / "parent").mkdir()
+
+    def command(checkout):
+        return [sys.executable, str(stub)]
+
+    with pytest.raises(SystemExit) as exit:
+        bench.main(["4", "--parent", str(tmp_path / "parent")], command=command, root=tmp_path)
+    assert str(exit.value) == f"bench: no JSON summary from the benchmark in {tmp_path / 'parent'} at seed 1 (exit 3)"
+    assert not (tmp_path / "BENCH_4.json").exists()
