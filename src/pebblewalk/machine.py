@@ -332,8 +332,8 @@ def observe(positions: Mapping[MemberId, Vertex], who: MemberId) -> Observation:
 
     One pass sorts the members into the four cells.  The cells are those of
     `lattice.neighbors`: left (x-1, y), right (x+1, y), across (x, 1-y).
-    The coordinates are compared inline because building the three
-    neighbour vertices per call costs about a third of the call.
+    The coordinates are compared inline: building the three neighbour
+    vertices per call made the `indist` benchmark about 6 % slower.
     """
     x, y = positions[who]
     across_y = 1 - y
