@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -209,6 +210,21 @@ def test_consistent_observations_match_the_reference(members):
     for observer in (None, 1, 2, members):
         want = observations_reference.consistent_observations(universe, observer)
         assert consistent_observations(universe, observer) == want
+
+
+def test_consistent_observations_leave_no_cyclic_garbage():
+    # Garbage that only the cyclic collector frees makes that collector run
+    # far more often, and its pauses land on arbitrary later calls.
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for observer in (None, 1):
+            consistent_observations(range(1, 6), observer)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_observe_matches_the_reference():
