@@ -28,6 +28,7 @@ from pebblewalk.collective import (
     apply_choice,
     at_origin,
     diameter_of,
+    position_sums,
     run,
 )
 from pebblewalk.graph import Graph, bfs_path, strong_components
@@ -353,7 +354,9 @@ def finalize_certificate(initial: CollectiveState, cert: LassoCertificate) -> Op
     """Replay-validate; fill in the measured confinement radius.
 
     Returns None when the replay does not reproduce the exact configuration
-    and internal states at both cycle boundaries.
+    and internal states at both cycle boundaries.  The displacement and
+    radius come from integer position sums, divided by the member count
+    once.
     """
     script = ScriptedChoices(list(cert.prefix) + list(cert.cycle) * 2)
     horizon = cert.prefix_steps + 2 * cert.cycle_steps
@@ -367,19 +370,18 @@ def finalize_certificate(initial: CollectiveState, cert: LassoCertificate) -> Op
     snap = lambda t: (trace.records[t].positions, trace.records[t].states)
     if not (snap(p) == snap(p + c) == snap(p + 2 * c)):
         return None
-    coords = trace.coordinates()
-    base_coord = coords[p]
-    radius = max(
-        max(abs(coords[t].x - base_coord.x), abs(coords[t].y - base_coord.y))
-        for t in range(p, p + 2 * c + 1)
-    ) if c else Fraction(0)
+    members = len(initial.positions)
+    sums = position_sums(trace.records[p : p + 2 * c + 1])
+    base_x, base_y = sums[0]
+    spread = max(max(abs(x - base_x), abs(y - base_y)) for x, y in sums)
+    end_x, end_y = sums[c]
     return LassoCertificate(
         prefix=cert.prefix,
         prefix_steps=cert.prefix_steps,
         cycle=cert.cycle,
         cycle_steps=cert.cycle_steps,
-        net_displacement=(coords[p + c].x - coords[p].x, coords[p + c].y - coords[p].y),
-        confinement_radius=radius,
+        net_displacement=(Fraction(end_x - base_x, members), Fraction(end_y - base_y, members)),
+        confinement_radius=Fraction(spread, members),
     )
 
 

@@ -165,6 +165,11 @@ def cmd_defeat(args) -> int:
         outcome = defeat_strategy(collective, max_depth=args.max_depth)
     except ValueError as e:
         return _fail(INPUT_ERROR, f"defeat: {e}")
+    stats = outcome.stats
+    print(
+        f"defeat: {stats.nodes} classes, {stats.edges} moves, {stats.faults} faults, {stats.pruned} pruned",
+        file=sys.stderr,
+    )
     if not outcome.defeated:
         print(f"inconclusive: {outcome.detail}")
         return VIOLATED

@@ -458,7 +458,7 @@ def _check_windows(trace: Trace, c1: int, c2: int, moments, has_pair) -> Verdict
     for t, rec in enumerate(trace.records):
         if diameter_of(rec.positions) > c1:
             return Verdict(False, "diameter", t)
-    coords = _sum_coordinates(trace)
+    coords = position_sums(trace.records)
     last = len(coords) - 1 - 2 * c2
     for t in moments:
         if 0 <= t <= last and not has_pair(coords, t, c2):
@@ -466,18 +466,21 @@ def _check_windows(trace: Trace, c1: int, c2: int, moments, has_pair) -> Verdict
     return HOLDS
 
 
-def _sum_coordinates(trace: Trace) -> list[tuple]:
-    # Displacement equality over mean coordinates reduces to equality over
-    # integer position sums while the member count holds, as it does in
-    # every trace run or read_document makes.
-    if len({len(r.positions) for r in trace.records}) > 1:
+def position_sums(records: Sequence[StepRecord]) -> list[tuple[int, int]]:
+    """Each record's integer (sum of x, sum of y) over its members.
+
+    Displacement equality over mean coordinates reduces to equality over
+    these sums while the member count holds, as it does in every trace run
+    or read_document makes; a coordinate is the sum over the member count.
+    """
+    if len({len(r.positions) for r in records}) > 1:
         raise ValueError("member count changes mid-trace")
     return [
         (
             sum(v.x for v in r.positions.values()),
             sum(v.y for v in r.positions.values()),
         )
-        for r in trace.records
+        for r in records
     ]
 
 

@@ -261,7 +261,7 @@ def test_criterion_8_property_suites():
         "that is followed by a long run of 9-step loops admit no "
         "displacement-matching pair of horizons within a 22-step window, "
         "so the literal every-moment check reports a violation even though "
-        "every full loop displaces by exactly (1,0); see notes/decisions.md"
+        "every full loop displaces by exactly (1,0); see docs/decisions.md"
     ),
 )
 def test_criterion_1_seeded_every_moment_window_check():

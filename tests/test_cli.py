@@ -346,15 +346,28 @@ DEFEAT_STDOUT = {
 }
 
 
+# The lasso search's size, which `defeat` reports on stderr.
+DEFEAT_STDERR = {
+    "baseline-10": "defeat: 2 classes, 6 moves, 0 faults, 0 pruned\n",
+    "baseline-11": "defeat: 2 classes, 6 moves, 0 faults, 0 pruned\n",
+    "baseline-12": "defeat: 3 classes, 7 moves, 0 faults, 0 pruned\n",
+    "baseline-13-caterpillar": "defeat: 48 classes, 54 moves, 0 faults, 0 pruned\n",
+}
+
+
 @pytest.mark.parametrize("name", sorted(DEFEAT_STDOUT))
 def test_defeat_baseline_stdout_is_pinned(capsys, name):
     assert main(["defeat", name]) == 0
-    assert capsys.readouterr().out == DEFEAT_STDOUT[name]
+    captured = capsys.readouterr()
+    assert captured.out == DEFEAT_STDOUT[name]
+    assert captured.err == DEFEAT_STDERR[name]
 
 
 def test_defeat_truncated_search_is_inconclusive(capsys):
     assert main(["defeat", "baseline-13-caterpillar", "--max-depth", "1"]) == 1
-    assert capsys.readouterr().out == "inconclusive: depth 1 exhausted (diameter bound 4)\n"
+    captured = capsys.readouterr()
+    assert captured.out == "inconclusive: depth 1 exhausted (diameter bound 4)\n"
+    assert captured.err == "defeat: 2 classes, 1 moves, 0 faults, 0 pruned\n"
 
 
 def test_defeat_walker_out_of_scope(capsys):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
+import pickle
 import random
 
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ import pytest
 from pebblewalk.collective import transform_positions
 from pebblewalk.lattice import GENERATORS, Symmetry, Vertex, neighbors, vertex
 from pebblewalk.machine import (
+    MAX_MEMBER_ID,
     MOVE_TO_FREE,
     STAY,
     Automaton,
@@ -61,6 +64,19 @@ def test_observation_multiset_is_order_insensitive():
 def test_observation_requires_three_neighbor_sets():
     with pytest.raises(ValueError):
         Observation.make(set(), [set(), set()])
+
+
+def test_observation_repr_prints_member_sets():
+    obs = Observation.make({1}, [set(), {3}, set()])
+    assert repr(obs) == (
+        "Observation(alpha=frozenset({1}), neighborhood=(frozenset(), frozenset(), frozenset({3})))"
+    )
+
+
+def test_observation_survives_copy_and_pickle():
+    obs = Observation.make({2}, [{3, 4}, set(), {5}])
+    assert copy.copy(obs) == obs
+    assert pickle.loads(pickle.dumps(obs)) == obs
 
 
 def test_observe_marching_layout():
@@ -284,3 +300,80 @@ def test_occupants():
 def test_move_to_set_rejects_empty_target():
     with pytest.raises(ValueError):
         move_to_set(set())
+
+
+# Oracle: the frozenset-only views of observations_reference, which never
+# build an Observation, against observe, the enumeration and pattern matching.
+member_ids = st.sets(st.integers(0, 40), min_size=1, max_size=5)
+cells = st.builds(Vertex, st.integers(-2, 2), st.sampled_from([-1, 0, 1, 2]))
+
+
+@st.composite
+def observed_patterns(draw):
+    ids = sorted(draw(member_ids))
+    layout = FrozenMap({m: draw(cells) for m in ids})
+    who = draw(st.sampled_from(ids))
+    seen = observations_reference.view(layout, who)
+    pool = [*ids, 41]
+    member_sets = st.one_of(
+        st.sampled_from([seen[0], *seen[1]]), st.frozensets(st.sampled_from(pool), max_size=3)
+    )
+    entry = st.one_of(st.none(), member_sets, st.tuples(st.just("has"), st.sampled_from(pool)))
+    alpha = draw(st.one_of(st.none(), member_sets))
+    entries = draw(st.one_of(st.none(), st.lists(entry, min_size=3, max_size=3)))
+    return layout, who, alpha, entries
+
+
+@settings(max_examples=500)
+@given(observed_patterns())
+def test_observe_and_patterns_agree_with_the_frozenset_reference(case):
+    layout, who, alpha, entries = case
+    obs = observe(layout, who)
+    seen = observations_reference.view(layout, who)
+    assert (obs.alpha, obs.neighborhood) == seen
+    want = observations_reference.pattern_matches(alpha, entries, seen)
+    assert ObservationPattern(alpha, entries).matches(obs) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(member_ids, st.data())
+def test_consistent_observations_agree_with_the_frozenset_reference(ids, data):
+    observer = data.draw(st.sampled_from([None, *sorted(ids)]))
+    got = [(obs.alpha, obs.neighborhood) for obs in consistent_observations(ids, observer)]
+    assert got == observations_reference.consistent_views(ids, observer)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Observation.make({-1}, [set(), set(), set()]),
+        lambda: Observation.make(set(), [{2}, {-3}, set()]),
+        lambda: observe(FrozenMap({1: vertex(0, 0), -2: vertex(1, 0)}), 1),
+        lambda: consistent_observations({1, -2}, None),
+        lambda: ObservationPattern({-1}),
+        lambda: ObservationPattern(None, [("has", -4), None, None]),
+    ],
+    ids=["alpha", "neighbour", "observe", "enumeration", "pattern-set", "pattern-has"],
+)
+def test_negative_member_id_raises_a_clear_error(build):
+    with pytest.raises(ValueError, match=rf"^member id -\d outside 0\.\.{MAX_MEMBER_ID}$"):
+        build()
+
+
+def test_member_ids_above_the_cap():
+    big = MAX_MEMBER_ID + 1
+    with pytest.raises(ValueError, match=f"member id {big} outside"):
+        Observation.make({big}, [set(), set(), set()])
+    for spot in ((0, 0), (1, 0)):
+        with pytest.raises(ValueError, match=f"member id {big} outside"):
+            observe(FrozenMap({1: vertex(0, 0), big: vertex(*spot)}), 1)
+    # Parsed patterns may name any 18-digit id before the parser rejects it
+    # as unknown; such an id becomes a test no observation passes.
+    huge = 10**17
+    obs = Observation.make({1}, [{2}, set(), set()])
+    for pattern in (
+        ObservationPattern({huge}),
+        ObservationPattern(None, [("has", huge), None, None]),
+        ObservationPattern(None, [{2, huge}, None, None]),
+    ):
+        assert not pattern.matches(obs)
