@@ -177,7 +177,20 @@ def test_defeat_small_collectives(build):
     assert outcome.defeated
     assert outcome.stats == search_lasso(col.initial_state(), max_depth=200).stats
     cert = outcome.certificate
-    assert finalize_certificate(col.initial_state(), cert) is not None
+    replayed = finalize_certificate(col.initial_state(), cert)
+    assert replayed == cert
+    assert (replayed.net_displacement, replayed.confinement_radius) == fraction_measures(col.initial_state(), cert)
+
+
+def fraction_measures(initial, cert):
+    """Net displacement and confinement radius over the replay's Fraction
+    coordinates: the reference for finalize_certificate's integer sums."""
+    p, c = cert.prefix_steps, cert.cycle_steps
+    trace = run(initial, ScriptedChoices(list(cert.prefix) + list(cert.cycle) * 2), p + 2 * c)
+    coords = trace.coordinates()
+    base = coords[p]
+    radius = max(max(abs(q.x - base.x), abs(q.y - base.y)) for q in coords[p : p + 2 * c + 1])
+    return (coords[p + c].x - base.x, coords[p + c].y - base.y), radius
 
 
 def test_search_cut_off_by_depth():
