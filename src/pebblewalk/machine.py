@@ -76,24 +76,19 @@ class Observation(tuple):
 
     The value is four member masks: alpha, then the three neighbor occupant
     sets in (size, sorted ids) order, so equal multisets give equal tuples
-    of ints and equality and hashing are tuple operations.  `alpha` and
-    `neighborhood` read the sets back as frozensets.
+    of ints and equality and hashing are tuple operations.  `make` builds
+    one from member sets; `alpha` and `neighborhood` read the sets back as
+    frozensets.
     """
 
     __slots__ = ()
 
-    def __new__(cls, alpha: Iterable[MemberId], neighborhood: Iterable[Iterable[MemberId]]) -> "Observation":
-        masks = tuple(map(_member_mask, neighborhood))
+    @staticmethod
+    def make(alpha: Iterable[MemberId], neighbor_sets: Iterable[Iterable[MemberId]]) -> "Observation":
+        masks = tuple(map(_member_mask, neighbor_sets))
         if len(masks) != 3:
             raise ValueError(f"neighborhood must have exactly 3 entries, got {len(masks)}")
         return _observation(_member_mask(alpha), *masks)
-
-    @staticmethod
-    def make(alpha: Iterable[MemberId], neighbor_sets: Iterable[Iterable[MemberId]]) -> "Observation":
-        return Observation(alpha, neighbor_sets)
-
-    def __getnewargs__(self):
-        return self.alpha, self.neighborhood
 
     @property
     def alpha(self) -> MemberSet:
