@@ -21,7 +21,6 @@ from pebblewalk.collective import (
     ChoiceContext,
     Collective,
     CollectiveState,
-    Move as _Edge,  # noqa: F401  (tests build graphs of Moves under this name)
     PebbleFault,
     Quotient,
     StrategyFault,

@@ -3,10 +3,13 @@
 One step: every member observes, every member's table fires, the leader's
 output is resolved to an option set, the adversary picks a target when there
 is a real choice, and the leader moves together with every co-located pebble
-whose own output was a move (the carry set).  Everyone else stays.  A trace
-record keeps positions, states, outputs, options, choice and carry set; an
-observation is a function of the layout, so a record's observations are
-observe(previous positions, member) and are not stored.
+whose own output was a move (the carry set).  Everyone else stays.  That
+rule is written once: `step_options` gives the options and carry set that
+outputs denote, and `move_onto` moves the leader and carry set onto a
+target; stepping, `tracefile.check_steps` and the schema search share both.
+A trace record keeps positions, states, outputs, options, choice and carry
+set; an observation is a function of the layout, so a record's observations
+are observe(previous positions, member) and are not stored.
 
 Automata see neither coordinates nor direction, so stepping works on
 translation classes: a Quotient numbers the classes one call meets, plans
@@ -117,8 +120,11 @@ class StepRecord:
     outputs: Optional[FrozenMap] = None  # MemberId -> Output
     options: Optional[tuple[Vertex, ...]] = None  # leader's option set, offset-sorted
     choice: Optional[Vertex] = None
-    consulted: bool = False
     carried: Optional[frozenset] = None  # pebbles that rode along
+
+    @property
+    def consulted(self) -> bool:  # whether the adversary picked among two or more options
+        return self.options is not None and len(self.options) >= 2
 
 
 @dataclass(frozen=True)
@@ -127,9 +133,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def coordinates(self) -> list[RationalPoint]:
-        return [coordinate_of(r.positions) for r in self.records]
 
 
 class StrategyFault(RuntimeError):
@@ -191,6 +194,27 @@ class StepPlan:
         return len(self.options) >= 2
 
 
+def step_options(
+    outputs: Mapping[MemberId, Output], positions: Mapping[MemberId, Vertex]
+) -> tuple[tuple[Vertex, ...], frozenset]:
+    """The options the leader's output denotes at its vertex, sorted by
+    offset, and the carry set: every pebble whose output is not Stay.
+
+    The options may be empty and a carried pebble may stand off the
+    leader's vertex; each caller decides what that means.
+    """
+    at = positions[1]
+    options = sorted(resolve_output(outputs[1], at, positions), key=lambda v: (v.x - at.x, v.y - at.y))
+    carried = frozenset(m for m, out in outputs.items() if m != 1 and not isinstance(out, Stay))
+    return tuple(options), carried
+
+
+def move_onto(positions: Mapping[MemberId, Vertex], carried: frozenset, target: Vertex) -> FrozenMap:
+    """The step rule's second half: positions after the leader and the carry
+    set move onto target; everyone else stays."""
+    return FrozenMap({**positions, **dict.fromkeys((1, *carried), target)})
+
+
 def plan_step(state: CollectiveState) -> StepPlan:
     """Compute the step up to (but not including) the adversary's pick.
 
@@ -206,37 +230,26 @@ def plan_step(state: CollectiveState) -> StepPlan:
         outputs[m], next_states[m] = col.machine_for(m).act(states[m], observe(positions, m))
 
     at = positions[1]
-    opts = resolve_output(outputs[1], at, positions)
-    if not opts:
+    options, carried = step_options(outputs, positions)
+    if not options:
         raise StrategyFault(
             f"empty option set for leader at {at} in state {states[1]!r} (step {state.step_index})"
         )
-    carried = set()
     for pid in col.pebbles:
-        if isinstance(outputs[pid], Stay):
-            continue
-        if positions[pid] != at:
+        if pid in carried and positions[pid] != at:
             raise PebbleFault(
                 f"pebble {pid} outputs a move at {positions[pid]} while the leader is at {at}"
                 f" (step {state.step_index})"
             )
-        carried.add(pid)
-    return StepPlan(
-        outputs=FrozenMap(outputs),
-        next_states=FrozenMap(next_states),
-        at=at,
-        options=tuple(sorted(opts, key=lambda v: (v.x - at.x, v.y - at.y))),
-        carried=frozenset(carried),
-    )
+    return StepPlan(FrozenMap(outputs), FrozenMap(next_states), at, options, carried)
 
 
 def apply_choice(state: CollectiveState, plan: StepPlan, choice: Vertex) -> tuple[CollectiveState, StepRecord]:
     """Move the leader and its carry set to the chosen option."""
     if choice not in plan.options:
         raise ValueError(f"{choice} is not among the step's options {plan.options}")
-    new_pos = {**state.positions, **dict.fromkeys((1, *plan.carried), choice)}
     new_state = CollectiveState(
-        state.collective, FrozenMap(new_pos), plan.next_states, state.step_index + 1
+        state.collective, move_onto(state.positions, plan.carried, choice), plan.next_states, state.step_index + 1
     )
     record = StepRecord(
         t=state.step_index + 1,
@@ -245,7 +258,6 @@ def apply_choice(state: CollectiveState, plan: StepPlan, choice: Vertex) -> tupl
         outputs=plan.outputs,
         options=plan.options,
         choice=choice,
-        consulted=plan.consulted,
         carried=plan.carried,
     )
     return new_state, record
@@ -444,24 +456,20 @@ def check_directed(trace: Trace, c1: int, c2: int) -> Verdict:
     coord(t+t') - coord(t) == coord(t+t'+t'') - coord(t+t').
     Moments too close to the end of the prefix are not judged.
     """
-    return _check_windows(trace, c1, c2, range(len(trace.records) - 2 * c2), _has_equal_displacement_pair)
+    return _check_windows(trace, c1, c2, _has_equal_displacement_pair)
 
 
-def _check_windows(trace: Trace, c1: int, c2: int, moments, has_pair) -> Verdict:
-    """The diameter bound, then has_pair(coords, t, c2) at each judged moment.
-
-    Moments are judged in the given order; those whose window t+2*c2 does
-    not fit in the trace are skipped.
-    """
+def _check_windows(trace: Trace, c1: int, c2: int, has_pair) -> Verdict:
+    """The diameter bound, then has_pair(coords, t, c2) at each moment t, in
+    order, whose window t+2*c2 fits in the trace."""
     if c1 < 0 or c2 < 1:
         raise ValueError("need c1 >= 0 and c2 >= 1")
     for t, rec in enumerate(trace.records):
         if diameter_of(rec.positions) > c1:
             return Verdict(False, "diameter", t)
     coords = position_sums(trace.records)
-    last = len(coords) - 1 - 2 * c2
-    for t in moments:
-        if 0 <= t <= last and not has_pair(coords, t, c2):
+    for t in range(len(coords) - 2 * c2):
+        if not has_pair(coords, t, c2):
             return Verdict(False, "displacement", t)
     return HOLDS
 
@@ -502,20 +510,9 @@ def _has_uniform_pair(coords: list[tuple], t: int, c2: int) -> bool:
     return (ax - bx, ay - by) == (cx - ax, cy - ay)
 
 
-def check_directed_at(trace: Trace, c1: int, c2: int, moments) -> Verdict:
-    """check_directed restricted to the given judged moments.
-
-    Useful for claims anchored at loop boundaries: the shipped walker pairs
-    every boundary moment at c2 <= 22 under every adversary, while some
-    mid-loop moments of an 11-step loop admit no pair at any c2 when the
-    adversary thereafter picks only 9-step loops.
-    """
-    return _check_windows(trace, c1, c2, moments, _has_equal_displacement_pair)
-
-
 def check_uniform(trace: Trace, c1: int, c2: int) -> Verdict:
     """As check_directed but with both time offsets pinned to exactly c2."""
-    return _check_windows(trace, c1, c2, range(len(trace.records) - 2 * c2), _has_uniform_pair)
+    return _check_windows(trace, c1, c2, _has_uniform_pair)
 
 
 def find_isolated(positions: Mapping[MemberId, Vertex]) -> list[frozenset]:

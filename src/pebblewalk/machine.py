@@ -391,19 +391,18 @@ _LEADER_BIT = 1 << 1
 
 
 def validate_pebble(
-    p: Pebble,
-    leader: Automaton,
-    universe: Optional[Iterable[MemberId]] = None,
-    observer: Optional[MemberId] = None,
+    p: Pebble, leader: Automaton, universe: Optional[Iterable[MemberId]] = None, *, observer: MemberId
 ) -> list[str]:
-    """Check the two pebble conditions; violations come back as messages.
+    """Check the two pebble conditions for the pebble that is member
+    `observer`; violations come back as messages.
 
     (1) the pebble has exactly one state; (2) on every realizable observation
     where the pebble's output is not Stay, member 1 must be co-located, and
-    some state of the leader must emit the same output on that observation.
-    The check runs the actual rule tables over every consistent observation
-    drawn from the member universe (defaulting to all ids the two machines
-    mention, plus member 1).
+    some state of the leader must emit the same output on its own view of
+    that placement: the same neighbourhood, with the pebble in place of
+    member 1 among the co-located.  The check runs the actual rule tables
+    over every consistent observation drawn from the member universe
+    (defaulting to all ids the two machines mention, plus member 1).
     """
     problems: list[str] = []
     states = {r.state for r in p.rules} | {r.next_state for r in p.rules} | {p.name}
@@ -412,15 +411,19 @@ def validate_pebble(
     machine = p.automaton()
     if universe is None:
         universe = machine.mentioned_members() | leader.mentioned_members() | {1}
+    own_bit = _member_mask((observer,))
     for obs in consistent_observations(universe, observer):
         out, _ = machine.act(p.name, obs)
         if isinstance(out, Stay):
             continue
-        if not obs[0] & _LEADER_BIT:
+        alpha, a, b, c = obs
+        if not alpha & _LEADER_BIT:
             problems.append(
                 f"pebble {p.name!r} moves on {obs} without member 1 co-located"
             )
-        elif out not in leader.outputs_for_observation(obs):
+            continue
+        leader_view = _new_tuple(Observation, (alpha ^ _LEADER_BIT | own_bit, a, b, c))
+        if out not in leader.outputs_for_observation(leader_view):
             problems.append(
                 f"pebble {p.name!r} emits {format_output(out)} on {obs},"
                 " which member 1 never emits there"

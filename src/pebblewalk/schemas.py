@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .collective import at_origin
+from .collective import at_origin, move_onto
 from .graph import Graph, bfs_path, strong_components
 from .lattice import IDENTITY, X_REFLECTION, Y_REFLECTION, Symmetry, Vertex, neighbors, vertex
 from .machine import MemberId, Observation, observe, occupants
@@ -270,13 +270,6 @@ def _joint_key(pos_a, pos_b) -> tuple:
     return (at_origin(pos_a)[0], at_origin(pos_b)[0])
 
 
-def _move_crowd(positions: FrozenMap, target: Vertex, carried: frozenset) -> FrozenMap:
-    updated = dict(positions)
-    for m in (1, *carried):
-        updated[m] = target
-    return FrozenMap(updated)
-
-
 def _subsets(items: tuple) -> tuple[frozenset, ...]:
     return tuple(
         frozenset(x for i, x in enumerate(items) if bits >> i & 1)
@@ -312,7 +305,7 @@ def _move_table(positions: FrozenMap) -> tuple[_Reach, ...]:
     for w in neighbors(leader):
         moves = []
         for carried in carried_options:
-            moved = _move_crowd(positions, w, carried)
+            moved = move_onto(positions, carried, w)
             moves.append(_Move(carried, moved, frozenset(moved.values()), observe(moved, 1)))
         offset = (w.x - leader.x, w.y - leader.y)
         table.append(_Reach(offset, occupants(positions, w), tuple(moves)))
@@ -386,7 +379,7 @@ def _apply_checked(positions: FrozenMap, offset: tuple[int, int], step: JointSte
     for m in step.carried:
         if positions.get(m) != leader:
             raise ValueError(f"carried pebble {m} is not co-located")
-    return _move_crowd(positions, target, step.carried)
+    return move_onto(positions, step.carried, target)
 
 
 def _record_bindings(bindings: dict, positions: FrozenMap, step: JointStep) -> None:

@@ -3,10 +3,11 @@
 One JSON object per line: a header, then one record per step.  Keys are
 sorted and separators fixed, so identical runs serialize byte-identically.
 Observations are not stored: they are a function of the previous record's
-positions.  Reading a document file also checks that each record's
-positions follow from the previous record's (`check_steps`): the leader
-stands on the choice, each carried pebble rode with it from the leader's
-previous vertex, and no one else moved.
+positions.  Reading a document file also checks that each record follows
+from the previous one by the step rule of `collective` (`check_steps`): its
+outputs denote its options and carry set at the previous positions, each
+carried pebble rode with the leader from the leader's previous vertex onto
+the choice, and no one else moved.
 
 A walker trace repeats a handful of record parts shifted along x, so both
 directions work once per distinct part, with memos that live for one call:
@@ -28,11 +29,11 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from pebblewalk.collective import Collective, StepRecord, Trace
-from pebblewalk.lattice import Vertex, neighbors, vertex
+from pebblewalk.collective import Collective, StepRecord, Trace, move_onto, step_options
+from pebblewalk.lattice import Vertex, vertex
 from pebblewalk.machine import format_output, parse_output
 from pebblewalk.strategy_format import strategy_hash
-from pebblewalk.util import FrozenMap, Memo
+from pebblewalk.util import FrozenMap
 
 FORMAT_NAME = "pebblewalk-trace"
 FORMAT_VERSION = 1
@@ -351,7 +352,6 @@ def parse_document(text: str) -> TraceDocument:
                 outputs=outputs,
                 options=options,
                 choice=choice,
-                consulted=consulted,
                 carried=carried,
             )
         )
@@ -362,25 +362,30 @@ def parse_document(text: str) -> TraceDocument:
 
 def check_steps(trace: Trace) -> None:
     """Raise TraceError unless each record of a parsed trace follows from
-    the one before.
+    the one before by the step rule.
 
-    Measured against the previous record's positions: every option is the
-    leader's previous vertex or a neighbour of it, the leader and every
-    carried pebble stand on the choice, every carried pebble stood on the
-    leader's previous vertex, and every other member stands where it stood.
-    Whole maps are compared at once; a failure is then narrowed to a member.
+    At the previous record's positions, the recorded outputs must denote
+    exactly the recorded options and carry set (`collective.step_options`),
+    every carried pebble must have stood on the leader's previous vertex,
+    and the positions must be the previous ones after the leader and the
+    carry set moved onto the choice (`collective.move_onto`).  Whole maps
+    are compared at once; a position failure is then narrowed to a member.
     """
-    near = Memo(lambda v: frozenset((v, *neighbors(v))))  # vertex -> it and its neighbours
+    if 1 not in trace.records[0].positions:
+        raise TraceError("step 0: member 1, the leader, has no position")
     for prev, rec in zip(trace.records, trace.records[1:]):
         before, at, choice = prev.positions, prev.positions[1], rec.choice
-        if not near[at].issuperset(rec.options):
-            raise TraceError(f"step {rec.t}: options must be the leader's previous vertex {at} or its neighbours")
-        if not dict.fromkeys(rec.carried, at).items() <= before.items():
+        options, carried = step_options(rec.outputs, before)
+        if rec.options != options:
+            raise TraceError(f"step {rec.t}: options must be {list(options)}, those the leader's output denotes at {at}")
+        if rec.carried != carried:
+            raise TraceError(f"step {rec.t}: carried must be {sorted(carried)}, the pebbles whose output is a move")
+        if not dict.fromkeys(carried, at).items() <= before.items():
             raise TraceError(f"step {rec.t}: a carried pebble did not stand on the leader's previous vertex {at}")
-        expected = {**before, **dict.fromkeys((1, *rec.carried), choice)}
-        if rec.positions.items() != expected.items():
+        expected = move_onto(before, carried, choice)
+        if rec.positions != expected:
             m = min(m for m in expected if rec.positions[m] != expected[m])
-            if m == 1 or m in rec.carried:
+            if m == 1 or m in carried:
                 raise TraceError(f"step {rec.t}: member {m} is at {rec.positions[m]}, not on the choice {choice}")
             raise TraceError(f"step {rec.t}: member {m} moved from {before[m]} without the leader")
 

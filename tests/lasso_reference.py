@@ -11,12 +11,12 @@ from pebblewalk.adversary import (
     SearchOutcome,
     SearchStats,
     _certificate_from_edges,
-    _Edge,
     _find_zero_walk,
     canonicalize,
 )
 from pebblewalk.collective import (
     CollectiveState,
+    Move,
     PebbleFault,
     StrategyFault,
     apply_choice,
@@ -74,7 +74,7 @@ def search_lasso(
             else:
                 v = g.add_node(key, CollectiveState(nxt.collective, key[1], nxt.states), g.depths[u] + 1)
                 queue.append(v)
-            g.add_edge(_Edge(u, v, anchor, offset, consulted))
+            g.add_edge(Move(u, v, anchor, offset, consulted))
 
     walk = _find_zero_walk(g)
     stats = SearchStats(len(g.reps), len(g.edges), faults, pruned)

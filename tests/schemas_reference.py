@@ -5,6 +5,7 @@ same items in the same order."""
 
 from __future__ import annotations
 
+from pebblewalk.collective import move_onto
 from pebblewalk.lattice import neighbors
 from pebblewalk.machine import observe, occupants
 from pebblewalk.schemas import (
@@ -13,7 +14,6 @@ from pebblewalk.schemas import (
     _interpretations,
     _leader_spots,
     _middle_vertex,
-    _move_crowd,
     _subsets,
 )
 
@@ -31,8 +31,8 @@ def _joint_successors(pos_a, pos_b):
             if crowd_a and crowd_a != crowd_b:
                 continue
             for carried in carried_options:
-                na = _move_crowd(pos_a, wa, carried)
-                nb = _move_crowd(pos_b, wb, carried)
+                na = move_onto(pos_a, carried, wa)
+                nb = move_onto(pos_b, carried, wb)
                 if observe(na, 1) != observe(nb, 1):
                     continue
                 if not _connected(frozenset(na.values())) or not _connected(frozenset(nb.values())):

@@ -15,7 +15,6 @@ from pebblewalk.adversary import (
     ScriptedChoices,
     ScriptError,
     SeededRandom,
-    _Edge,
     _find_zero_walk,
     canonicalize,
     defeat_strategy,
@@ -25,6 +24,8 @@ from pebblewalk.adversary import (
 from pebblewalk.collective import (
     ChoiceContext,
     Collective,
+    Move,
+    coordinate_of,
     initial_digest,
     plan_step,
     run,
@@ -187,7 +188,7 @@ def fraction_measures(initial, cert):
     coordinates: the reference for finalize_certificate's integer sums."""
     p, c = cert.prefix_steps, cert.cycle_steps
     trace = run(initial, ScriptedChoices(list(cert.prefix) + list(cert.cycle) * 2), p + 2 * c)
-    coords = trace.coordinates()
+    coords = [coordinate_of(r.positions) for r in trace.records]
     base = coords[p]
     radius = max(max(abs(q.x - base.x), abs(q.y - base.y)) for q in coords[p : p + 2 * c + 1])
     return (coords[p + c].x - base.x, coords[p + c].y - base.y), radius
@@ -224,7 +225,7 @@ def _random_graph(rng: random.Random) -> Graph:
     for u in range(n):
         g.add_node(u, None, 0)
     for _ in range(rng.randint(0, 2 * n)):
-        g.add_edge(_Edge(rng.randrange(n), rng.randrange(n), rng.randint(-2, 2), (0, 0), True))
+        g.add_edge(Move(rng.randrange(n), rng.randrange(n), rng.randint(-2, 2), (0, 0), True))
     return g
 
 

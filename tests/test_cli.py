@@ -263,6 +263,25 @@ def check_leader_off_choice(tmp_path):
     return ["check", str(out), "--c1", "2", "--c2", "1"]
 
 
+def carried_while_staying(tmp_path) -> str:
+    """A document whose pebble 2 rides along on step 1 while its output is stay."""
+    _, out = simulate(tmp_path, horizon=3)
+    lines = out.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["outputs"]["2"] = "stay"
+    lines[2] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    out.write_text("\n".join(lines) + "\n")
+    return str(out)
+
+
+def check_carried_while_staying(tmp_path):
+    return ["check", carried_while_staying(tmp_path), "--c1", "2", "--c2", "1"]
+
+
+def render_carried_while_staying(tmp_path):
+    return ["render", carried_while_staying(tmp_path)]
+
+
 def defeat_depth_zero(tmp_path):
     return ["defeat", "baseline-10", "--max-depth", "0"]
 
@@ -275,6 +294,8 @@ def render_window_zero(tmp_path):
     "argv, fragment",
     [
         pytest.param(check_leader_off_choice, "not on the choice", id="check-leader-off-choice"),
+        pytest.param(check_carried_while_staying, "step 1: carried must be []", id="check-carried-while-staying"),
+        pytest.param(render_carried_while_staying, "step 1: carried must be []", id="render-carried-while-staying"),
         pytest.param(defeat_depth_zero, "max_depth must be >= 1", id="defeat-depth-0"),
         pytest.param(render_window_zero, "window must be at least 1", id="render-window-0"),
     ],

@@ -24,7 +24,6 @@ from pebblewalk.collective import (
     apply_choice,
     at_origin,
     check_directed,
-    check_directed_at,
     check_uniform,
     coordinate,
     coordinate_of,
@@ -434,7 +433,7 @@ def test_symmetry_equivariant_runs(sym, conjugate):
 
 def test_displacement_additivity():
     trace = run(build_walker().initial_state(), SeededRandom(8), 66)
-    coords = trace.coordinates()
+    coords = [coordinate_of(r.positions) for r in trace.records]
     for t0, t1, t2 in [(0, 10, 30), (5, 6, 50), (0, 33, 66)]:
         whole = (coords[t2].x - coords[t0].x, coords[t2].y - coords[t0].y)
         parts = (
@@ -483,12 +482,6 @@ def test_pure_oscillation_versus_window_size():
     trace = run(col.initial_state(), ScriptedChoices(script), 24)
     assert not check_directed(trace, c1=0, c2=1).holds
     assert check_directed(trace, c1=0, c2=2).holds
-
-
-def test_check_directed_at_restricts_judged_moments():
-    trace = _hook_trace()
-    assert not check_directed_at(trace, 0, 4, moments=[1]).holds
-    assert check_directed_at(trace, 0, 4, moments=[4]).holds
 
 
 def test_check_directed_parameter_validation():

@@ -282,6 +282,27 @@ place 3 (1,0)
     )
 
 
+LEADER_VIEW = """\
+format: pebblewalk-strategy 1
+strategy looker
+members 2
+leader initial s
+rule s: {alpha} | * -> free then s
+pebble 2 p when {{1}} | * -> free
+place 1 (0,0)
+place 2 (0,0)
+"""
+
+
+def test_pebble_is_checked_against_the_leaders_own_view():
+    # Where pebble 2 sees {1} beside it, the leader sees {2}.
+    assert parse_strategy(LEADER_VIEW.format(alpha="{2}")).collective.validate_pebbles() == []
+    assert str(error_at(LEADER_VIEW.format(alpha="{1}"))) == (
+        "line 6, col 1: pebble 'p' emits free on Observation(alpha=frozenset({1}),"
+        " neighborhood=(frozenset(), frozenset(), frozenset())), which member 1 never emits there"
+    )
+
+
 @pytest.mark.parametrize("name", BASELINES)
 def test_each_collective_validates_its_pebbles_once(monkeypatch, name):
     calls = []

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from pebblewalk.adversary import FirstOption, SeededRandom
 from pebblewalk.collective import StepRecord, Trace, check_directed, run
-from pebblewalk.lattice import vertex
+from pebblewalk.lattice import neighbors, vertex
+from pebblewalk.machine import parse_output
 from pebblewalk.strategies import load_builtin
 from pebblewalk.strategy_format import strategy_hash
 from pebblewalk.tracefile import (
     TraceError,
+    check_steps,
     make_document,
     parse_document,
     read_document,
@@ -24,7 +26,7 @@ from pebblewalk.tracefile import (
 )
 from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
-from trace_reference import assert_one_object_per_value, dump, reference_render
+from trace_reference import assert_one_object_per_value, dump, follows, reference_render
 
 
 def walker_document(seed=42, horizon=50):
@@ -279,14 +281,26 @@ def test_rejects_value_the_renderer_never_writes(mutate, value, fragment):
     assert msg.startswith("line 3") and fragment in msg
 
 
+def ride_along(row, pid):
+    """Pebble pid outputs the leader's move and is listed as carried."""
+    row["outputs"][pid] = row["outputs"]["1"]
+    row["carried"] = sorted([*row["carried"], int(pid)])
+
+
 # Record t=1 of walker_document() follows positions 1 and 2 at (0,0),
-# 3 at (1,0), 4 at (2,0) and 5 at (1,1); one row per rule of check_steps.
+# 3 at (1,0), 4 at (2,0) and 5 at (1,1), where outputs set:3 of members 1
+# and 2 denote the one option (1,0) and carry set [2]; one row per rule of
+# check_steps, and a few documents each rule alone would let through.
 @pytest.mark.parametrize(
     "mutate, value, fragment",
     [
-        pytest.param(offer_only, [3, 0], "or its neighbours", id="option-out-of-reach"),
+        pytest.param(offer_only, [3, 0], "options must be [(1,0)], those the leader's output denotes at (0,0)", id="option-out-of-reach"),
+        pytest.param(consulted_options, [[0, 1], [1, 0]], "options must be [(1,0)]", id="forced-step-offers-two"),
+        pytest.param(set_field("outputs", "1"), "free", "options must be [(-1,0), (0,1)]", id="free-onto-occupied"),
         pytest.param(set_field("positions", "1"), [0, 0], "member 1 is at (0,0), not on", id="leader-off-choice"),
-        pytest.param(set_field("carried"), [2, 3], "carried pebble did not stand", id="carried-from-elsewhere"),
+        pytest.param(set_field("carried"), [2, 3], "carried must be [2], the pebbles whose output", id="carried-from-elsewhere"),
+        pytest.param(set_field("outputs", "2"), "stay", "carried must be []", id="carried-while-staying"),
+        pytest.param(ride_along, "3", "carried pebble did not stand on the leader's previous vertex (0,0)", id="moving-off-the-leader"),
         pytest.param(set_field("positions", "2"), [0, 0], "member 2 is at (0,0), not on", id="carried-left-behind"),
         pytest.param(set_field("positions", "4"), [7, 0], "member 4 moved from (2,0)", id="member-jumped"),
     ],
@@ -301,6 +315,21 @@ def test_reading_rejects_record_that_does_not_follow(tmp_path, mutate, value, fr
     with pytest.raises(TraceError) as exc:
         read_document(str(path))
     assert str(exc.value).startswith("step 1:") and fragment in str(exc.value)
+
+
+def test_reading_rejects_document_without_leader(tmp_path):
+    lines = render_document(walker_document(horizon=2)).splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        row = json.loads(line)
+        for field in ("positions", "states", "outputs"):
+            if field in row:
+                row[field]["6"] = row[field].pop("1")
+        lines[i] = dump(row)
+    path = tmp_path / "leaderless.trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    parse_document(path.read_text())
+    with pytest.raises(TraceError, match="^step 0: member 1, the leader, has no position$"):
+        read_document(str(path))
 
 
 def test_rejects_record_without_members():
@@ -405,6 +434,42 @@ def test_parse_raises_only_trace_errors_and_accepted_documents_re_render(data):
     except TraceError:
         return
     assert render_document(doc) == text
+
+
+STEPPED = walker_document(horizon=12).records
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_check_steps_accepts_exactly_what_the_reference_rule_derives(data):
+    records = list(STEPPED)
+    i = data.draw(st.integers(1, len(records) - 1), label="record")
+    rec, at = records[i], records[i - 1].positions[1]
+    near = sorted({at, *neighbors(at), *(w for v in neighbors(at) for w in neighbors(v))})
+    members = sorted(rec.positions)
+    field = data.draw(st.sampled_from(["outputs", "options", "carried", "positions", "ride"]), label="field")
+    if field == "ride":  # a pebble outputs the leader's move and is carried
+        m = data.draw(st.sampled_from(members[1:]))
+        rec = replace(rec, outputs=rec.outputs.set(m, rec.outputs[1]), carried=rec.carried | {m})
+    elif field == "outputs":
+        m = data.draw(st.sampled_from(members))
+        spelling = data.draw(st.sampled_from(["stay", "free", "set:2", "set:3", "set:4", "set:5", "set:3,4", "set:2,3,4,5"]))
+        rec = replace(rec, outputs=rec.outputs.set(m, parse_output(spelling)))
+    elif field == "options":
+        options = tuple(sorted(data.draw(st.sets(st.sampled_from(near), min_size=1, max_size=3))))
+        rec = replace(rec, options=options, choice=data.draw(st.sampled_from(options)))
+    elif field == "carried":
+        rec = replace(rec, carried=frozenset(data.draw(st.sets(st.sampled_from(members[1:])))))
+    else:
+        m = data.draw(st.sampled_from(members))
+        rec = replace(rec, positions=rec.positions.set(m, data.draw(st.sampled_from(near))))
+    records[i] = rec
+    broken = [r.t for prev, r in zip(records, records[1:]) if not follows(prev, r)]
+    if not broken:
+        check_steps(Trace(tuple(records)))
+        return
+    with pytest.raises(TraceError, match=f"^step {broken[0]}: "):
+        check_steps(Trace(tuple(records)))
 
 
 def test_rejects_member_set_change():
