@@ -16,13 +16,17 @@ translation classes: a Quotient numbers the classes one call meets, plans
 each once, and follows (class, option index) along a Move to (next class,
 anchor shift).  `walk` streams steps through one, `run` collects a prefix of
 that stream, and the lasso search in `adversary` expands one as its graph;
-`step` is the plain reference that plans every configuration afresh.
+`step` is the plain reference that plans every configuration afresh.  The
+Quotient is the only memo here and lives for one call: a later step of a
+class only shifts its plan's leader vertex and options, and its record
+shares the plan's outputs, next-states and carried objects.  Records, plans
+and states are named tuples.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -100,16 +104,14 @@ class Collective:
         return [problem for pid in sorted(self.pebbles) for problem in self.pebble_problems(pid)]
 
 
-@dataclass(frozen=True)
-class CollectiveState:
+class CollectiveState(NamedTuple):
     collective: Collective
     positions: FrozenMap  # MemberId -> Vertex
     states: FrozenMap  # MemberId -> StateId
     step_index: int = 0
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One trace row.  Row 0 has only positions and states; later rows add
     what was decided while entering this configuration.  What each member
     observed is observe(previous row's positions, member)."""
@@ -178,8 +180,7 @@ def advance_digest(digest: bytes, at: Vertex, options: Sequence[Vertex], choice:
     return h.digest()
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(NamedTuple):
     """Choice-independent part of a step: everyone's output and next state,
     plus the leader's offset-sorted option set."""
 
@@ -212,7 +213,11 @@ def step_options(
 def move_onto(positions: Mapping[MemberId, Vertex], carried: frozenset, target: Vertex) -> FrozenMap:
     """The step rule's second half: positions after the leader and the carry
     set move onto target; everyone else stays."""
-    return FrozenMap({**positions, **dict.fromkeys((1, *carried), target)})
+    moved = dict(positions._d if type(positions) is FrozenMap else positions)
+    moved[1] = target
+    for m in carried:
+        moved[m] = target
+    return FrozenMap(moved)
 
 
 def plan_step(state: CollectiveState) -> StepPlan:
@@ -248,19 +253,12 @@ def apply_choice(state: CollectiveState, plan: StepPlan, choice: Vertex) -> tupl
     """Move the leader and its carry set to the chosen option."""
     if choice not in plan.options:
         raise ValueError(f"{choice} is not among the step's options {plan.options}")
-    new_state = CollectiveState(
-        state.collective, move_onto(state.positions, plan.carried, choice), plan.next_states, state.step_index + 1
+    t = state.step_index + 1
+    positions = move_onto(state.positions, plan.carried, choice)
+    return (
+        CollectiveState(state.collective, positions, plan.next_states, t),
+        StepRecord(t, positions, plan.next_states, plan.outputs, plan.options, choice, plan.carried),
     )
-    record = StepRecord(
-        t=state.step_index + 1,
-        positions=new_state.positions,
-        states=new_state.states,
-        outputs=plan.outputs,
-        options=plan.options,
-        choice=choice,
-        carried=plan.carried,
-    )
-    return new_state, record
 
 
 def step(state: CollectiveState, adversary, digest: Optional[bytes] = None) -> tuple[CollectiveState, StepRecord]:
@@ -390,11 +388,8 @@ def _shifted(plan: StepPlan, dx: int) -> StepPlan:
     """The plan of the same class translated dx columns to the right."""
     if dx == 0:
         return plan
-    return replace(
-        plan,
-        at=Vertex(plan.at.x + dx, plan.at.y),
-        options=tuple(Vertex(o.x + dx, o.y) for o in plan.options),
-    )
+    outputs, next_states, (x, y), options, carried = plan
+    return StepPlan(outputs, next_states, Vertex(x + dx, y), tuple([Vertex(ox + dx, oy) for ox, oy in options]), carried)
 
 
 def coordinate_of(positions: Mapping[MemberId, Vertex]) -> RationalPoint:
@@ -422,8 +417,7 @@ def at_origin(positions: Mapping[MemberId, Vertex]) -> tuple[FrozenMap, int]:
 
 
 def diameter_of(positions: Mapping[MemberId, Vertex]) -> int:
-    xs = [v.x for v in positions.values()]
-    ys = [v.y for v in positions.values()]
+    xs, ys = zip(*positions.values())
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
@@ -483,13 +477,11 @@ def position_sums(records: Sequence[StepRecord]) -> list[tuple[int, int]]:
     """
     if len({len(r.positions) for r in records}) > 1:
         raise ValueError("member count changes mid-trace")
-    return [
-        (
-            sum(v.x for v in r.positions.values()),
-            sum(v.y for v in r.positions.values()),
-        )
-        for r in records
-    ]
+    sums = []
+    for r in records:
+        xs, ys = zip(*r.positions.values())
+        sums.append((sum(xs), sum(ys)))
+    return sums
 
 
 def _has_equal_displacement_pair(coords: list[tuple], t: int, c2: int) -> bool:

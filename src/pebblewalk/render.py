@@ -6,6 +6,11 @@ grid shows the pebble formation the way the figures draw it.  Pebbles 2..5
 print as B, C, D, H; later ids continue through the remaining alphabet.
 Co-located pebbles stack into one cell, and every cell of a panel is padded
 to the widest stack so columns stay aligned.
+
+A grid depends only on the layout up to x-translation, and a walker trace
+repeats a handful of layouts, so `render_records` draws each layout's grid
+(row 1, row 0 and the caret line) once per call, keyed by every member's
+(id, x - least x, y); only the header line is formatted for every record.
 """
 
 from __future__ import annotations
@@ -29,39 +34,59 @@ def member_letter(member: int) -> str:
 
 def render_panel(record: StepRecord, window: Optional[int] = None) -> str:
     """One panel: header line, row-1 line, row-0 line, caret line."""
-    positions = record.positions
-    leader = positions[1]
-    lo = min(v.x for v in positions.values())
-    hi = max(v.x for v in positions.values())
-    if window is not None:
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        hi = min(hi, lo + window - 1)
-
-    cells: dict[tuple[int, int], str] = {}
-    for m in sorted(positions):
-        if m == 1:
-            continue
-        v = positions[m]
-        if lo <= v.x <= hi:
-            cells[(v.x, v.y)] = cells.get((v.x, v.y), "") + member_letter(m)
-    width = max([len(s) for s in cells.values()] + [1])
-
-    header = f"t={record.t} A1=({leader.x},{leader.y}) state={record.states[1]}"
-    if record.choice is not None:
-        header += f" choice=({record.choice.x},{record.choice.y})"
-
-    def row(y: int) -> str:
-        body = " ".join(cells.get((x, y), "").ljust(width) for x in range(lo, hi + 1))
-        return f" {y} | {body}".rstrip()
-
-    lines = [header, row(1), row(0)]
-    if lo <= leader.x <= hi:
-        offset = 5 + (leader.x - lo) * (width + 1)
-        lines.append(" " * offset + "^")
-    return "\n".join(lines)
+    return _header(record) + _draw(_layout(record.positions), window)
 
 
 def render_records(records: Iterable[StepRecord], window: Optional[int] = None) -> str:
     """Panels for every record, separated by blank lines."""
-    return "\n\n".join(render_panel(r, window) for r in records) + "\n"
+    grids: dict[tuple, str] = {}  # layout -> its grid lines, for this call only
+    panels = []
+    for record in records:
+        header = _header(record)
+        layout = _layout(record.positions)
+        grid = grids.get(layout)
+        if grid is None:
+            grid = grids[layout] = _draw(layout, window)
+        panels.append(header + grid)
+    return "\n\n".join(panels) + "\n"
+
+
+def _header(record: StepRecord) -> str:
+    x, y = record.positions[1]
+    header = f"t={record.t} A1=({x},{y}) state={record.states[1]}"
+    if record.choice is not None:
+        header += f" choice=({record.choice.x},{record.choice.y})"
+    return header
+
+
+def _layout(positions) -> tuple[tuple[int, int, int], ...]:
+    """Every member as (id, x - least x, y), in the mapping's order."""
+    lo = min([v.x for v in positions.values()])
+    return tuple([(m, x - lo, y) for m, (x, y) in positions.items()])
+
+
+def _draw(layout: tuple[tuple[int, int, int], ...], window: Optional[int]) -> str:
+    """The grid lines of a layout at least x 0, each after a newline."""
+    hi = max(x for _, x, _ in layout)
+    if window is not None:
+        if window < 1:
+            raise ValueError("window must be at least 1")
+        hi = min(hi, window - 1)
+
+    cells: dict[tuple[int, int], str] = {}
+    leader = None
+    for m, x, y in sorted(layout):
+        if m == 1:
+            leader = x
+        elif x <= hi:
+            cells[(x, y)] = cells.get((x, y), "") + member_letter(m)
+    width = max([len(s) for s in cells.values()] + [1])
+
+    def row(y: int) -> str:
+        body = " ".join(cells.get((x, y), "").ljust(width) for x in range(hi + 1))
+        return f" {y} | {body}".rstrip()
+
+    lines = ["", row(1), row(0)]
+    if leader <= hi:
+        lines.append(" " * (5 + leader * (width + 1)) + "^")
+    return "\n".join(lines)

@@ -9,11 +9,14 @@ outputs denote its options and carry set at the previous positions, each
 carried pebble rode with the leader from the leader's previous vertex onto
 the choice, and no one else moved.
 
-A walker trace repeats a handful of record parts shifted along x, so both
-directions work once per distinct part, with memos that live for one call:
-rendering encodes each shared states, outputs and carried object once, and
-parsing checks and converts each distinct vertex, member id, states map,
-outputs map and carried list once.  Parsing accepts only the types,
+A walker trace repeats a handful of record parts shifted along x, so each
+direction works once per distinct part, with memos that live for one call:
+rendering makes one `%` template per record shape (its states, outputs and
+carried objects, option count and member order) and fills in only the
+coordinates and t; parsing checks and converts each distinct vertex, member
+id, positions key order, states map, outputs map and carried list once; and
+`check_steps` derives the options and carry set once per outputs map and
+layout relative to the leader.  Parsing accepts only the types,
 spellings and line layout rendering writes: one `{...}` object per line with
 its keys and member ids in sorted order, lines ended by a lone `\n`, and
 exactly one after the last.  Decoding JSON erases what lies between and
@@ -27,6 +30,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from pebblewalk.collective import Collective, StepRecord, Trace, move_onto, step_options
@@ -83,8 +87,9 @@ def render_document(doc: TraceDocument) -> str:
     """One header line, then one line per record, keys sorted.
 
     Records of a translation class share their states, outputs and carried
-    objects, so each shared object is encoded once per call; positions,
-    options, choice and t are formatted for every record.
+    objects, so each record is written through a `%` template made once per
+    call for its shape: those three objects, its option count and its
+    member order.  Only coordinates and t are filled in per record.
     """
     h = doc.header
     lines = [
@@ -100,39 +105,46 @@ def render_document(doc: TraceDocument) -> str:
             }
         )
     ]
-    # id of a record's states, outputs or carried object -> its JSON, one memo per field
-    states_json: dict[int, str] = {}
-    outputs_json: dict[int, str] = {}
-    carried_json: dict[int, str] = {}
-    orders: dict[tuple, list] = {}  # member ids in map order -> the same, sorted as JSON keys
-
-    def encode(memo: dict, obj, to_json) -> str:
-        text = memo.get(id(obj))
-        if text is None:
-            text = memo[id(obj)] = _dump(to_json(obj))
-        return text
-
+    # (member order, ids of states, outputs and carried, option count) -> (template, order)
+    shapes: dict[tuple, tuple[str, Optional[list[int]]]] = {}
+    flat = chain.from_iterable
     for rec in doc.trace.records:
         pos = rec.positions
         members = tuple(pos)
-        order = orders.get(members)
-        if order is None:
-            order = orders[members] = sorted(members, key=str)
-        positions = ",".join([f'"{m}":[{v.x},{v.y}]' for m, v in zip(order, map(pos.__getitem__, order))])
-        states = encode(states_json, rec.states, _string_keys)
-        if rec.t > 0:
-            options = ",".join([f"[{v.x},{v.y}]" for v in rec.options])
-            lines.append(
-                f'{{"carried":{encode(carried_json, rec.carried, sorted)},'
-                f'"choice":[{rec.choice.x},{rec.choice.y}],'
-                f'"consulted":{"true" if rec.consulted else "false"},'
-                f'"options":[{options}],'
-                f'"outputs":{encode(outputs_json, rec.outputs, _output_spellings)},'
-                f'"positions":{{{positions}}},"states":{states},"t":{rec.t}}}'
-            )
+        stepped = rec.t > 0
+        key = (members, id(rec.states), id(rec.outputs), id(rec.carried), len(rec.options) if stepped else -1)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _template(rec, members, stepped)
+        template, order = shape
+        vertices = pos.values() if order is None else [pos[m] for m in order]
+        if stepped:
+            lines.append(template % (*rec.choice, *flat(rec.options), *flat(vertices), rec.t))
         else:
-            lines.append(f'{{"positions":{{{positions}}},"states":{states},"t":{rec.t}}}')
+            lines.append(template % (*flat(vertices), rec.t))
     return "\n".join(lines) + "\n"
+
+
+def _template(rec: StepRecord, members: tuple, stepped: bool) -> tuple[str, Optional[list[int]]]:
+    """The `%` template of rec's line, with `%s` for each coordinate and t,
+    and the member order its positions fill it in (None: the map's own)."""
+    order = sorted(members, key=str)
+    positions = ",".join([f'"{_escape(str(m))}":[%s,%s]' for m in order])
+    states = _escape(_dump(_string_keys(rec.states)))
+    tail = f'"positions":{{{positions}}},"states":{states},"t":%s}}'
+    order = None if order == list(members) else order
+    if not stepped:
+        return "{" + tail, order
+    carried = _escape(_dump(sorted(rec.carried)))
+    consulted = "true" if rec.consulted else "false"
+    options = ",".join(["[%s,%s]"] * len(rec.options))
+    outputs = _escape(_dump(_output_spellings(rec.outputs)))
+    head = f'{{"carried":{carried},"choice":[%s,%s],"consulted":{consulted},"options":[{options}],"outputs":{outputs},'
+    return head + tail, order
+
+
+def _escape(text: str) -> str:
+    return text.replace("%", "%%")
 
 
 def _string_keys(states) -> dict:
@@ -150,12 +162,15 @@ class _Decoder:
     Memo keys are exact: a vertex is keyed by (x, y) only once both are
     ints, and a string map by its items only once every value is a str,
     since 1 == 1.0 == True hash alike.  A map's member set is checked when
-    it is first seen; the member set of a document never changes.
+    it is first seen; the member set of a document never changes.  A
+    positions key order is checked (member ids, sorted) the first time it
+    is seen; later positions maps in that order only convert their vertices.
     """
 
     def __init__(self):
         self.members: frozenset = frozenset()
         self.ids: dict[str, int] = {}
+        self.orders: dict[tuple[str, ...], tuple[int, ...]] = {}  # positions key order -> member ids
         self.vertices: dict[tuple[int, int], Vertex] = {}
         self.maps: dict[tuple, FrozenMap] = {}  # (what, *items) -> member map
         self.carried: dict[tuple, frozenset] = {}
@@ -188,9 +203,15 @@ class _Decoder:
     def positions(self, obj, line_no: int) -> FrozenMap:
         if type(obj) is not dict:
             raise TraceError(f"line {line_no}: expected a member map, got {obj!r}")
-        member_id, vertex = self.member_id, self.vertex
+        vertex = self.vertex
+        keys = tuple(obj)
+        members = self.orders.get(keys)
+        if members is not None:  # member ids and order already checked
+            return FrozenMap(zip(members, [vertex(p, line_no) for p in obj.values()]))
+        member_id = self.member_id
         out = FrozenMap({member_id(k, line_no): vertex(p, line_no) for k, p in obj.items()})
         _check_sorted(obj, line_no)
+        self.orders[keys] = tuple(out)
         return out
 
     def strings(self, obj, line_no: int, what: str, convert=None) -> FrozenMap:
@@ -271,8 +292,9 @@ def parse_document(text: str) -> TraceDocument:
     Every value must have the type and spelling the renderer writes, and
     every line its layout (see the module docstring).  Whether the records
     follow one another is `check_steps`'s question.  Each distinct vertex,
-    member id, states map, outputs map and carried list is checked and
-    converted once; records that spell a map alike share one FrozenMap.
+    member id, positions key order, states map, outputs map and carried list
+    is checked and converted once; records that spell a map alike share one
+    FrozenMap.
     """
     lines = text.split("\n")
     if lines[-1] or len(lines) > 2 and not lines[-2]:
@@ -370,12 +392,24 @@ def check_steps(trace: Trace) -> None:
     and the positions must be the previous ones after the leader and the
     carry set moved onto the choice (`collective.move_onto`).  Whole maps
     are compared at once; a position failure is then narrowed to a member.
+    The step rule is invariant under x-translation, so the denoted option
+    offsets and carry set are derived once per outputs map and previous
+    layout relative to the leader, in a memo local to the call.
     """
     if 1 not in trace.records[0].positions:
         raise TraceError("step 0: member 1, the leader, has no position")
+    # (outputs, previous positions relative to the leader) -> (option offsets, carry set)
+    denoted: dict[tuple, tuple[tuple[tuple[int, int], ...], frozenset]] = {}
     for prev, rec in zip(trace.records, trace.records[1:]):
         before, at, choice = prev.positions, prev.positions[1], rec.choice
-        options, carried = step_options(rec.outputs, before)
+        ax, ay = at
+        key = (rec.outputs, tuple([(m, x - ax, y) for m, (x, y) in before.items()]))
+        found = denoted.get(key)
+        if found is None:
+            options, carried = step_options(rec.outputs, before)
+            found = denoted[key] = tuple([(x - ax, y) for x, y in options]), carried
+        offsets, carried = found
+        options = tuple([Vertex(ax + dx, y) for dx, y in offsets])
         if rec.options != options:
             raise TraceError(f"step {rec.t}: options must be {list(options)}, those the leader's output denotes at {at}")
         if rec.carried != carried:

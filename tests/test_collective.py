@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -156,6 +155,23 @@ def test_apply_choice_rejects_non_options():
     plan = plan_step(state)
     with pytest.raises(ValueError):
         apply_choice(state, plan, vertex(9, 0))
+
+
+def test_records_plans_and_states_are_immutable():
+    state = build_walker().initial_state()
+    plan = plan_step(state)
+    nxt, record = apply_choice(state, plan, plan.options[0])
+    for obj, field, value in (
+        (record, "t", 7),
+        (record, "choice", vertex(9, 0)),
+        (plan, "options", ()),
+        (plan, "at", vertex(9, 0)),
+        (state, "positions", nxt.positions),
+        (nxt, "step_index", 0),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, value)
+    assert record._replace(t=7).t == 7 and record.t == 1
 
 
 def test_stay_forever_is_a_fixed_point():
@@ -490,7 +506,7 @@ def test_check_directed_parameter_validation():
         check_directed(trace, c1=-1, c2=4)
     with pytest.raises(ValueError):
         check_directed(trace, c1=1, c2=0)
-    grown = replace(trace.records[2], positions=FrozenMap({1: vertex(0, 0), 2: vertex(0, 0)}))
+    grown = trace.records[2]._replace(positions=FrozenMap({1: vertex(0, 0), 2: vertex(0, 0)}))
     with pytest.raises(ValueError, match="member count changes mid-trace"):
         check_directed(Trace((*trace.records[:2], grown, *trace.records[3:])), c1=1, c2=1)
 

@@ -62,8 +62,7 @@ def test_byte_identical_reproduction():
 def test_records_sharing_no_maps_render_like_the_reference():
     doc = walker_document(horizon=40)
     fresh = [
-        replace(
-            rec,
+        rec._replace(
             positions=FrozenMap(dict(rec.positions)),
             states=FrozenMap(dict(rec.states)),
             outputs=None if rec.outputs is None else FrozenMap(dict(rec.outputs)),
@@ -450,19 +449,19 @@ def test_check_steps_accepts_exactly_what_the_reference_rule_derives(data):
     field = data.draw(st.sampled_from(["outputs", "options", "carried", "positions", "ride"]), label="field")
     if field == "ride":  # a pebble outputs the leader's move and is carried
         m = data.draw(st.sampled_from(members[1:]))
-        rec = replace(rec, outputs=rec.outputs.set(m, rec.outputs[1]), carried=rec.carried | {m})
+        rec = rec._replace(outputs=rec.outputs.set(m, rec.outputs[1]), carried=rec.carried | {m})
     elif field == "outputs":
         m = data.draw(st.sampled_from(members))
         spelling = data.draw(st.sampled_from(["stay", "free", "set:2", "set:3", "set:4", "set:5", "set:3,4", "set:2,3,4,5"]))
-        rec = replace(rec, outputs=rec.outputs.set(m, parse_output(spelling)))
+        rec = rec._replace(outputs=rec.outputs.set(m, parse_output(spelling)))
     elif field == "options":
         options = tuple(sorted(data.draw(st.sets(st.sampled_from(near), min_size=1, max_size=3))))
-        rec = replace(rec, options=options, choice=data.draw(st.sampled_from(options)))
+        rec = rec._replace(options=options, choice=data.draw(st.sampled_from(options)))
     elif field == "carried":
-        rec = replace(rec, carried=frozenset(data.draw(st.sets(st.sampled_from(members[1:])))))
+        rec = rec._replace(carried=frozenset(data.draw(st.sets(st.sampled_from(members[1:])))))
     else:
         m = data.draw(st.sampled_from(members))
-        rec = replace(rec, positions=rec.positions.set(m, data.draw(st.sampled_from(near))))
+        rec = rec._replace(positions=rec.positions.set(m, data.draw(st.sampled_from(near))))
     records[i] = rec
     broken = [r.t for prev, r in zip(records, records[1:]) if not follows(prev, r)]
     if not broken:
