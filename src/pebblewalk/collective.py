@@ -389,7 +389,8 @@ def _shifted(plan: StepPlan, dx: int) -> StepPlan:
     if dx == 0:
         return plan
     outputs, next_states, (x, y), options, carried = plan
-    return StepPlan(outputs, next_states, Vertex(x + dx, y), tuple([Vertex(ox + dx, oy) for ox, oy in options]), carried)
+    shifted = tuple([Vertex(ox + dx, oy) for ox, oy in options])
+    return StepPlan(outputs, next_states, Vertex(x + dx, y), shifted, carried)
 
 
 def coordinate_of(positions: Mapping[MemberId, Vertex]) -> RationalPoint:
