@@ -62,11 +62,6 @@ section("directed marching, 100 iterations per adversary")
 for adversary in (FirstOption(), LastOption(), SeededRandom(42)):
     report = verify_theorem2(ITERATIONS, adversary)
     lengths = sorted(set(report.steps_per_iteration))
-    per_loop = (
-        report.displacement
-        if report.displacement is not None
-        else "mixed-window (see notes)"
-    )
     print(f"adversary={adversary.name}")
     check("loops closed", report.iterations, ITERATIONS)
     check("loop lengths", lengths, [9] if adversary.name == "first" else ([11] if adversary.name == "last" else [9, 11]))

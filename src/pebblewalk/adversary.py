@@ -30,7 +30,7 @@ from pebblewalk.collective import (
     position_sums,
     run,
 )
-from pebblewalk.graph import Graph, bfs_path, strong_components
+from pebblewalk.graph import Graph, bfs_path, cycle_components
 from pebblewalk.lattice import Vertex
 from pebblewalk.util import FrozenMap
 
@@ -269,26 +269,18 @@ def _negative_cycle(nodes: list[int], edges: list[int], g: Graph, weight: Callab
 def _find_zero_walk(g: Graph) -> Optional[tuple[int, list[int]]]:
     """Find (base node, edge list) of a zero-net-weight closed walk, if any.
 
-    A strongly connected component holds a zero-weight closed walk exactly
-    when it holds a simple cycle of weight <= 0 and one of weight >= 0: a
-    zero walk splits into simple cycles summing to zero, and cycles of both
-    signs compose into a zero walk.  A simple cycle of length L <= n (n the
-    component's node count) and weight W has weight n*W - L under n*w - 1,
-    which is negative exactly when W <= 0; likewise -n*W - L is negative
-    exactly when W >= 0.  So one negative-cycle search per sign decides it.
+    The components of `cycle_components` are tried least node first; the
+    first that holds such a walk gives it.  A component holds a zero-weight
+    closed walk exactly when it holds a simple cycle of weight <= 0 and one
+    of weight >= 0: a zero walk splits into simple cycles summing to zero,
+    and cycles of both signs compose into a zero walk.  A simple cycle of
+    length L <= n (n the component's node count) and weight W has weight
+    n*W - L under n*w - 1, which is negative exactly when W <= 0; likewise
+    -n*W - L is negative exactly when W >= 0.  So one negative-cycle search
+    per sign decides it.  The paths that stitch the two cycles together run
+    between nodes of the component, so they stay inside it.
     """
-    comp = strong_components(g)
-    by_comp: dict[int, list[int]] = {}
-    for u in range(len(g.reps)):
-        by_comp.setdefault(comp[u], []).append(u)
-    comp_edges: dict[int, list[int]] = {}
-    for ei, e in enumerate(g.edges):
-        if comp[e.src] == comp[e.dst]:
-            comp_edges.setdefault(comp[e.src], []).append(ei)
-    # deterministic order: by least node index
-    for cid in sorted(comp_edges, key=lambda c: min(by_comp[c])):
-        nodes = by_comp[cid]
-        edges = comp_edges[cid]
+    for nodes, edges in cycle_components(g):
         n = len(nodes)
         at_most_zero = _negative_cycle(nodes, edges, g, lambda w: n * w - 1)
         if at_most_zero is None:
@@ -301,7 +293,7 @@ def _find_zero_walk(g: Graph) -> Optional[tuple[int, list[int]]]:
                 # based at its earliest-discovered node, for the shortest prefix
                 first = min(range(len(cycle)), key=lambda i: g.edges[cycle[i]].src)
                 return g.edges[cycle[first]].src, cycle[first:] + cycle[:first]
-        return _compose_zero_walk(g, set(nodes), at_least_zero, at_most_zero)
+        return _compose_zero_walk(g, at_least_zero, at_most_zero)
     return None
 
 
@@ -309,15 +301,15 @@ def _edge_walk_weight(g: Graph, edge_list: list[int]) -> int:
     return sum(g.edges[ei].weight for ei in edge_list)
 
 
-def _compose_zero_walk(g: Graph, node_set: set[int], pos_cycle: list[int], neg_cycle: list[int]) -> tuple[int, list[int]]:
+def _compose_zero_walk(g: Graph, pos_cycle: list[int], neg_cycle: list[int]) -> tuple[int, list[int]]:
     """Stitch a positive and a negative cycle into one zero-weight closed walk."""
     a = g.edges[pos_cycle[0]].src
     b = g.edges[neg_cycle[0]].src
     p = _edge_walk_weight(g, pos_cycle)
     n = _edge_walk_weight(g, neg_cycle)
     assert p > 0 and n < 0
-    to_b = bfs_path(g, a, b, node_set)
-    to_a = bfs_path(g, b, a, node_set)
+    to_b = bfs_path(g, a, b)
+    to_a = bfs_path(g, b, a)
     s = _edge_walk_weight(g, to_b) + _edge_walk_weight(g, to_a)
     # W2 = to_b + neg_cycle^k2 + to_a is a closed walk at `a` of weight s + k2*n < 0
     k2 = max(1, s // (-n) + 1)

@@ -1,9 +1,11 @@
-"""The quotient graph both searches grow, with its path and SCC routines.
+"""The quotient graph both searches grow, and the two questions they ask of it.
 
 Nodes are translation classes indexed by canonical key; each keeps one
 representative, its depth and the edge that discovered it.  Edges are any
 objects with integer `src` and `dst` fields plus the payload their search
-needs.
+needs.  Both searches ask cycle questions: the lasso search wants a
+zero-weight closed walk, the joint schema search a transfer edge on a
+cycle.  `cycle_components` gives each the components that hold an edge.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ class Graph:
         return v, path[::-1]
 
 
-def bfs_path(g: Graph, src: int, dst: int, within: Optional[set[int]] = None) -> list[int]:
+def bfs_path(g: Graph, src: int, dst: int) -> list[int]:
     """Shortest edge path src -> dst (list of edge indices); [] if src == dst.
 
-    With `within`, the path visits only those nodes.
+    When src and dst share a component, every node on the path does too.
     """
     if src == dst:
         return []
@@ -66,7 +68,7 @@ def bfs_path(g: Graph, src: int, dst: int, within: Optional[set[int]] = None) ->
         u = q.popleft()
         for ei in g.out[u]:
             v = g.edges[ei].dst
-            if v in seen or (within is not None and v not in within):
+            if v in seen:
                 continue
             seen.add(v)
             back[v] = ei
@@ -80,51 +82,50 @@ def bfs_path(g: Graph, src: int, dst: int, within: Optional[set[int]] = None) ->
     raise RuntimeError("no path inside the expanded graph")
 
 
-def strong_components(g: Graph) -> list[int]:
-    """Node -> component id, components in deterministic order."""
+def cycle_components(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """Every strongly connected component holding an edge, as (nodes, inner edges).
+
+    An edge lies on a cycle exactly when it is some component's inner edge.
+    Nodes and edges ascend, and components are ordered by least node.
+    Kosaraju's two passes: a depth-first finish order, then searches of the
+    reversed graph in reverse finish order, each of which collects one
+    component, labelled by the node it starts from.
+    """
     n = len(g.reps)
-    comp = [-1] * n
-    low = [0] * n
-    num = [-1] * n
-    counter = 0
-    comp_count = 0
-    stack: list[int] = []
-    on_stack = [False] * n
-    for start in range(n):
-        if num[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                num[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while pi < len(g.out[node]):
-                ei = g.out[node][pi]
-                pi += 1
-                w = g.edges[ei].dst
-                if num[w] == -1:
-                    work[-1] = (node, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[node] = min(low[node], num[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == num[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count
-                    if w == node:
+    finished: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            work = [(root, iter(g.out[root]))]
+            while work:
+                for ei in work[-1][1]:
+                    v = g.edges[ei].dst
+                    if not seen[v]:
+                        seen[v] = True
+                        work.append((v, iter(g.out[v])))
                         break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comp
+                else:
+                    finished.append(work.pop()[0])
+    into: list[list[int]] = [[] for _ in range(n)]
+    for e in g.edges:
+        into[e.dst].append(e.src)
+    comp = [-1] * n
+    for root in reversed(finished):
+        if comp[root] == -1:
+            comp[root] = root
+            stack = [root]
+            while stack:
+                for w in into[stack.pop()]:
+                    if comp[w] == -1:
+                        comp[w] = root
+                        stack.append(w)
+    found: dict[int, tuple[list[int], list[int]]] = {}
+    for ei, e in enumerate(g.edges):
+        if comp[e.src] == comp[e.dst]:
+            found.setdefault(comp[e.src], ([], []))[1].append(ei)
+    for u, c in enumerate(comp):
+        if c in found:
+            found[c][0].append(u)
+    # the node lists are disjoint, so they sort by their least node
+    return sorted(found.values())

@@ -16,7 +16,7 @@ mask tests once, when it is built.  The frozensets `Observation.alpha` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping, Optional, Union
 
@@ -33,7 +33,8 @@ def member_set(ids: Iterable[MemberId]) -> MemberSet:
 
 
 # Bit m of a member mask stands for member m.  The cap keeps every mask a
-# small int; the validator could not enumerate a collective a tenth this size.
+# small int; strategy files hold far fewer members, at most
+# strategy_format.MAX_MEMBERS, since validation enumerates their observations.
 MAX_MEMBER_ID = 1023
 
 
@@ -280,16 +281,16 @@ class Automaton:
 
     Rules of the current state are tried in listed order; the first matching
     pattern fires.  Unmatched observations fall back to staying put in the
-    same state, keeping the transition and output functions total.
+    same state, keeping the transition and output functions total.  The
+    `states` attribute holds every state the initial state and rules name.
     """
 
     initial: StateId
     rules: tuple[Rule, ...]
-    states: frozenset[StateId] = field(default=frozenset())
 
     def __post_init__(self) -> None:
         names = {r.state for r in self.rules} | {r.next_state for r in self.rules} | {self.initial}
-        object.__setattr__(self, "states", frozenset(self.states) | names)
+        object.__setattr__(self, "states", frozenset(names))
         by_state: dict[StateId, list[Rule]] = {}
         for rule in self.rules:
             by_state.setdefault(rule.state, []).append(rule)

@@ -11,6 +11,9 @@ A grid depends only on the layout up to x-translation, and a walker trace
 repeats a handful of layouts, so `render_records` draws each layout's grid
 (row 1, row 0 and the caret line) once per call, keyed by every member's
 (id, x - least x, y); only the header line is formatted for every record.
+
+Without a window a panel spans every column from the least to the greatest
+x, so a layout wider than MAX_WIDTH columns is refused rather than drawn.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pebblewalk.collective import StepRecord
 
 _FIXED = {2: "B", 3: "C", 4: "D", 5: "H"}
 _SPARE = [c for c in "EFGIJKLMNOPQRSTUVWXYZ"]
+MAX_WIDTH = 1000  # columns a panel may span when no window is given
 
 
 def member_letter(member: int) -> str:
@@ -68,6 +72,8 @@ def _layout(positions) -> tuple[tuple[int, int, int], ...]:
 def _draw(layout: tuple[tuple[int, int, int], ...], window: Optional[int]) -> str:
     """The grid lines of a layout at least x 0, each after a newline."""
     hi = max(x for _, x, _ in layout)
+    if window is None and hi >= MAX_WIDTH:
+        raise ValueError(f"a panel would span {hi + 1} columns, more than {MAX_WIDTH}; pass --window")
     if window is not None:
         if window < 1:
             raise ValueError("window must be at least 1")

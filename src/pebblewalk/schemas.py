@@ -28,7 +28,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .collective import at_origin, move_onto
-from .graph import Graph, bfs_path, strong_components
+from .graph import Graph, bfs_path, cycle_components
 from .lattice import IDENTITY, X_REFLECTION, Y_REFLECTION, Symmetry, Vertex, neighbors, vertex
 from .machine import MemberId, Observation, observe, occupants
 from .util import FrozenMap, Memo
@@ -406,15 +406,10 @@ class _JointEdge(NamedTuple):
     step: JointStep
 
 
-def _closing_transfers(g: Graph) -> list[int]:
-    """Transfer edges on some cycle: exactly those whose ends share an SCC."""
-    comp = strong_components(g)
-    return [ei for ei, e in enumerate(g.edges) if e.step.carried and comp[e.src] == comp[e.dst]]
-
-
-def _extract_witness(g: Graph, depth: int) -> Optional[Witness]:
+def _extract_witness(g: Graph, closing: list[int], depth: int) -> Optional[Witness]:
+    """The first valid witness closed by a transfer edge in `closing`."""
     candidates = sorted(
-        _closing_transfers(g),
+        closing,
         key=lambda ei: (g.depths[g.edges[ei].dst], g.edges[ei].src, g.edges[ei].dst),
     )
     for ei in candidates:
@@ -466,10 +461,12 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
                     v = g.add_node(key, (na, nb), g.depths[u] + 1)
                     queue.append(v)
                 g.add_edge(_JointEdge(u, v, step))
-        witness = _extract_witness(g, depth)
+        # the transfer edges that lie on some cycle
+        closing = [ei for _, edges in cycle_components(g) for ei in edges if g.edges[ei].step.carried]
+        witness = _extract_witness(g, closing, depth)
         if witness is not None:
             return IndistinguishabilityOutcome(WITNESS, witness, len(g.reps), frontier_cut)
-    if frontier_cut or _closing_transfers(g):
+    if frontier_cut or closing:
         return IndistinguishabilityOutcome(DEPTH_EXHAUSTED, None, len(g.reps), frontier_cut)
     return IndistinguishabilityOutcome(DISTINCT, None, len(g.reps), False)
 
@@ -589,6 +586,8 @@ def worst_case_indistinguishable_configs(
 
 # --- confined cycles -------------------------------------------------------
 
+MAX_CYCLE_LEN = 6  # edges in the longest closed schema walk tried
+
 
 @dataclass(frozen=True)
 class ConfinementCycle:
@@ -609,48 +608,44 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def _cycles_from(adjacency, start: Schema, max_len: int):
-    def rec(current, path, visited):
-        if len(path) >= max_len:
-            return
-        for edge in adjacency.get(current, ()):
-            if edge.target == start:
-                yield [*path, edge]
-            elif edge.target not in visited and len(path) + 1 < max_len:
-                yield from rec(edge.target, [*path, edge], visited | {edge.target})
+def _cycles_from(adjacency, start: Schema, current: Schema, path: list, visited: set):
+    """Closed walks back to `start` that extend `path`, which ends at `current`."""
+    for edge in adjacency.get(current, ()):
+        if edge.target == start:
+            yield [*path, edge]
+        elif edge.target not in visited and len(path) + 1 < MAX_CYCLE_LEN:
+            yield from _cycles_from(adjacency, start, edge.target, [*path, edge], visited | {edge.target})
 
-    yield from rec(start, [], {start})
+
+def _replay_from(cycle_edges, pebbles: int, initial, occupancy, i, moves, xs):
+    """Moves replaying cycle_edges[i:] from `occupancy` back to `initial`, with the x values met."""
+    if i == len(cycle_edges):
+        return (moves, xs) if occupancy == initial else None
+    edge = cycle_edges[i]
+    if Schema(frozenset(occupancy), pebbles) != edge.source:
+        return None
+    for src in sorted(occupancy):
+        for dst in neighbors(src):
+            if (occupancy.get(dst, 0) >= 1) != (edge.label == TO_OCCUPIED):
+                continue
+            after = Counter(occupancy)
+            after[src] -= 1
+            if after[src] == 0:
+                del after[src]
+            after[dst] += 1
+            if Schema(frozenset(after), pebbles) != edge.target:
+                continue
+            out = _replay_from(cycle_edges, pebbles, initial, after, i + 1, [*moves, (src, dst)], xs | {dst.x})
+            if out is not None:
+                return out
+    return None
 
 
 def _replay_cycle(cycle_edges, pebbles: int):
-    entry = cycle_edges[0].source
-    cells = entry.sorted_vertices
-
-    def rec(initial, occupancy, i, moves, xs):
-        if i == len(cycle_edges):
-            return (moves, xs) if occupancy == initial else None
-        edge = cycle_edges[i]
-        if Schema(frozenset(occupancy), pebbles) != edge.source:
-            return None
-        for src in sorted(occupancy):
-            for dst in neighbors(src):
-                if (occupancy.get(dst, 0) >= 1) != (edge.label == TO_OCCUPIED):
-                    continue
-                after = Counter(occupancy)
-                after[src] -= 1
-                if after[src] == 0:
-                    del after[src]
-                after[dst] += 1
-                if Schema(frozenset(after), pebbles) != edge.target:
-                    continue
-                out = rec(initial, after, i + 1, [*moves, (src, dst)], xs | {dst.x})
-                if out is not None:
-                    return out
-        return None
-
+    cells = cycle_edges[0].source.sorted_vertices
     for counts in _compositions(pebbles, len(cells)):
         initial = Counter(dict(zip(cells, counts)))
-        out = rec(initial, initial, 0, [], {v.x for v in initial})
+        out = _replay_from(cycle_edges, pebbles, initial, initial, 0, [], {v.x for v in initial})
         if out is not None:
             moves, xs = out
             start = tuple(sorted(v for v, c in initial.items() for _ in range(c)))
@@ -658,10 +653,10 @@ def _replay_cycle(cycle_edges, pebbles: int):
     return None
 
 
-def find_confinement_cycle(graph: SchemaGraph, max_len: int = 6) -> Optional[ConfinementCycle]:
+def find_confinement_cycle(graph: SchemaGraph) -> Optional[ConfinementCycle]:
     """First closed schema walk whose replay returns every pebble home.
 
-    Walks avoiding single-vertex schemas are preferred because collapsing
+    Walks have at most MAX_CYCLE_LEN edges.  Walks avoiding single-vertex schemas are preferred because collapsing
     all pebbles onto one vertex forgets the layout's orientation; stacked
     walks are still returned when nothing else closes.
     """
@@ -677,7 +672,7 @@ def find_confinement_cycle(graph: SchemaGraph, max_len: int = 6) -> Optional[Con
             s: [e for e in adjacency.get(s, []) if e.target in members] for s in pool
         }
         for start in pool:
-            for cycle_edges in _cycles_from(pruned, start, max_len):
+            for cycle_edges in _cycles_from(pruned, start, start, [], {start}):
                 replay = _replay_cycle(cycle_edges, graph.pebbles)
                 if replay is not None:
                     start_layout, moves, spread = replay

@@ -44,54 +44,36 @@ from pebblewalk.util import FrozenMap
 
 LOOP_HEADER = "gather-rear"
 
-
-@dataclass(frozen=True)
-class RoleAssignment:
-    """Which pebble id plays which formation role.
-
-    rear/mid/front sit on the bottom row in marching order; top starts above
-    mid.  Ids must be exactly {2, 3, 4, 5} in some order.
-    """
-
-    rear: MemberId = 2
-    mid: MemberId = 3
-    front: MemberId = 4
-    top: MemberId = 5
-
-    def __post_init__(self) -> None:
-        if sorted((self.rear, self.mid, self.front, self.top)) != [2, 3, 4, 5]:
-            raise ValueError("roles must assign ids 2..5 bijectively")
+# Pebble ids by formation role: rear, mid and front sit on the bottom row in
+# marching order, and top starts above mid.
+REAR, MID, FRONT, TOP = 2, 3, 4, 5
 
 
-def _leader(roles: RoleAssignment) -> Automaton:
-    r, c, d, h = roles.rear, roles.mid, roles.front, roles.top
-
-    def rule(state, pat, out, nxt):
-        return Rule(state, pat, out, nxt)
-
+def _leader() -> Automaton:
+    r, c, d, h = REAR, MID, FRONT, TOP
     rules = (
-        rule("gather-rear", WILDCARD, move_to_set({c}), "gather-mid"),
-        rule("gather-mid", WILDCARD, move_to_set({d}), "push-front"),
-        rule("push-front", WILDCARD, MOVE_TO_FREE, "orient"),
+        Rule("gather-rear", WILDCARD, move_to_set({c}), "gather-mid"),
+        Rule("gather-mid", WILDCARD, move_to_set({d}), "push-front"),
+        Rule("push-front", WILDCARD, MOVE_TO_FREE, "orient"),
         # branch test: is the top pebble adjacent after stepping off the front?
-        rule("orient", ObservationPattern(None, [("has", h), None, None]), move_to_set({h}), "swap-top-front"),
-        rule("orient", WILDCARD, move_to_set({c}), "walk-back-rear"),
-        rule("swap-top-front", WILDCARD, move_to_set({d}), "settle-front"),
-        rule("settle-front", WILDCARD, move_to_set({c}), "extend-front"),
-        rule("extend-front", WILDCARD, MOVE_TO_FREE, "return-mid"),
-        rule("walk-back-rear", WILDCARD, move_to_set({r}), "climb-top"),
-        rule("climb-top", WILDCARD, move_to_set({h}), "carry-top-rear"),
-        rule("carry-top-rear", WILDCARD, move_to_set({r}), "carry-top-mid"),
-        rule("carry-top-mid", WILDCARD, move_to_set({c}), "raise-top"),
-        rule("raise-top", WILDCARD, MOVE_TO_FREE, "return-mid"),
-        rule("return-mid", WILDCARD, move_to_set({c}), "return-rear"),
-        rule("return-rear", WILDCARD, move_to_set({r}), LOOP_HEADER),
+        Rule("orient", ObservationPattern(None, [("has", h), None, None]), move_to_set({h}), "swap-top-front"),
+        Rule("orient", WILDCARD, move_to_set({c}), "walk-back-rear"),
+        Rule("swap-top-front", WILDCARD, move_to_set({d}), "settle-front"),
+        Rule("settle-front", WILDCARD, move_to_set({c}), "extend-front"),
+        Rule("extend-front", WILDCARD, MOVE_TO_FREE, "return-mid"),
+        Rule("walk-back-rear", WILDCARD, move_to_set({r}), "climb-top"),
+        Rule("climb-top", WILDCARD, move_to_set({h}), "carry-top-rear"),
+        Rule("carry-top-rear", WILDCARD, move_to_set({r}), "carry-top-mid"),
+        Rule("carry-top-mid", WILDCARD, move_to_set({c}), "raise-top"),
+        Rule("raise-top", WILDCARD, MOVE_TO_FREE, "return-mid"),
+        Rule("return-mid", WILDCARD, move_to_set({c}), "return-rear"),
+        Rule("return-rear", WILDCARD, move_to_set({r}), LOOP_HEADER),
     )
     return Automaton(initial=LOOP_HEADER, rules=rules)
 
 
-def _pebbles(roles: RoleAssignment):
-    r, c, d, h = roles.rear, roles.mid, roles.front, roles.top
+def _pebbles():
+    r, c, d, h = REAR, MID, FRONT, TOP
     P = ObservationPattern
     return {
         r: pebble(
@@ -122,7 +104,7 @@ def _pebbles(roles: RoleAssignment):
     }
 
 
-def build_walker(roles: RoleAssignment = RoleAssignment(), origin_x: int = 0) -> Collective:
+def build_walker(origin_x: int = 0) -> Collective:
     """Construct the collective in its marching layout.
 
     rear, mid, front on the bottom row at origin_x, origin_x+1, origin_x+2;
@@ -130,15 +112,15 @@ def build_walker(roles: RoleAssignment = RoleAssignment(), origin_x: int = 0) ->
     """
     positions = {
         1: Vertex(origin_x, 0),
-        roles.rear: Vertex(origin_x, 0),
-        roles.mid: Vertex(origin_x + 1, 0),
-        roles.front: Vertex(origin_x + 2, 0),
-        roles.top: Vertex(origin_x + 1, 1),
+        REAR: Vertex(origin_x, 0),
+        MID: Vertex(origin_x + 1, 0),
+        FRONT: Vertex(origin_x + 2, 0),
+        TOP: Vertex(origin_x + 1, 1),
     }
     return Collective(
         name="walker14",
-        leader=_leader(roles),
-        pebbles=FrozenMap(_pebbles(roles)),
+        leader=_leader(),
+        pebbles=FrozenMap(_pebbles()),
         initial_positions=FrozenMap(positions),
     )
 
@@ -180,7 +162,6 @@ class IterationReport:
 def verify_theorem2(
     iterations: int,
     adversary,
-    collective: Collective | None = None,
     c1: int = 2,
     c2: int = 22,
 ) -> IterationReport:
@@ -194,9 +175,7 @@ def verify_theorem2(
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    col = collective if collective is not None else build_walker()
-    initial = col.initial_state()
-    trace = run(initial, adversary, 11 * iterations)
+    trace = run(build_walker().initial_state(), adversary, 11 * iterations)
     failures: list[str] = []
 
     headers = [t for t, rec in enumerate(trace.records) if rec.states[1] == LOOP_HEADER]

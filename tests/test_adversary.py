@@ -31,7 +31,7 @@ from pebblewalk.collective import (
     run,
     step,
 )
-from pebblewalk.graph import Graph
+from pebblewalk.graph import Graph, cycle_components
 from pebblewalk.lattice import vertex, x_translation
 from pebblewalk.machine import Automaton, ObservationPattern, move_to_set, pebble
 from pebblewalk.strategies import (
@@ -229,23 +229,29 @@ def _random_graph(rng: random.Random) -> Graph:
     return g
 
 
-def _simple_cycle_weights_by_component(g: Graph) -> dict[frozenset, set[int]]:
-    """Brute force: weights of every simple cycle (as an edge sequence),
-    keyed by the strongly connected component it lies in."""
+def _mutual_classes(g: Graph) -> list[frozenset]:
+    """Brute force: node -> the nodes it reaches and is reached from."""
     n = len(g.reps)
     reach = [[u == v for v in range(n)] for u in range(n)]
     for e in g.edges:
         reach[e.src][e.dst] = True
     for k, u, v in itertools.product(range(n), repeat=3):
         reach[u][v] = reach[u][v] or (reach[u][k] and reach[k][v])
+    return [frozenset(v for v in range(n) if reach[u][v] and reach[v][u]) for u in range(n)]
+
+
+def _simple_cycle_weights_by_component(g: Graph) -> dict[frozenset, set[int]]:
+    """Brute force: weights of every simple cycle (as an edge sequence),
+    keyed by the strongly connected component it lies in."""
+    n = len(g.reps)
+    classes = _mutual_classes(g)
     weights: dict[frozenset, set[int]] = {}
 
     def extend(start, node, visited, weight):
         for ei in g.out[node]:
             e = g.edges[ei]
             if e.dst == start:
-                comp = frozenset(v for v in range(n) if reach[start][v] and reach[v][start])
-                weights.setdefault(comp, set()).add(weight + e.weight)
+                weights.setdefault(classes[start], set()).add(weight + e.weight)
             elif e.dst > start and e.dst not in visited:
                 extend(start, e.dst, visited | {e.dst}, weight + e.weight)
 
@@ -272,6 +278,21 @@ def test_find_zero_walk_matches_simple_cycle_oracle():
         for a, b in zip(walk, walk[1:]):
             assert g.edges[a].dst == g.edges[b].src
         assert sum(g.edges[ei].weight for ei in walk) == 0
+        classes = _mutual_classes(g)
+        assert all(classes[g.edges[ei].src] == classes[g.edges[ei].dst] == classes[base] for ei in walk)
+
+
+def test_cycle_components_match_mutual_reachability():
+    rng = random.Random(14)
+    for _ in range(3000):
+        g = _random_graph(rng)
+        classes = _mutual_classes(g)
+        want = []
+        for nodes in sorted({tuple(sorted(c)) for c in classes}):
+            edges = [ei for ei, e in enumerate(g.edges) if e.src in nodes and e.dst in nodes]
+            if edges:
+                want.append((list(nodes), edges))
+        assert cycle_components(g) == want
 
 
 def test_defeat_rejects_four_pebbles():

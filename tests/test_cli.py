@@ -11,9 +11,10 @@ from pebblewalk.adversary import Oscillator, ScriptedChoices
 from pebblewalk.cli import main, parse_adversary
 from pebblewalk.collective import run
 from pebblewalk.strategies import build_free_walker
-from pebblewalk.strategy_format import emit_strategy
+from pebblewalk.strategy_format import MAX_MEMBERS, emit_strategy
 from pebblewalk.tracefile import make_document, read_document, render_document, write_document
 from pebblewalk.walker14 import build_walker
+from test_strategy_format import crowd
 
 TWO_STATE_PEBBLE = """\
 format: pebblewalk-strategy 1
@@ -248,6 +249,13 @@ def test_defeat_rejects_overlong_member_count(tmp_path, capsys):
     assert "member count has more than 18 digits" in capsys.readouterr().err
 
 
+def test_defeat_rejects_too_many_members(tmp_path, capsys):
+    path = tmp_path / "crowd.strategy"
+    path.write_text(crowd(16))
+    assert main(["defeat", str(path)]) == 2
+    assert f"line 3, col 1: members must be at most {MAX_MEMBERS}" in capsys.readouterr().err
+
+
 def test_check_rejects_bad_window(tmp_path):
     _, out = simulate(tmp_path, horizon=5)
     assert main(["check", str(out), "--c1", "2", "--c2", "0"]) == 2
@@ -410,6 +418,33 @@ def test_render_window_flag(tmp_path, capsys):
     _, out = simulate(tmp_path, horizon=0)
     assert main(["render", str(out), "--window", "1"]) == 0
     assert " 0 | B" in capsys.readouterr().out
+
+
+FAR_PEBBLE = """\
+format: pebblewalk-strategy 1
+strategy far
+members 2
+leader initial s
+rule s: * | * -> free then s
+pebble 2 idler
+place 1 (0,0)
+place 2 (5000000,0)
+"""
+
+
+def test_render_refuses_a_far_pebble_without_a_window(tmp_path, capsys):
+    strategy = tmp_path / "far.strategy"
+    strategy.write_text(FAR_PEBBLE)
+    code, out = simulate(tmp_path, strategy=str(strategy), horizon=1)
+    assert code == 0
+    assert len(read_document(str(out)).records) == 2
+    capsys.readouterr()
+    assert main(["render", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "5000001 columns, more than 1000; pass --window" in captured.err
+    assert main(["render", str(out), "--window", "3"]) == 0
+    assert len(capsys.readouterr().out) < 200
 
 
 def test_render_rejects_malformed(tmp_path):

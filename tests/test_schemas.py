@@ -7,6 +7,7 @@ no dependency on the module under test.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from itertools import product
 
@@ -535,6 +536,22 @@ def test_three_pebble_confinement_cycle():
     assert cycle is not None
     assert len(cycle.steps) >= 2
     _replay_confinement(cycle)
+
+
+def test_confinement_cycle_search_leaves_no_cyclic_garbage():
+    # A function that recurses through a nested function calling itself is a
+    # reference cycle, which only the cyclic collector frees.
+    graph = transfer_graph(3)
+    find_confinement_cycle(graph)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert find_confinement_cycle(graph) is not None
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_two_pebble_confinement_cycle():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from pebblewalk.machine import MOVE_TO_FREE, STAY, move_to_set, parse_output
 from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
 from pebblewalk.strategy_format import (
     MAX_DIGITS,
+    MAX_MEMBERS,
     ParseError,
     StrategyFile,
     emit_strategy,
@@ -155,7 +157,34 @@ def test_numbers_at_the_digit_cap_parse():
 
 def test_large_member_count_fails_without_listing_every_id():
     err = error_at(MINIMAL.replace("members 1", "members " + "9" * MAX_DIGITS))
+    assert (err.line, err.reason) == (3, f"members must be at most {MAX_MEMBERS}")
+    err = error_at(MINIMAL.replace("members 1", f"members {MAX_MEMBERS}"))
     assert "pebble 2 is never declared" in err.reason
+
+
+def crowd(members: int) -> str:
+    """A complete strategy: a leader, one pebble riding it, the rest idle."""
+    lines = [
+        "format: pebblewalk-strategy 1",
+        "strategy crowd",
+        f"members {members}",
+        "leader initial s",
+        "rule s: * | * -> free then s",
+        "pebble 2 rider when {1} | * -> free",
+        *(f"pebble {pid} idler{pid}" for pid in range(3, members + 1)),
+        *(f"place {m} (0,0)" for m in range(1, members + 1)),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_member_cap_is_checked_before_any_enumeration():
+    # Validation work grows about 4.5x per member: 16 members would take hours.
+    assert len(parse_strategy(crowd(MAX_MEMBERS)).collective.members) == MAX_MEMBERS
+    started = time.perf_counter()
+    err = error_at(crowd(16))
+    assert time.perf_counter() - started < 0.5
+    assert (err.line, err.col) == (3, 1)
+    assert err.reason == f"members must be at most {MAX_MEMBERS}"
 
 
 def test_missing_format_header():

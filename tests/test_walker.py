@@ -12,7 +12,6 @@ from pebblewalk.lattice import X_REFLECTION, vertex
 from pebblewalk.walker14 import (
     LOOP_HEADER,
     IterationReport,
-    RoleAssignment,
     build_walker,
     iterate,
     occupied_schema,
@@ -33,11 +32,6 @@ def test_initial_layout():
 
 def test_pebble_tables_pass_the_validator():
     assert build_walker().validate_pebbles() == []
-
-
-def test_role_assignment_must_be_a_bijection():
-    with pytest.raises(ValueError):
-        RoleAssignment(rear=2, mid=2, front=4, top=5)
 
 
 def test_iteration_step_counts():
