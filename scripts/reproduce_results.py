@@ -27,7 +27,7 @@ from pebblewalk.adversary import (
     finalize_certificate,
     search_lasso,
 )
-from pebblewalk.collective import coordinate
+from pebblewalk.collective import coordinate_of
 from pebblewalk.schemas import (
     DISTINCT,
     WITNESS,
@@ -77,7 +77,7 @@ for adversary in (FirstOption(), LastOption(), SeededRandom(42)):
 
 section("coordinate anchor")
 state = build_walker(origin_x=0).initial_state()
-point = coordinate(state)
+point = coordinate_of(state.positions)
 check("initial coordinate", (point.x, point.y), (Fraction(4, 5), Fraction(1, 5)))
 
 section("schema enumeration")

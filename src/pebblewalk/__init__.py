@@ -26,7 +26,6 @@ from pebblewalk.machine import (
     MoveToSet,
     Observation,
     ObservationPattern,
-    Pebble,
     Rule,
     Stay,
     format_output,
@@ -47,11 +46,10 @@ from pebblewalk.collective import (
     Verdict,
     check_directed,
     check_uniform,
-    coordinate,
-    diameter,
+    coordinate_of,
+    diameter_of,
     find_isolated,
     run,
-    step,
 )
 from pebblewalk.adversary import (
     FirstOption,
@@ -64,7 +62,7 @@ from pebblewalk.adversary import (
     finalize_certificate,
     search_lasso,
 )
-from pebblewalk.walker14 import build_walker, iterate, verify_theorem2
+from pebblewalk.walker14 import build_walker, verify_theorem2
 from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
 from pebblewalk.schemas import (
     Schema,
@@ -93,6 +91,6 @@ from pebblewalk.tracefile import (
     render_document,
     write_document,
 )
-from pebblewalk.render import render_panel, render_records
+from pebblewalk.render import render_records
 
 __version__ = "0.1.0"

@@ -103,10 +103,11 @@ class ScriptedChoices:
 
 
 class Oscillator:
-    """Heuristic adversary that pulls the leader back toward a home column."""
+    """Heuristic adversary that pulls the leader back toward a home column:
+    the leader's column at the first consultation."""
 
-    def __init__(self, home_x: Optional[int] = None):
-        self.home_x = home_x
+    def __init__(self):
+        self.home_x = None
         self.name = "oscillator"
 
     def choose(self, options: Sequence[Vertex], ctx: ChoiceContext) -> int:
@@ -344,11 +345,14 @@ def _certificate_from_edges(
 def finalize_certificate(initial: CollectiveState, cert: LassoCertificate) -> Optional[LassoCertificate]:
     """Replay-validate; fill in the measured confinement radius.
 
-    Returns None when the replay does not reproduce the exact configuration
-    and internal states at both cycle boundaries.  The displacement and
-    radius come from integer position sums, divided by the member count
-    once.
+    Returns None when the step counts do not make a lasso (a prefix of at
+    least 0 steps and a cycle of at least 1) or the replay does not
+    reproduce the exact configuration and internal states at both cycle
+    boundaries.  The displacement and radius come from integer position
+    sums, divided by the member count once.
     """
+    if cert.prefix_steps < 0 or cert.cycle_steps < 1:
+        return None
     script = ScriptedChoices(list(cert.prefix) + list(cert.cycle) * 2)
     horizon = cert.prefix_steps + 2 * cert.cycle_steps
     try:

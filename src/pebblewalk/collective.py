@@ -15,10 +15,9 @@ Automata see neither coordinates nor direction, so stepping works on
 translation classes: a Quotient numbers the classes one call meets, plans
 each once, and follows (class, option index) along a Move to (next class,
 anchor shift).  `walk` streams steps through one, `run` collects a prefix of
-that stream, and the lasso search in `adversary` expands one as its graph;
-`step` is the plain reference that plans every configuration afresh.  The
-Quotient is the only memo here and lives for one call: a later step of a
-class only shifts its plan's leader vertex and options, and its record
+that stream, and the lasso search in `adversary` expands one as its graph.
+The Quotient is the only memo here and lives for one call: a later step of
+a class only shifts its plan's leader vertex and options, and its record
 shares the plan's outputs, next-states and carried objects.  Records, plans
 and states are named tuples.
 """
@@ -37,7 +36,6 @@ from pebblewalk.machine import (
     Automaton,
     MemberId,
     Output,
-    Pebble,
     StateId,
     Stay,
     observe,
@@ -58,7 +56,7 @@ class Collective:
 
     name: str
     leader: Automaton
-    pebbles: FrozenMap  # MemberId -> Pebble
+    pebbles: FrozenMap  # MemberId -> one-state Automaton
     initial_positions: FrozenMap  # MemberId -> Vertex
 
     def __post_init__(self) -> None:
@@ -74,14 +72,13 @@ class Collective:
         return (1, *sorted(self.pebbles))
 
     def machine_for(self, member: MemberId) -> Automaton:
-        return self.leader if member == 1 else self.pebbles[member].automaton()
+        return self.leader if member == 1 else self.pebbles[member]
 
-    def initial_state(self, positions: Optional[Mapping[MemberId, Vertex]] = None) -> "CollectiveState":
-        pos = FrozenMap(positions if positions is not None else self.initial_positions)
+    def initial_state(self) -> "CollectiveState":
         states = {1: self.leader.initial}
         for pid, p in self.pebbles.items():
-            states[pid] = p.name
-        return CollectiveState(self, pos, FrozenMap(states), 0)
+            states[pid] = p.initial
+        return CollectiveState(self, FrozenMap(self.initial_positions), FrozenMap(states), 0)
 
     def pebble_problems(self, pid: MemberId) -> tuple[str, ...]:
         """validate_pebble's messages for pebble pid among all members.
@@ -261,14 +258,6 @@ def apply_choice(state: CollectiveState, plan: StepPlan, choice: Vertex) -> tupl
     )
 
 
-def step(state: CollectiveState, adversary, digest: Optional[bytes] = None) -> tuple[CollectiveState, StepRecord]:
-    """Advance one synchronous step under the given adversary."""
-    if digest is None:
-        digest = initial_digest(state.collective)
-    plan = plan_step(state)
-    return apply_choice(state, plan, plan.options[_pick(state, plan, adversary, digest)])
-
-
 def _pick(state: CollectiveState, plan: StepPlan, adversary, digest: bytes) -> int:
     """Index of the chosen option: the adversary's pick when it has a real choice."""
     if not plan.consulted:
@@ -394,15 +383,11 @@ def _shifted(plan: StepPlan, dx: int) -> StepPlan:
 
 
 def coordinate_of(positions: Mapping[MemberId, Vertex]) -> RationalPoint:
+    """Exact mean position of all members, leader included."""
     n = len(positions)
     sx = sum(v.x for v in positions.values())
     sy = sum(v.y for v in positions.values())
     return RationalPoint(Fraction(sx, n), Fraction(sy, n))
-
-
-def coordinate(state: CollectiveState) -> RationalPoint:
-    """Exact mean position of all members, leader included."""
-    return coordinate_of(state.positions)
 
 
 def at_origin(positions: Mapping[MemberId, Vertex]) -> tuple[FrozenMap, int]:
@@ -418,13 +403,9 @@ def at_origin(positions: Mapping[MemberId, Vertex]) -> tuple[FrozenMap, int]:
 
 
 def diameter_of(positions: Mapping[MemberId, Vertex]) -> int:
+    """Largest per-axis spread of member positions."""
     xs, ys = zip(*positions.values())
     return max(max(xs) - min(xs), max(ys) - min(ys))
-
-
-def diameter(state: CollectiveState) -> int:
-    """Largest per-axis spread of member positions."""
-    return diameter_of(state.positions)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Automaton model: observations, output symbols, rule tables, pebble legality.
 
 Members are numbered 1..m+1.  Member 1 is the lone freely moving automaton;
-members 2..m+1 are pebbles, single-state machines that only ever move by
-riding along with member 1.  An observation captures everything a member can
-sense: who shares its vertex and the unordered multiset of occupant sets on
-its three neighbor vertices.  Because the multiset is unordered, observations
-are invariant under every symmetry of the lattice by construction.
+members 2..m+1 are pebbles, each a one-state `Automaton` (its state is its
+name) that only ever moves by riding along with member 1.  An observation
+captures everything a member can sense: who shares its vertex and the
+unordered multiset of occupant sets on its three neighbor vertices.  Because
+the multiset is unordered, observations are invariant under every symmetry
+of the lattice by construction.
 
 Inside an observation a member set is an integer mask, bit m standing for
 member m: `observe` ORs bits in one pass, the enumeration of realizable
@@ -323,23 +324,9 @@ class Automaton:
         return ids
 
 
-@dataclass(frozen=True)
-class Pebble:
-    """Single-state member: a rule list over one implicit state."""
-
-    name: StateId
-    rules: tuple[Rule, ...]
-
-    def automaton(self) -> Automaton:
-        machine = self.__dict__.get("_automaton")
-        if machine is None:
-            machine = Automaton(initial=self.name, rules=self.rules)
-            object.__setattr__(self, "_automaton", machine)
-        return machine
-
-
-def pebble(name: StateId, rows: Iterable[tuple[ObservationPattern, Output]]) -> Pebble:
-    return Pebble(name, tuple(Rule(name, p, out, name) for p, out in rows))
+def pebble(name: StateId, rows: Iterable[tuple[ObservationPattern, Output]]) -> Automaton:
+    """A one-state automaton: its state is its name, and every row keeps it."""
+    return Automaton(name, tuple(Rule(name, p, out, name) for p, out in rows))
 
 
 def consistent_observations(universe: Iterable[MemberId], observer: Optional[MemberId]) -> list[Observation]:
@@ -391,9 +378,7 @@ def _place_restricted(
 _LEADER_BIT = 1 << 1
 
 
-def validate_pebble(
-    p: Pebble, leader: Automaton, universe: Optional[Iterable[MemberId]] = None, *, observer: MemberId
-) -> list[str]:
+def validate_pebble(p: Automaton, leader: Automaton, universe: Iterable[MemberId], *, observer: MemberId) -> list[str]:
     """Check the two pebble conditions for the pebble that is member
     `observer`; violations come back as messages.
 
@@ -402,31 +387,27 @@ def validate_pebble(
     some state of the leader must emit the same output on its own view of
     that placement: the same neighbourhood, with the pebble in place of
     member 1 among the co-located.  The check runs the actual rule tables
-    over every consistent observation drawn from the member universe
-    (defaulting to all ids the two machines mention, plus member 1).
+    over every consistent observation drawn from the member universe.
     """
     problems: list[str] = []
-    states = {r.state for r in p.rules} | {r.next_state for r in p.rules} | {p.name}
-    if len(states) != 1:
-        problems.append(f"pebble {p.name!r} has {len(states)} states, needs exactly 1")
-    machine = p.automaton()
-    if universe is None:
-        universe = machine.mentioned_members() | leader.mentioned_members() | {1}
+    name = p.initial
+    if len(p.states) != 1:
+        problems.append(f"pebble {name!r} has {len(p.states)} states, needs exactly 1")
     own_bit = _member_mask((observer,))
     for obs in consistent_observations(universe, observer):
-        out, _ = machine.act(p.name, obs)
+        out, _ = p.act(name, obs)
         if isinstance(out, Stay):
             continue
         alpha, a, b, c = obs
         if not alpha & _LEADER_BIT:
             problems.append(
-                f"pebble {p.name!r} moves on {obs} without member 1 co-located"
+                f"pebble {name!r} moves on {obs} without member 1 co-located"
             )
             continue
         leader_view = _new_tuple(Observation, (alpha ^ _LEADER_BIT | own_bit, a, b, c))
         if out not in leader.outputs_for_observation(leader_view):
             problems.append(
-                f"pebble {p.name!r} emits {format_output(out)} on {obs},"
+                f"pebble {name!r} emits {format_output(out)} on {obs},"
                 " which member 1 never emits there"
             )
     return problems

@@ -12,8 +12,9 @@ repeats a handful of layouts, so `render_records` draws each layout's grid
 (row 1, row 0 and the caret line) once per call, keyed by every member's
 (id, x - least x, y); only the header line is formatted for every record.
 
-Without a window a panel spans every column from the least to the greatest
-x, so a layout wider than MAX_WIDTH columns is refused rather than drawn.
+A panel spans every column from the least to the greatest x, or the first
+`window` of them, and one wider than MAX_WIDTH columns is refused rather
+than drawn.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pebblewalk.collective import StepRecord
 
 _FIXED = {2: "B", 3: "C", 4: "D", 5: "H"}
 _SPARE = [c for c in "EFGIJKLMNOPQRSTUVWXYZ"]
-MAX_WIDTH = 1000  # columns a panel may span when no window is given
+MAX_WIDTH = 1000  # columns a panel may span
 
 
 def member_letter(member: int) -> str:
@@ -36,13 +37,9 @@ def member_letter(member: int) -> str:
     return "?"
 
 
-def render_panel(record: StepRecord, window: Optional[int] = None) -> str:
-    """One panel: header line, row-1 line, row-0 line, caret line."""
-    return _header(record) + _draw(_layout(record.positions), window)
-
-
 def render_records(records: Iterable[StepRecord], window: Optional[int] = None) -> str:
-    """Panels for every record, separated by blank lines."""
+    """Panels for every record, separated by blank lines.  A panel is a
+    header line, the row-1 line, the row-0 line and the caret line."""
     grids: dict[tuple, str] = {}  # layout -> its grid lines, for this call only
     panels = []
     for record in records:
@@ -72,12 +69,13 @@ def _layout(positions) -> tuple[tuple[int, int, int], ...]:
 def _draw(layout: tuple[tuple[int, int, int], ...], window: Optional[int]) -> str:
     """The grid lines of a layout at least x 0, each after a newline."""
     hi = max(x for _, x, _ in layout)
-    if window is None and hi >= MAX_WIDTH:
-        raise ValueError(f"a panel would span {hi + 1} columns, more than {MAX_WIDTH}; pass --window")
     if window is not None:
         if window < 1:
             raise ValueError("window must be at least 1")
         hi = min(hi, window - 1)
+    if hi >= MAX_WIDTH:
+        hint = "pass --window" if window is None else f"pass --window {MAX_WIDTH} or less"
+        raise ValueError(f"a panel would span {hi + 1} columns, more than {MAX_WIDTH}; {hint}")
 
     cells: dict[tuple[int, int], str] = {}
     leader = None

@@ -512,14 +512,9 @@ def _by_observation(placed) -> dict[Observation, list[FrozenMap]]:
     return groups
 
 
-def _config_starts(placed_a, groups_b: Mapping[Observation, list[FrozenMap]]):
-    """Start pairs in a-spot order, then b-spot order, agreeing on observation."""
-    for pos_a, seen in placed_a:
-        for pos_b in groups_b.get(seen, ()):
-            yield pos_a, pos_b
-
-
 def _schema_starts(a: Schema, b: Schema):
+    """Start pairs agreeing on the automaton's observation: per pair of
+    interpretations, in a-spot order, then b-spot order."""
     mid_a, mid_b = _middle_vertex(a), _middle_vertex(b)
     placed_a = [(ia, _placements(ia)) for ia in _interpretations(a)]
     groups_b = [(ib, _by_observation(_placements(ib))) for ib in _interpretations(b)]
@@ -530,7 +525,9 @@ def _schema_starts(a: Schema, b: Schema):
                 center_b = next(m for m, v in ib.items() if v == mid_b)
                 if center_a != center_b:
                     continue
-            yield from _config_starts(placed, groups)
+            for pos_a, seen in placed:
+                for pos_b in groups.get(seen, ()):
+                    yield pos_a, pos_b
 
 
 def _prioritized(pairs) -> list:
@@ -565,23 +562,6 @@ def worst_case_indistinguishable(
     if a.pebbles != b.pebbles:
         raise ValueError("schemas with different pebble counts are incomparable")
     return _search(_prioritized(_schema_starts(a, b)), depth, max_nodes)
-
-
-def worst_case_indistinguishable_configs(
-    pebbles_a: Mapping[MemberId, Vertex],
-    pebbles_b: Mapping[MemberId, Vertex],
-    depth: int = 12,
-    max_nodes: int = 20000,
-) -> IndistinguishabilityOutcome:
-    """Same search for two fixed labeled pebble layouts."""
-    pa = FrozenMap({m: vertex(*v) for m, v in dict(pebbles_a).items()})
-    pb = FrozenMap({m: vertex(*v) for m, v in dict(pebbles_b).items()})
-    if not pa or set(pa) != set(pb):
-        raise ValueError("layouts must place the same nonempty set of pebbles")
-    if 1 in pa:
-        raise ValueError("member 1 is the automaton, not a pebble")
-    starts = _config_starts(_placements(pa), _by_observation(_placements(pb)))
-    return _search(_prioritized(starts), depth, max_nodes)
 
 
 # --- confined cycles -------------------------------------------------------

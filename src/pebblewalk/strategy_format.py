@@ -36,7 +36,6 @@ from pebblewalk.lattice import vertex
 from pebblewalk.machine import (
     Automaton,
     ObservationPattern,
-    Pebble,
     Rule,
     consistent_observations,
     format_output,
@@ -240,18 +239,19 @@ def emit_strategy(collective: Collective) -> str:
             )
     for pid in sorted(collective.pebbles):
         p = collective.pebbles[pid]
+        name = p.initial
         lines.append("")
         if not p.rules:
-            lines.append(f"pebble {pid} {p.name}")
+            lines.append(f"pebble {pid} {name}")
             continue
         for i, r in enumerate(p.rules):
-            if r.state != p.name:
+            if r.state != name:
                 raise ValueError(
                     f"pebble {pid} has a rule in state {r.state!r}, not encodable"
                 )
-            then = "" if r.next_state == p.name else f" then {r.next_state}"
+            then = "" if r.next_state == name else f" then {r.next_state}"
             lines.append(
-                f"pebble {pid} {p.name} when {_emit_pattern(r.pattern)} -> "
+                f"pebble {pid} {name} when {_emit_pattern(r.pattern)} -> "
                 f"{format_output(r.output)}{then} priority {i}"
             )
     lines.append("")
@@ -262,27 +262,53 @@ def emit_strategy(collective: Collective) -> str:
 
 
 def _check_overlaps(tagged_rules, member_count: int, observer: int) -> None:
-    """Overlapping same-state rules must carry distinct explicit priorities."""
+    """Overlapping same-state rules must carry distinct explicit priorities.
+
+    A state with two or more rules, not all with distinct explicit
+    priorities, is checked by matching each realizable observation against
+    each of its rules once; the least overlapping pair is reported.
+    """
     by_state = {}
     for entry in tagged_rules:
         by_state.setdefault(entry[0].state, []).append(entry)
-    universe = range(1, member_count + 1)
     observations = None
     for state, group in by_state.items():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                (ra, la, pa), (rb, lb, pb) = group[i], group[j]
-                if pa is not None and pb is not None and pa != pb:
-                    continue
-                if observations is None:
-                    observations = consistent_observations(universe, observer)
-                if any(ra.pattern.matches(o) and rb.pattern.matches(o) for o in observations):
-                    raise ParseError(
-                        lb,
-                        1,
-                        f"rule overlaps the one at line {la} in state {state!r};"
-                        " give both distinct explicit priorities",
-                    )
+        priorities = [pri for _, _, pri in group]
+        if len(group) < 2 or None not in priorities and len(set(priorities)) == len(priorities):
+            continue
+        if observations is None:
+            observations = consistent_observations(range(1, member_count + 1), observer)
+        pair = _least_overlap([rule.pattern.matches for rule, _, _ in group], priorities, observations)
+        if pair is not None:
+            raise ParseError(
+                group[pair[1]][1],
+                1,
+                f"rule overlaps the one at line {group[pair[0]][1]} in state {state!r};"
+                " give both distinct explicit priorities",
+            )
+
+
+def _least_overlap(matchers, priorities, observations):
+    """The least pair (i, j), i < j, of rules that some observation matches
+    both of and that do not carry distinct explicit priorities, or None.
+
+    Rule i pairs with every later rule when it has no priority, and else
+    with later rules of no priority or of its own.  So one pass over an
+    observation's matching rules, last first, finds each one's least
+    partner from the least later rule of each priority seen so far.
+    """
+    none = len(matchers)
+    best = (none, none)
+    for obs in observations:
+        following = none  # the least matching rule after i
+        later = {}  # priority (None for none) -> the least matching rule after i with it
+        for i in reversed([k for k, matches in enumerate(matchers) if matches(obs)]):
+            p = priorities[i]
+            j = following if p is None else min(later.get(None, none), later.get(p, none))
+            if j < none and (i, j) < best:
+                best = (i, j)
+            later[p] = following = i
+    return None if best[0] == none else best
 
 
 def _order_rules(tagged_rules) -> tuple[Rule, ...]:
@@ -461,7 +487,7 @@ def parse_strategy(text: str) -> StrategyFile:
     leader = Automaton(initial=leader_initial, rules=_order_rules(leader_rules))
     pebbles = {}
     for pid in want_pebbles:
-        pebbles[pid] = Pebble(pebble_names[pid][0], _order_rules(pebble_rows[pid]))
+        pebbles[pid] = Automaton(pebble_names[pid][0], _order_rules(pebble_rows[pid]))
 
     collective = Collective(
         name=name,

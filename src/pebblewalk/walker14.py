@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from pebblewalk.collective import (
     Collective,
-    CollectiveState,
     Trace,
     check_directed,
     coordinate_of,
     diameter_of,
     run,
-    walk,
 )
 from pebblewalk.lattice import Vertex
 from pebblewalk.machine import (
@@ -125,22 +122,6 @@ def build_walker(origin_x: int = 0) -> Collective:
     )
 
 
-def iterate(state: CollectiveState, adversary) -> tuple[CollectiveState, int]:
-    """Run steps until the leader is back at the loop header; 9 or 11 steps.
-
-    The steps are `walk`'s, so the loop is run's first loop, and the
-    adversary is not consulted past the header.  Each call starts the
-    history digest afresh from `initial_digest`, and the digest sees only
-    offsets relative to the leader, so chained calls under `SeededRandom`
-    repeat one loop; sample loop lengths from one `run` instead."""
-    if state.states[1] != LOOP_HEADER:
-        raise ValueError("iterate must start at the loop header")
-    for steps, (state, _) in enumerate(islice(walk(state, adversary), 12), start=1):
-        if state.states[1] == LOOP_HEADER:
-            return state, steps
-    raise RuntimeError("loop did not close within 12 steps")
-
-
 def occupied_schema(positions) -> Schema:
     """Occupied vertex set, translated so its least x is 0."""
     return Schema(frozenset(positions.values()), len(positions))
@@ -159,20 +140,16 @@ class IterationReport:
     trace: Trace
 
 
-def verify_theorem2(
-    iterations: int,
-    adversary,
-    c1: int = 2,
-    c2: int = 22,
-) -> IterationReport:
+def verify_theorem2(iterations: int, adversary) -> IterationReport:
     """Run the walker and check every movement claim it is built to satisfy.
 
     Checks, over `iterations` full loops: diameter stays <= 2 at every step,
     every loop takes 9 or 11 steps, every loop displaces the coordinate by
     the same (+-1, 0), the occupied schema at each loop header matches the
     initial schema, and the directed-movement test holds on the whole trace
-    at (c1, c2).
+    at c1 = 2, c2 = 22.
     """
+    c1, c2 = 2, 22
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     trace = run(build_walker().initial_state(), adversary, 11 * iterations)

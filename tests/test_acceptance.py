@@ -24,7 +24,6 @@ from pebblewalk.adversary import (
     search_lasso,
 )
 from pebblewalk.collective import (
-    coordinate,
     coordinate_of,
     diameter_of,
     run,
@@ -73,12 +72,12 @@ PAIR_COLUMN = Schema(frozenset({(0, 0), (0, 1)}), 3)
 def test_criterion_1_directed_marching_reproduction():
     started = time.monotonic()
     for adversary in (FirstOption(), LastOption()):
-        report = verify_theorem2(100, adversary, c1=2, c2=22)
+        report = verify_theorem2(100, adversary)
         assert report.ok, report.failures
         assert report.iterations == 100
         assert set(report.steps_per_iteration) <= {9, 11}
         assert report.displacement == (Fraction(1), Fraction(0))
-    seeded = verify_theorem2(100, SeededRandom(42), c1=2, c2=22)
+    seeded = verify_theorem2(100, SeededRandom(42))
     assert seeded.iterations == 100
     assert set(seeded.steps_per_iteration) == {9, 11}
     assert max(diameter_of(r.positions) for r in seeded.trace.records) == 2
@@ -97,7 +96,7 @@ def test_criterion_1_directed_marching_reproduction():
 def test_criterion_2_coordinate_anchors():
     for mid_column in (0, 1, 5):
         col = build_walker(origin_x=mid_column - 1)
-        point = coordinate(col.initial_state())
+        point = coordinate_of(col.initial_positions)
         assert (point.x, point.y) == (
             Fraction(mid_column) - Fraction(1, 5),
             Fraction(1, 5),
@@ -221,7 +220,7 @@ def test_criterion_8_property_suites():
         if rec.consulted
     ]
     mirrored = run(
-        col.initial_state(transform_positions(col.initial_positions, X_REFLECTION)),
+        col.initial_state()._replace(positions=transform_positions(col.initial_positions, X_REFLECTION)),
         ScriptedChoices(script),
         70,
     )
@@ -232,9 +231,9 @@ def test_criterion_8_property_suites():
     assert build_walker().validate_pebbles() == []
     leader = Automaton(initial="s", rules=(Rule("s", ObservationPattern(None), MOVE_TO_FREE, "s"),))
     stray = pebble("stray", [(ObservationPattern(frozenset()), MOVE_TO_FREE)])
-    assert any("without member 1" in p for p in validate_pebble(stray, leader, observer=2))
+    assert any("without member 1" in p for p in validate_pebble(stray, leader, {1, 2}, observer=2))
     mover = pebble("mover", [(ObservationPattern({1}), move_to_set({2}))])
-    assert any("never emits" in p for p in validate_pebble(mover, leader, observer=2))
+    assert any("never emits" in p for p in validate_pebble(mover, leader, {1, 2}, observer=2))
 
     # every builtin survives the strategy-file round trip with equal traces
     for name in sorted(BUILTIN_STRATEGIES):
@@ -266,5 +265,5 @@ def test_criterion_8_property_suites():
     ),
 )
 def test_criterion_1_seeded_every_moment_window_check():
-    report = verify_theorem2(100, SeededRandom(42), c1=2, c2=22)
+    report = verify_theorem2(100, SeededRandom(42))
     assert report.ok, report.failures

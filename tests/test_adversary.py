@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 from pebblewalk.adversary import (
     FirstOption,
+    LassoCertificate,
     LastOption,
     Oscillator,
     ScriptedChoices,
@@ -29,7 +31,6 @@ from pebblewalk.collective import (
     initial_digest,
     plan_step,
     run,
-    step,
 )
 from pebblewalk.graph import Graph, cycle_components
 from pebblewalk.lattice import vertex, x_translation
@@ -46,6 +47,7 @@ from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
 import lasso_reference
 from test_collective import build_tether
+from trace_reference import step
 
 W = ObservationPattern(None)
 
@@ -114,16 +116,20 @@ def test_scripted_choices_offset_mismatch():
 
 
 def test_oscillator_pulls_toward_home_column():
+    # Home is the leader's column at the first consultation.
     plan, ctx = fork_plan_and_context()
-    assert plan.options[Oscillator(home_x=0).choose(plan.options, ctx)] == vertex(2, 1)
-    assert plan.options[Oscillator(home_x=10).choose(plan.options, ctx)] == vertex(3, 0)
+    assert ctx.at.x == 2
+    assert plan.options[Oscillator().choose(plan.options, ctx)] == vertex(2, 1)
+    far_right = Oscillator()
+    far_right.choose(plan.options, dataclasses.replace(ctx, at=vertex(10, 0)))
+    assert plan.options[far_right.choose(plan.options, ctx)] == vertex(3, 0)
 
 
 def test_canonicalize_translation_invariance():
     col = build_walker()
     base = col.initial_state()
-    shifted = col.initial_state(
-        FrozenMap({m: x_translation(9).apply(v) for m, v in col.initial_positions.items()})
+    shifted = base._replace(
+        positions=FrozenMap({m: x_translation(9).apply(v) for m, v in col.initial_positions.items()})
     )
     key_a, anchor_a = canonicalize(base.positions, base.states)
     key_b, anchor_b = canonicalize(shifted.positions, shifted.states)
@@ -153,6 +159,14 @@ def test_lasso_certificate_replays():
     initial = build_free_walker().initial_state()
     cert = search_lasso(initial, max_depth=40).certificate
     assert finalize_certificate(initial, cert) is not None
+
+
+@pytest.mark.parametrize("prefix_steps,cycle_steps", [(0, 0), (-2, 0), (0, -1)])
+def test_finalize_refuses_a_lasso_without_a_cycle(prefix_steps, cycle_steps):
+    # An empty cycle "returns" to any configuration, so it would certify
+    # even the marching walker as confined.
+    cert = LassoCertificate((), prefix_steps, (), cycle_steps, (Fraction(0), Fraction(0)), Fraction(0))
+    assert finalize_certificate(build_walker().initial_state(), cert) is None
 
 
 def test_lasso_for_motionless_strategy():

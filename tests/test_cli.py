@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
@@ -445,6 +446,20 @@ def test_render_refuses_a_far_pebble_without_a_window(tmp_path, capsys):
     assert "5000001 columns, more than 1000; pass --window" in captured.err
     assert main(["render", str(out), "--window", "3"]) == 0
     assert len(capsys.readouterr().out) < 200
+
+
+def test_render_refuses_a_window_wider_than_the_cap(tmp_path, capsys):
+    strategy = tmp_path / "far.strategy"
+    strategy.write_text(FAR_PEBBLE)
+    _, out = simulate(tmp_path, strategy=str(strategy), horizon=1)
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert main(["render", str(out), "--window", "1000000000000"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "5000001 columns, more than 1000; pass --window 1000 or less" in captured.err
+    assert main(["render", str(out), "--window", "1000"]) == 0
 
 
 def test_render_rejects_malformed(tmp_path):

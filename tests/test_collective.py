@@ -24,15 +24,12 @@ from pebblewalk.collective import (
     at_origin,
     check_directed,
     check_uniform,
-    coordinate,
     coordinate_of,
-    diameter,
     diameter_of,
     find_isolated,
     initial_digest,
     plan_step,
     run,
-    step,
     transform_positions,
     walk,
 )
@@ -54,8 +51,8 @@ from pebblewalk.machine import (
 from pebblewalk.strategies import BUILTIN_STRATEGIES, build_free_walker, load_builtin
 from pebblewalk.tracefile import make_document, parse_document, render_document
 from pebblewalk.util import FrozenMap
-from pebblewalk.walker14 import build_walker
-from trace_reference import assert_one_object_per_value, reference_render
+from pebblewalk.walker14 import LOOP_HEADER, build_walker
+from trace_reference import assert_one_object_per_value, reference_render, step
 
 W = ObservationPattern(None)
 
@@ -83,7 +80,7 @@ def test_collective_requires_contiguous_pebble_ids():
 def test_coordinate_anchored_layout():
     # marching layout anchored one column left of the middle pebble
     col = build_walker(origin_x=-1)
-    assert coordinate(col.initial_state()) == RationalPoint(Fraction(-1, 5), Fraction(1, 5))
+    assert coordinate_of(col.initial_positions) == RationalPoint(Fraction(-1, 5), Fraction(1, 5))
 
 
 @pytest.mark.parametrize("origin", [-4, 0, 9])
@@ -91,7 +88,7 @@ def test_coordinate_anchor_formula(origin):
     # mean sits one fifth short of the middle column, one fifth up
     col = build_walker(origin_x=origin)
     mid = origin + 1
-    assert coordinate(col.initial_state()) == RationalPoint(
+    assert coordinate_of(col.initial_positions) == RationalPoint(
         Fraction(mid) - Fraction(1, 5), Fraction(1, 5)
     )
 
@@ -103,17 +100,14 @@ def test_coordinate_degenerate_stack():
 
 def test_coordinate_after_one_loop():
     for adversary in (FirstOption(), LastOption()):
-        col = build_walker(origin_x=-1)
-        state = col.initial_state()
-        from pebblewalk.walker14 import iterate
-
-        final, steps = iterate(state, adversary)
-        assert steps in (9, 11)
-        assert coordinate(final) == RationalPoint(Fraction(4, 5), Fraction(1, 5))
+        trace = run(build_walker(origin_x=-1).initial_state(), adversary, 11)
+        header = next(rec for rec in trace.records[1:] if rec.states[1] == LOOP_HEADER)
+        assert header.t in (9, 11)
+        assert coordinate_of(header.positions) == RationalPoint(Fraction(4, 5), Fraction(1, 5))
 
 
 def test_diameter_examples():
-    assert diameter(build_walker().initial_state()) == 2
+    assert diameter_of(build_walker().initial_positions) == 2
     assert diameter_of(FrozenMap({1: vertex(0, 0), 2: vertex(0, 0)})) == 0
     assert diameter_of(FrozenMap({1: vertex(0, 0), 2: vertex(3, 1)})) == 3
 
@@ -440,7 +434,7 @@ def test_symmetry_equivariant_runs(sym, conjugate):
     col = build_walker()
     base = run(col.initial_state(), SeededRandom(2), 70)
     script = [conjugate(dx, dy) for dx, dy in _consulted_offsets(base)]
-    mirrored_start = col.initial_state(transform_positions(col.initial_positions, sym))
+    mirrored_start = col.initial_state()._replace(positions=transform_positions(col.initial_positions, sym))
     mirrored = run(mirrored_start, ScriptedChoices(script), 70)
     for rec, mrec in zip(base.records, mirrored.records):
         assert transform_positions(rec.positions, sym) == mrec.positions

@@ -267,14 +267,13 @@ def test_validator_rejects_move_without_leader():
 
 
 def test_validator_rejects_two_state_member():
-    two_state = pebble("a", []).automaton()
-    from pebblewalk.machine import Pebble
-
-    crooked = Pebble("a", (Rule("a", ObservationPattern(None), STAY, "b"),))
+    one_state = pebble("a", [])
+    assert (one_state.initial, one_state.states) == ("a", frozenset({"a"}))
+    assert one_state.act("a", Observation.make(set(), [set(), set(), set()])) == (STAY, "a")
+    crooked = Automaton("a", (Rule("a", ObservationPattern(None), STAY, "b"),))
     leader = Automaton(initial="s", rules=())
     problems = validate_pebble(crooked, leader, universe={1, 2}, observer=2)
-    assert problems and any("states" in p for p in problems)
-    assert two_state.act("a", Observation.make(set(), [set(), set(), set()]))[0] == STAY
+    assert problems and any("'a' has 2 states" in p for p in problems)
 
 
 def test_validator_rejects_output_leader_never_emits():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 from dataclasses import replace
 
@@ -14,13 +15,21 @@ import pebblewalk.collective as collective_module
 from pebblewalk.adversary import FirstOption, LastOption, SeededRandom, defeat_strategy
 from pebblewalk.collective import run
 from pebblewalk.lattice import vertex
-from pebblewalk.machine import MOVE_TO_FREE, STAY, move_to_set, parse_output
+from pebblewalk.machine import (
+    MOVE_TO_FREE,
+    STAY,
+    ObservationPattern,
+    consistent_observations,
+    move_to_set,
+    parse_output,
+)
 from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
 from pebblewalk.strategy_format import (
     MAX_DIGITS,
     MAX_MEMBERS,
     ParseError,
     StrategyFile,
+    _least_overlap,
     emit_strategy,
     parse_strategy,
     strategy_hash,
@@ -338,7 +347,7 @@ def test_each_collective_validates_its_pebbles_once(monkeypatch, name):
     checked = collective_module.validate_pebble
 
     def counting(p, *args, **kwargs):
-        calls.append(p.name)
+        calls.append(p.initial)
         return checked(p, *args, **kwargs)
 
     monkeypatch.setattr(collective_module, "validate_pebble", counting)
@@ -395,6 +404,82 @@ place 2 (0,0)
 """
     col = parse_strategy(text).collective
     assert col.validate_pebbles() == []
+
+
+def nine_members(rules: list[str]) -> str:
+    """A strategy of MAX_MEMBERS members: the leader's rule lines in state s,
+    then idle pebbles."""
+    ids = range(2, MAX_MEMBERS + 1)
+    lines = [
+        "format: pebblewalk-strategy 1",
+        "strategy crowd",
+        f"members {MAX_MEMBERS}",
+        "leader initial s",
+        *rules,
+        *(f"pebble {m} idler{m}" for m in ids),
+        *(f"place {m} (0,0)" for m in range(1, MAX_MEMBERS + 1)),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def alpha_rules(count: int) -> list[str]:
+    """Priority-free rules on distinct alpha sets, which no observation
+    matches two of."""
+    ids = range(2, MAX_MEMBERS + 1)
+    alphas = [",".join(str(m) for m in ids if bits >> (m - 2) & 1) for bits in range(count)]
+    return [f"rule s: {{{alpha}}} | * -> stay then s" for alpha in alphas]
+
+
+def test_overlap_check_takes_one_pass_per_observation():
+    # Checking pair by pair took 26 s for 160 priority-free rules at 9 members.
+    started = time.perf_counter()
+    assert len(parse_strategy(nine_members(alpha_rules(255))).collective.leader.rules) == 255
+    wildcard = "rule s: * | * -> free then s"
+    err = error_at(nine_members([*alpha_rules(255), wildcard]))
+    assert (err.line, err.reason) == (
+        260,
+        "rule overlaps the one at line 5 in state 's'; give both distinct explicit priorities",
+    )
+    # Every observation matches every rule; only the last two share a priority.
+    err = error_at(nine_members([f"{wildcard} priority {min(k, 253)}" for k in range(255)]))
+    assert (err.line, err.reason) == (
+        259,
+        "rule overlaps the one at line 258 in state 's'; give both distinct explicit priorities",
+    )
+    assert time.perf_counter() - started < 10.0
+
+
+def pairwise_overlap(patterns, priorities, observations):
+    """The pair-by-pair overlap check _least_overlap replaced."""
+    for i in range(len(patterns)):
+        for j in range(i + 1, len(patterns)):
+            pa, pb = priorities[i], priorities[j]
+            if pa is not None and pb is not None and pa != pb:
+                continue
+            if any(patterns[i].matches(o) and patterns[j].matches(o) for o in observations):
+                return i, j
+    return None
+
+
+def test_least_overlap_matches_the_pairwise_check():
+    rng = random.Random(5)
+    observations = consistent_observations(range(1, 4), 1)
+    sets = [None, set(), {2}, {3}, {2, 3}]
+    entries = [None, set(), {2}, {3}, ("has", 2), ("has", 3)]
+    found = 0
+    for _ in range(400):
+        count = rng.randint(2, 6)
+        patterns = [
+            ObservationPattern(
+                rng.choice(sets), None if rng.random() < 0.5 else [rng.choice(entries) for _ in range(3)]
+            )
+            for _ in range(count)
+        ]
+        priorities = [rng.choice([None, 0, 1, 2]) for _ in range(count)]
+        want = pairwise_overlap(patterns, priorities, observations)
+        found += want is not None
+        assert _least_overlap([p.matches for p in patterns], priorities, observations) == want
+    assert 50 < found < 350
 
 
 def test_duplicate_headers_rejected():

@@ -7,16 +7,20 @@ from fractions import Fraction
 import pytest
 
 from pebblewalk.adversary import FirstOption, LastOption, ScriptedChoices, SeededRandom
-from pebblewalk.collective import coordinate, diameter_of, run, transform_positions
+from pebblewalk.collective import coordinate_of, diameter_of, run, transform_positions
 from pebblewalk.lattice import X_REFLECTION, vertex
 from pebblewalk.walker14 import (
     LOOP_HEADER,
     IterationReport,
     build_walker,
-    iterate,
     occupied_schema,
     verify_theorem2,
 )
+
+
+def first_loop(state, adversary):
+    """The record at which run's first loop closes at the loop header."""
+    return next(rec for rec in run(state, adversary, 12).records[1:] if rec.states[1] == LOOP_HEADER)
 
 
 def test_initial_layout():
@@ -36,55 +40,38 @@ def test_pebble_tables_pass_the_validator():
 
 def test_iteration_step_counts():
     col = build_walker()
-    _, first_steps = iterate(col.initial_state(), FirstOption())
-    _, last_steps = iterate(col.initial_state(), LastOption())
-    assert first_steps == 9
-    assert last_steps == 11
-
-
-def test_iteration_is_runs_first_loop():
-    # The adversary sees run's history digest, so iterate's loop is run's.
-    col = build_walker()
-    for seed in range(50):
-        final, steps = iterate(col.initial_state(), SeededRandom(seed))
-        header = next(
-            rec for rec in run(col.initial_state(), SeededRandom(seed), 12).records[1:]
-            if rec.states[1] == LOOP_HEADER
-        )
-        assert (steps, final.positions, final.states) == (header.t, header.positions, header.states)
-        assert final.step_index == steps
+    assert first_loop(col.initial_state(), FirstOption()).t == 9
+    assert first_loop(col.initial_state(), LastOption()).t == 11
 
 
 def test_iteration_stops_consulting_at_the_header():
-    # A stateful script must not lose a choice to the next loop's push-front.
+    # A run that ends at a loop header leaves the next loop's push-front
+    # choice in the script.
     col = build_walker()
     for offset, loop in (((0, 1), 9), ((1, 0), 11)):
         script = ScriptedChoices([offset])
-        final, steps = iterate(col.initial_state(), script)
-        assert (steps, final.step_index, script.cursor) == (loop, loop, 1)
+        trace = run(col.initial_state(), script, loop)
+        assert (trace.records[-1].states[1], script.cursor) == (LOOP_HEADER, 1)
     script = ScriptedChoices([(0, 1), (1, 0)])
-    state, first = iterate(col.initial_state(), script)
-    state, second = iterate(state, script)
-    assert (first, second, state.step_index, script.cursor) == (9, 11, 20, 2)
+    trace = run(col.initial_state(), script, 20)
+    headers = [rec.t for rec in trace.records[1:] if rec.states[1] == LOOP_HEADER]
+    assert (headers, script.cursor) == ([9, 20], 2)
 
 
 @pytest.mark.parametrize("adversary", [FirstOption(), LastOption()])
 def test_iteration_translates_layout_by_one(adversary):
     col = build_walker()
-    final, _ = iterate(col.initial_state(), adversary)
-    assert dict(final.positions) == {
+    header = first_loop(col.initial_state(), adversary)
+    assert dict(header.positions) == {
         m: vertex(v.x + 1, v.y) for m, v in col.initial_positions.items()
     }
-    assert final.states[1] == LOOP_HEADER
 
 
 @pytest.mark.parametrize("adversary", [FirstOption(), LastOption()])
 def test_iteration_displacement(adversary):
     col = build_walker()
-    state = col.initial_state()
-    before = coordinate(state)
-    final, _ = iterate(state, adversary)
-    after = coordinate(final)
+    before = coordinate_of(col.initial_positions)
+    after = coordinate_of(first_loop(col.initial_state(), adversary).positions)
     assert (after.x - before.x, after.y - before.y) == (Fraction(1), Fraction(0))
 
 
@@ -151,9 +138,8 @@ def test_every_moment_check_fails_under_seeded_choices():
 
 def test_reflected_walker_marches_left():
     col = build_walker()
-    mirrored = col.initial_state(transform_positions(col.initial_positions, X_REFLECTION))
-    before = coordinate(mirrored)
-    final, steps = iterate(mirrored, FirstOption())
-    after = coordinate(final)
-    assert steps in (9, 11)
+    mirrored = col.initial_state()._replace(positions=transform_positions(col.initial_positions, X_REFLECTION))
+    header = first_loop(mirrored, FirstOption())
+    before, after = coordinate_of(mirrored.positions), coordinate_of(header.positions)
+    assert header.t in (9, 11)
     assert (after.x - before.x, after.y - before.y) == (Fraction(-1), Fraction(0))

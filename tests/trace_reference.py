@@ -9,12 +9,15 @@
   `render.render_records` replaced, which lays out every record's grid.
 - `follows`: the step rule as docs/formats.md states it, derived from the
   output spellings without `collective`, a reference for `check_steps`.
+- `step`: one step planned afresh from its configuration, with no quotient
+  and no reuse; `collective.run` must match a loop of it.
 """
 
 from __future__ import annotations
 
 import json
 
+from pebblewalk.collective import ChoiceContext, apply_choice, initial_digest, plan_step
 from pebblewalk.lattice import neighbors
 from pebblewalk.machine import MoveToFree, Stay, format_output
 from pebblewalk.render import member_letter
@@ -176,3 +179,15 @@ def follows(prev, rec) -> bool:
         and all(before[m] == at for m in movers)
         and all(rec.positions[m] == (rec.choice if m == 1 or m in movers else v) for m, v in before.items())
     )
+
+
+def step(state, adversary, digest=None):
+    """Advance one synchronous step under the adversary, which sees the
+    history digest (the initial one when none is given)."""
+    if digest is None:
+        digest = initial_digest(state.collective)
+    plan = plan_step(state)
+    idx = 0
+    if plan.consulted:
+        idx = adversary.choose(plan.options, ChoiceContext(state.step_index, plan.at, state.positions, digest))
+    return apply_choice(state, plan, plan.options[idx])
