@@ -7,11 +7,15 @@ Runs the benchmark that BENCHMARK.json declares (`perfbench/run.py`,
 unchanged) with `--workload all` on this checkout and on the parent's
 checkout in 10 alternating pairs: pair i runs at seed first-seed + i,
 parent first when i is even.  Each checkout then gets one `--trace 1` run at
-seed 1.  The file holds each checkout's git SHA, the Python version, every
-run's four end-to-end metrics per workload with their median and quartiles,
-failed and attempted op counts, and the count-valued per-layer metrics of
-the traced run.  It measures only: nothing is compared or gated.  An
-existing BENCH_<n>.json is never overwritten.
+seed 1, and then runs once each of the end-to-end commands the benchmark
+does not cover: `scripts/reproduce_results.py` and `pebblewalk simulate
+walker14 --adversary seeded:42` at horizons 10000 and 50000, with the
+checkout's `src` on PYTHONPATH.  The file holds each checkout's git SHA, the
+Python version, every run's four end-to-end metrics per workload with their
+median and quartiles, failed and attempted op counts, the count-valued
+per-layer metrics of the traced run, and each timed command's exit code,
+wall time and CPU time.  It measures only: nothing is compared or gated.
+An existing BENCH_<n>.json is never overwritten.
 """
 
 from __future__ import annotations
@@ -20,9 +24,12 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +42,30 @@ def benchmark_command(checkout: Path) -> list[str]:
     """BENCHMARK.json's command, run by this interpreter from the checkout."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
     return [sys.executable, *declared[1:]]
+
+
+def timed_commands(out_dir: Path) -> dict[str, list[str]]:
+    """End-to-end commands the benchmark does not time, run from a checkout."""
+    simulate = [sys.executable, "-m", "pebblewalk", "simulate", "walker14", "--adversary", "seeded:42"]
+    return {
+        "reproduce_results": [sys.executable, "scripts/reproduce_results.py"],
+        **{
+            f"simulate_{h}": [*simulate, "--horizon", str(h), "--output", str(out_dir / f"walker14-{h}.trace.jsonl")]
+            for h in (10000, 50000)
+        },
+    }
+
+
+def timed(argv: list[str], checkout: Path) -> dict:
+    """Exit code, wall time and CPU time (user + system) of one run."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    return {"exit": proc.returncode, "wall_s": round(wall, 3), "cpu_s": round(cpu, 3)}
 
 
 def git(checkout: Path, *args: str) -> str | None:
@@ -60,7 +91,7 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def main(argv=None, command=benchmark_command, root: Path = ROOT) -> int:
+def main(argv=None, command=benchmark_command, root: Path = ROOT, commands=timed_commands) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, help="number of the BENCH_<n>.json to write")
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -98,6 +129,8 @@ def main(argv=None, command=benchmark_command, root: Path = ROOT) -> int:
     for side, checkout in sides.items():
         workloads = sorted({name.split(".")[0] for r in runs[side] for name in r["metrics"]})
         traced = summary(command, checkout, TRACE_SEED, seconds, trace=1)
+        with tempfile.TemporaryDirectory() as out_dir:
+            times = {name: timed(argv, checkout) for name, argv in commands(Path(out_dir)).items()}
         report["sides"][side] = {
             "sha": git(checkout, "rev-parse", "HEAD"),
             "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
@@ -118,6 +151,7 @@ def main(argv=None, command=benchmark_command, root: Path = ROOT) -> int:
             "trace_counts": {
                 name: m["value"] for name, m in traced["metrics"].items() if m["unit"] in COUNT_UNITS
             },
+            "timed": times,
         }
     with open(out, "x") as fh:
         fh.write(json.dumps(report, indent=2) + "\n")

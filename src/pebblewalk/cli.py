@@ -60,12 +60,18 @@ def _fail(code: int, message: str) -> int:
 
 
 def load_strategy(spec: str) -> Collective:
-    """A builtin name, or a path to a strategy file."""
+    """A builtin name, or a path to a UTF-8 strategy file."""
     if spec in BUILTIN_STRATEGIES:
         return load_builtin(spec)
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return parse_strategy(fh.read()).collective
+        with open(spec, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            before = (data[: e.start].decode("utf-8") + ".").splitlines()
+            raise ParseError(len(before), len(before[-1]), f"byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
+        return parse_strategy(text).collective
     raise ParseError(1, 1, f"{spec!r} is neither a builtin strategy nor a file")
 
 

@@ -308,20 +308,22 @@ class Automaton:
         return {self.act(state, obs)[0] for state in self.states}
 
     def mentioned_members(self) -> set[MemberId]:
-        ids: set[MemberId] = set()
-        for r in self.rules:
-            if isinstance(r.output, MoveToSet):
-                ids |= r.output.target
-            p = r.pattern
-            if p.alpha is not None:
-                ids |= p.alpha
-            if p.entries is not None:
-                for e in p.entries:
-                    if isinstance(e, tuple):
-                        ids.add(e[1])
-                    elif e is not None:
-                        ids |= e
-        return ids
+        return set().union(*map(rule_members, self.rules))
+
+
+def rule_members(rule: Rule) -> set[MemberId]:
+    """Every member id a rule's pattern or output names."""
+    ids: set[MemberId] = set(rule.output.target) if isinstance(rule.output, MoveToSet) else set()
+    p = rule.pattern
+    if p.alpha is not None:
+        ids |= p.alpha
+    if p.entries is not None:
+        for e in p.entries:
+            if isinstance(e, tuple):
+                ids.add(e[1])
+            elif e is not None:
+                ids |= e
+    return ids
 
 
 def pebble(name: StateId, rows: Iterable[tuple[ObservationPattern, Output]]) -> Automaton:

@@ -23,6 +23,13 @@ Rules of one state may overlap (some realizable observation matches two of
 them) only when both carry explicit, distinct priorities; lower priority
 fires first.  A pebble `when` line with a `then` naming a second state
 parses structurally but is rejected by the pebble validator.
+
+Tokens are separated by any run of whitespace, tabs and Unicode spaces
+included.  The grammar is one whole-line regular expression per directive,
+and an accepted line's rule, pattern, output or vertex is built straight
+from its groups.  The token cursor `_Line` only places errors: it reads a
+line that no pattern accepts, or whose fields fail a check, and raises the
+ParseError of its first bad token with that token's line and column.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from pebblewalk.collective import Collective
-from pebblewalk.lattice import vertex
+from pebblewalk.lattice import Vertex, vertex
 from pebblewalk.machine import (
     Automaton,
     ObservationPattern,
@@ -40,17 +48,13 @@ from pebblewalk.machine import (
     consistent_observations,
     format_output,
     parse_output,
+    rule_members,
 )
 from pebblewalk.util import FrozenMap
 
 FORMAT_NAME = "pebblewalk-strategy"
 FORMAT_VERSION = 1
 
-_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*\Z")
-_SET_LITERAL = re.compile(r"\{(\d+(,\d+)*)?\}\Z", re.ASCII)
-_HAS = re.compile(r"has\((\d+)\)\Z", re.ASCII)
-_PLACE = re.compile(r"\((-?\d+),(-?\d+)\)\Z", re.ASCII)
-_TOKEN = re.compile(r"\S+")
 # Every number in the format (ids, counts, priorities, coordinates) fits in
 # this many digits; longer ones are refused before int() converts them.
 MAX_DIGITS = 18
@@ -58,6 +62,37 @@ MAX_DIGITS = 18
 # many per added member (0.13 s at 9 members, 16 s at 12), so a `members`
 # line above this is refused before any enumeration.
 MAX_MEMBERS = 9
+
+# The grammar: one whole-line pattern per directive.  Tokens are separated
+# by any whitespace run (Unicode spaces too, as str.split() cuts them), a
+# line may start with one, and numbers are 1..MAX_DIGITS ASCII digits.
+_WORD = r"[A-Za-z0-9][A-Za-z0-9_-]*"
+_NUMBER = rf"[0-9]{{1,{MAX_DIGITS}}}"
+_SET = rf"\{{(?:{_NUMBER}(?:,{_NUMBER})*)?\}}"
+_ENTRY = rf"\*|has\({_NUMBER}\)|{_SET}"
+# <pattern> -> <output>: groups alpha, wildcard neighbourhood, three
+# entries, output.  A lone `*` neighbourhood is one only before `->`.
+_WHEN = (
+    rf"(\*|{_SET})\s+\|\s+(?:(\*)|({_ENTRY})\s+({_ENTRY})\s+({_ENTRY}))"
+    rf"\s+->\s+(stay|free|set:{_NUMBER}(?:,{_NUMBER})*)"
+)
+_PRIORITY = rf"(?:\s+priority\s+({_NUMBER}))?"
+_HEADER = re.compile(rf"\s*format:\s+{re.escape(FORMAT_NAME)}\s+({_NUMBER})")
+_STRATEGY = re.compile(rf"\s*strategy\s+({_WORD})")
+_MEMBERS = re.compile(rf"\s*members\s+({_NUMBER})")
+_LEADER = re.compile(rf"\s*leader\s+initial\s+({_WORD})")
+_RULE = re.compile(rf"\s*rule\s+({_WORD}):\s+{_WHEN}\s+then\s+({_WORD}){_PRIORITY}")
+_PEBBLE = re.compile(
+    rf"\s*pebble\s+({_NUMBER})\s+({_WORD})(?:\s+when\s+{_WHEN}(?:\s+then\s+({_WORD}))?{_PRIORITY})?"
+)
+_PLACE_LINE = re.compile(rf"\s*place\s+({_NUMBER})\s+\((-?{_NUMBER}),(-?{_NUMBER})\)")
+
+# The cursor's token tests, for placing an error.
+_NAME = re.compile(_WORD + r"\Z")
+_SET_LITERAL = re.compile(r"\{(\d+(,\d+)*)?\}\Z", re.ASCII)
+_HAS = re.compile(r"has\((\d+)\)\Z", re.ASCII)
+_PLACE = re.compile(r"\((-?\d+),(-?\d+)\)\Z", re.ASCII)
+_TOKEN = re.compile(r"\S+")
 
 
 class ParseError(ValueError):
@@ -84,7 +119,7 @@ def strategy_hash(collective: Collective) -> str:
 
 
 class _Line:
-    """Token cursor over one directive line."""
+    """Token cursor over one directive line, for placing its error."""
 
     def __init__(self, number: int, text: str):
         self.number = number
@@ -145,49 +180,148 @@ def _take_int(line: _Line, what: str) -> int:
     return _int(line, col, tok, what)
 
 
-def _parse_set(line: _Line, tok: str, col: int) -> frozenset[int]:
+def _check_set(line: _Line, tok: str, col: int) -> None:
     m = _SET_LITERAL.match(tok)
     if not m:
         raise ParseError(line.number, col, f"invalid set literal {tok!r}")
-    if not m.group(1):
-        return frozenset()
-    return frozenset(_int(line, col, x, "member id") for x in m.group(1).split(","))
+    if m.group(1):
+        for x in m.group(1).split(","):
+            _int(line, col, x, "member id")
 
 
-def _parse_entry(line: _Line):
+def _check_entry(line: _Line) -> None:
     col = line.col()
     tok = line.take("neighborhood entry")
     if tok == "*":
-        return None
+        return
     has = _HAS.match(tok)
     if has:
-        return ("has", _int(line, col, has.group(1), "member id"))
-    return _parse_set(line, tok, col)
+        _int(line, col, has.group(1), "member id")
+    else:
+        _check_set(line, tok, col)
 
 
-def _parse_pattern(line: _Line) -> ObservationPattern:
+def _check_pattern(line: _Line) -> None:
     col = line.col()
     tok = line.take("alpha pattern")
-    alpha = None if tok == "*" else _parse_set(line, tok, col)
+    if tok != "*":
+        _check_set(line, tok, col)
     line.expect("|")
     if line.peek() == "*":
         ahead = [t for t, _ in line.tokens[line.pos + 1 : line.pos + 2]]
         if ahead == ["->"] or ahead == []:
             line.take("neighborhood")
-            return ObservationPattern(alpha, None)
-    entries = (_parse_entry(line), _parse_entry(line), _parse_entry(line))
-    return ObservationPattern(alpha, entries)
+            return
+    for _ in range(3):
+        _check_entry(line)
 
 
-def _parse_output(line: _Line):
+def _check_output(line: _Line) -> None:
     col = line.col()
     tok = line.take("output")
     if tok.startswith("set:") and any(len(d) > MAX_DIGITS for d in tok[4:].split(",")):
         raise ParseError(line.number, col, f"member id has more than {MAX_DIGITS} digits")
     try:
-        return parse_output(tok)
+        parse_output(tok)
     except ValueError as e:
         raise ParseError(line.number, col, str(e)) from None
+
+
+def _check_priority(line: _Line) -> None:
+    if line.peek() == "priority":
+        line.take("priority")
+        _take_int(line, "priority value")
+
+
+def _raise_line_error(number, body, header_seen, name, members, leader_initial, pebble_names, places) -> NoReturn:
+    """Raise the ParseError of a directive line that no pattern accepts.
+
+    The cursor reads the line token by token, in the order its fields are
+    written, and reports the first bad token or failed check: a duplicate
+    directive, a renamed pebble, a member count outside 1..MAX_MEMBERS, a
+    row other than 0 or 1, a member placed twice, a number over MAX_DIGITS
+    digits.  The other arguments are the directives read so far.
+    """
+    line = _Line(number, body)
+    head_col = line.col()
+    head = line.take("directive")
+    if not header_seen:
+        if head != "format:":
+            raise ParseError(number, head_col, "expected the format header first")
+        fmt_col = line.col()
+        fmt = line.take("format name")
+        if fmt != FORMAT_NAME:
+            raise ParseError(number, fmt_col, f"unknown format {fmt!r}")
+        ver_col = line.col()
+        version = _take_int(line, "format version")
+        if version != FORMAT_VERSION:
+            raise ParseError(number, ver_col, f"unsupported version {version}")
+    elif head == "format:":
+        raise ParseError(number, head_col, "duplicate format header")
+    elif head == "strategy":
+        if name is not None:
+            raise ParseError(number, head_col, "duplicate strategy line")
+        _take_name(line, "strategy name")
+    elif head == "members":
+        if members is not None:
+            raise ParseError(number, head_col, "duplicate members line")
+        count = _take_int(line, "member count")
+        if count < 1:
+            raise ParseError(number, head_col, "members must be at least 1")
+        if count > MAX_MEMBERS:
+            raise ParseError(number, head_col, f"members must be at most {MAX_MEMBERS}")
+    elif head == "leader":
+        line.expect("initial")
+        if leader_initial is not None:
+            raise ParseError(number, head_col, "duplicate leader initial line")
+        _take_name(line, "state name")
+    elif head == "rule":
+        state_col = line.col()
+        state_tok = line.take("state name followed by ':'")
+        if not state_tok.endswith(":") or not _NAME.match(state_tok[:-1]):
+            raise ParseError(number, state_col, f"invalid rule state {state_tok!r}")
+        _check_pattern(line)
+        line.expect("->")
+        _check_output(line)
+        line.expect("then")
+        _take_name(line, "state name")
+        _check_priority(line)
+    elif head == "pebble":
+        pid = _take_int(line, "pebble id")
+        pname_col = line.col()
+        pname = _take_name(line, "pebble name")
+        if pid in pebble_names and pebble_names[pid][0] != pname:
+            raise ParseError(
+                number, pname_col, f"pebble {pid} was named {pebble_names[pid][0]!r} earlier"
+            )
+        if not line.done():
+            line.expect("when")
+            _check_pattern(line)
+            line.expect("->")
+            _check_output(line)
+            if line.peek() == "then":
+                line.take("then")
+                _take_name(line, "state name")
+            _check_priority(line)
+    elif head == "place":
+        mid_col = line.col()
+        mid = _take_int(line, "member id")
+        spot_col = line.col()
+        spot = line.take("coordinate pair")
+        m = _PLACE.match(spot)
+        if not m:
+            raise ParseError(number, spot_col, f"invalid coordinate pair {spot!r}")
+        x, y = (_int(line, spot_col, g, "coordinate") for g in m.groups())
+        try:
+            vertex(x, y)
+        except ValueError as e:
+            raise ParseError(number, spot_col, str(e)) from None
+        if mid in places:
+            raise ParseError(number, mid_col, f"member {mid} placed twice")
+    else:
+        raise ParseError(number, head_col, f"unknown directive {head!r}")
+    line.finish()
+    raise AssertionError(f"line {number}: no pattern accepts this line, yet the cursor finds no error")
 
 
 def _emit_set(s: frozenset) -> str:
@@ -327,6 +461,27 @@ def _order_rules(tagged_rules) -> tuple[Rule, ...]:
     return tuple(ordered)
 
 
+def _set_of(tok: str) -> frozenset[int]:
+    """The ids of a set literal the patterns accepted."""
+    return frozenset(map(int, tok[1:-1].split(","))) if tok != "{}" else frozenset()
+
+
+def _entry_of(tok: str):
+    """A neighbourhood entry the patterns accepted: *, has(<id>) or a set."""
+    if tok == "*":
+        return None
+    if tok[0] == "h":
+        return ("has", int(tok[4:-1]))
+    return _set_of(tok)
+
+
+def _rule_of(state, alpha, star, e1, e2, e3, output, next_state) -> Rule:
+    """The rule a `rule` or pebble `when` line's groups spell."""
+    entries = None if star else (_entry_of(e1), _entry_of(e2), _entry_of(e3))
+    pattern = ObservationPattern(None if alpha == "*" else _set_of(alpha), entries)
+    return Rule(state, pattern, parse_output(output), next_state)
+
+
 def parse_strategy(text: str) -> StrategyFile:
     """Parse and validate a strategy document; raises ParseError."""
     name = None
@@ -337,115 +492,63 @@ def parse_strategy(text: str) -> StrategyFile:
     pebble_rows: dict[int, list[tuple[Rule, int, int | None]]] = {}
     places: dict[int, tuple] = {}
     header_seen = False
-    line_count = 0
+    lines = text.splitlines()
+    line_count = len(lines)
 
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line_count = number
+    # Each branch that accepts its line continues; a line no pattern
+    # accepts, or whose fields fail a check, falls through to the cursor.
+    for number, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0].rstrip()
-        if not body.strip():
+        if not body:
             continue
-        line = _Line(number, body)
-        head_col = line.col()
-        head = line.take("directive")
-
+        head = body.split(None, 1)[0]
         if not header_seen:
-            if head != "format:":
-                raise ParseError(number, head_col, "expected the format header first")
-            fmt_col = line.col()
-            fmt = line.take("format name")
-            if fmt != FORMAT_NAME:
-                raise ParseError(number, fmt_col, f"unknown format {fmt!r}")
-            ver_col = line.col()
-            version = _take_int(line, "format version")
-            if version != FORMAT_VERSION:
-                raise ParseError(number, ver_col, f"unsupported version {version}")
-            line.finish()
-            header_seen = True
-            continue
-
-        if head == "format:":
-            raise ParseError(number, head_col, "duplicate format header")
-        elif head == "strategy":
-            if name is not None:
-                raise ParseError(number, head_col, "duplicate strategy line")
-            name = _take_name(line, "strategy name")
-            line.finish()
-        elif head == "members":
-            if members is not None:
-                raise ParseError(number, head_col, "duplicate members line")
-            members = _take_int(line, "member count")
-            if members < 1:
-                raise ParseError(number, head_col, "members must be at least 1")
-            if members > MAX_MEMBERS:
-                raise ParseError(number, head_col, f"members must be at most {MAX_MEMBERS}")
-            line.finish()
-        elif head == "leader":
-            line.expect("initial")
-            if leader_initial is not None:
-                raise ParseError(number, head_col, "duplicate leader initial line")
-            leader_initial = _take_name(line, "state name")
-            line.finish()
-        elif head == "rule":
-            state_col = line.col()
-            state_tok = line.take("state name followed by ':'")
-            if not state_tok.endswith(":") or not _NAME.match(state_tok[:-1]):
-                raise ParseError(number, state_col, f"invalid rule state {state_tok!r}")
-            pattern = _parse_pattern(line)
-            line.expect("->")
-            output = _parse_output(line)
-            line.expect("then")
-            next_state = _take_name(line, "state name")
-            priority = None
-            if line.peek() == "priority":
-                line.take("priority")
-                priority = _take_int(line, "priority value")
-            line.finish()
-            leader_rules.append((Rule(state_tok[:-1], pattern, output, next_state), number, priority))
-        elif head == "pebble":
-            pid = _take_int(line, "pebble id")
-            pname_col = line.col()
-            pname = _take_name(line, "pebble name")
-            if pid in pebble_names and pebble_names[pid][0] != pname:
-                raise ParseError(
-                    number, pname_col, f"pebble {pid} was named {pebble_names[pid][0]!r} earlier"
-                )
-            pebble_names.setdefault(pid, (pname, number))
-            pebble_rows.setdefault(pid, [])
-            if line.done():
+            m = _HEADER.fullmatch(body)
+            if m and int(m[1]) == FORMAT_VERSION:
+                header_seen = True
                 continue
-            line.expect("when")
-            pattern = _parse_pattern(line)
-            line.expect("->")
-            output = _parse_output(line)
-            next_state = pname
-            if line.peek() == "then":
-                line.take("then")
-                next_state = _take_name(line, "state name")
-            priority = None
-            if line.peek() == "priority":
-                line.take("priority")
-                priority = _take_int(line, "priority value")
-            line.finish()
-            pebble_rows[pid].append((Rule(pname, pattern, output, next_state), number, priority))
+        elif head == "rule":
+            m = _RULE.fullmatch(body)
+            if m:
+                state, *when, next_state, priority = m.groups()
+                rule = _rule_of(state, *when, next_state)
+                leader_rules.append((rule, number, None if priority is None else int(priority)))
+                continue
+        elif head == "pebble":
+            m = _PEBBLE.fullmatch(body)
+            if m:
+                pid, pname, *when, next_state, priority = m.groups()
+                pid = int(pid)
+                named = pebble_names.setdefault(pid, (pname, number))[0]
+                rows = pebble_rows.setdefault(pid, [])
+                if named == pname:
+                    if when[0] is not None:
+                        rule = _rule_of(pname, *when, next_state or pname)
+                        rows.append((rule, number, None if priority is None else int(priority)))
+                    continue
         elif head == "place":
-            mid_col = line.col()
-            mid = _take_int(line, "member id")
-            spot_col = line.col()
-            spot = line.take("coordinate pair")
-            m = _PLACE.match(spot)
-            if not m:
-                raise ParseError(number, spot_col, f"invalid coordinate pair {spot!r}")
-            x, y = (_int(line, spot_col, g, "coordinate") for g in m.groups())
-            try:
-                v = vertex(x, y)
-            except ValueError as e:
-                raise ParseError(number, spot_col, str(e)) from None
-            if mid in places:
-                raise ParseError(number, mid_col, f"member {mid} placed twice")
-            places[mid] = (v, number)
-            line.finish()
-        else:
-            raise ParseError(number, head_col, f"unknown directive {head!r}")
+            m = _PLACE_LINE.fullmatch(body)
+            if m:
+                mid, x, y = map(int, m.groups())
+                if y in (0, 1) and mid not in places:
+                    places[mid] = (Vertex(x, y), number)
+                    continue
+        elif head == "members":
+            m = _MEMBERS.fullmatch(body)
+            if m and members is None and 1 <= int(m[1]) <= MAX_MEMBERS:
+                members = int(m[1])
+                continue
+        elif head == "strategy":
+            m = _STRATEGY.fullmatch(body)
+            if m and name is None:
+                name = m[1]
+                continue
+        elif head == "leader":
+            m = _LEADER.fullmatch(body)
+            if m and leader_initial is None:
+                leader_initial = m[1]
+                continue
+        _raise_line_error(number, body, header_seen, name, members, leader_initial, pebble_names, places)
 
     if not header_seen:
         raise ParseError(max(line_count, 1), 1, "expected the format header first")
@@ -468,8 +571,7 @@ def parse_strategy(text: str) -> StrategyFile:
 
     member_ids = {1, *want_pebbles}
     for rule, rline, _ in leader_rules + [r for rows in pebble_rows.values() for r in rows]:
-        mentioned = Automaton(initial=rule.state, rules=(rule,)).mentioned_members()
-        extra = mentioned - member_ids
+        extra = rule_members(rule) - member_ids
         if extra:
             raise ParseError(rline, 1, f"rule mentions unknown member {min(extra)}")
 

@@ -439,8 +439,15 @@ def write_document(doc: TraceDocument, path: str) -> None:
 
 
 def read_document(path: str) -> TraceDocument:
-    """Parse a document file and check that its records follow one another."""
-    with open(path) as fh:
-        doc = parse_document(fh.read())
+    """Parse a UTF-8 document file and check that its records follow one another."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len((data[: e.start] + b".").splitlines())
+        raise TraceError(f"line {line}: byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
+    # Lines end at \r\n and \r as they do when the file is read in text mode.
+    doc = parse_document(text.replace("\r\n", "\n").replace("\r", "\n"))
     check_steps(doc.trace)
     return doc

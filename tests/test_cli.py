@@ -257,6 +257,33 @@ def test_defeat_rejects_too_many_members(tmp_path, capsys):
     assert f"line 3, col 1: members must be at most {MAX_MEMBERS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["defeat", "simulate"])
+def test_strategy_file_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "twostep.strategy"
+    path.write_bytes(TWO_STATE_PEBBLE.encode().replace(b"twostep", "twö".encode() + b"\xffstep"))
+    extra = ["--horizon", "1", "--output", str(tmp_path / "out.trace.jsonl")] if command == "simulate" else []
+    assert main([command, str(path), *extra]) == 2
+    assert capsys.readouterr().err == f"{command}: line 2, col 13: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("command", ["check", "render"])
+def test_trace_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    _, out = simulate(tmp_path, horizon=3)
+    header, first, rest = out.read_bytes().split(b"\n", 2)
+    out.write_bytes(header + b"\n" + first + b"\n\xfe" + rest)
+    capsys.readouterr()
+    extra = ["--c1", "2", "--c2", "1"] if command == "check" else []
+    assert main([command, str(out), *extra]) == 2
+    assert capsys.readouterr().err == f"{command}: line 3: byte 0xfe is not UTF-8 (invalid start byte)\n"
+
+
+def test_trace_lines_may_end_in_crlf_as_text_mode_reads_them(tmp_path):
+    _, out = simulate(tmp_path, horizon=3)
+    lf = read_document(str(out))
+    out.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_document(str(out)) == lf
+
+
 def test_check_rejects_bad_window(tmp_path):
     _, out = simulate(tmp_path, horizon=5)
     assert main(["check", str(out), "--c1", "2", "--c2", "0"]) == 2

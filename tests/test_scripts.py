@@ -65,8 +65,13 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
         calls.append(checkout.name)
         return [sys.executable, str(stub)]
 
+    def commands(out_dir):
+        # The stub fails unless it runs in the checkout with its src on PYTHONPATH.
+        where = "import os, sys; sys.exit(os.environ['PYTHONPATH'] != os.path.join(os.getcwd(), 'src'))"
+        return {"ok": [sys.executable, "-c", where], "fails": [sys.executable, "-c", "raise SystemExit(4)"]}
+
     argv = ["3", "--parent", str(parent), "--first-seed", "5"]
-    assert bench.main(argv, command=command, root=change) == 0
+    assert bench.main(argv, command=command, root=change, commands=commands) == 0
     # Alternating pairs, then one traced run per side.
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     report = json.loads((change / "BENCH_3.json").read_text())
@@ -74,7 +79,7 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     assert report["seeds"] == [5, 6]
     assert list(report["sides"]) == ["parent", "change"]
     side = report["sides"]["change"]
-    assert list(side) == ["sha", "dirty", "failed", "attempted", "end_to_end", "runs", "trace_failed", "trace_counts"]
+    assert list(side) == ["sha", "dirty", "failed", "attempted", "end_to_end", "runs", "trace_failed", "trace_counts", "timed"]
     assert list(side["end_to_end"]) == ["march", "pin"]
     ops = side["end_to_end"]["pin"]["ops_per_s"]
     assert ops == {"unit": "1/s", "median": 6.5, "q1": 5.75, "q3": 7.25, "values": [6, 7]}
@@ -84,10 +89,15 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
         {"seed": 6, "first": True, "failed": 0, "attempted": 3},
     ]
     assert side["trace_counts"] == {"pin.machine.validate_pebble.calls": 7}
+    for side in report["sides"].values():
+        assert list(side["timed"]) == ["ok", "fails"]
+        assert [side["timed"][name]["exit"] for name in side["timed"]] == [0, 4]
+        assert all(run["wall_s"] > 0 and run["cpu_s"] >= 0 for run in side["timed"].values())
+    assert list(bench.timed_commands(tmp_path)) == ["reproduce_results", "simulate_10000", "simulate_50000"]
 
     before = (change / "BENCH_3.json").read_text()
     calls.clear()
-    assert bench.main(argv, command=command, root=change) == 2
+    assert bench.main(argv, command=command, root=change, commands=commands) == 2
     assert calls == []
     assert (change / "BENCH_3.json").read_text() == before
     assert "never overwritten" in capsys.readouterr().err
