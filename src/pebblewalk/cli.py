@@ -69,8 +69,10 @@ def load_strategy(spec: str) -> Collective:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as e:
+            # Lines as parse_strategy cuts them; the last one ends at the bad byte.
             before = (data[: e.start].decode("utf-8") + ".").splitlines()
-            raise ParseError(len(before), len(before[-1]), f"byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
+            message = f"byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})"
+            raise ParseError(len(before), len(before[-1]), message) from None
         return parse_strategy(text).collective
     raise ParseError(1, 1, f"{spec!r} is neither a builtin strategy nor a file")
 

@@ -276,6 +276,21 @@ class Rule:
     next_state: StateId
 
 
+def rule_members(rule: Rule) -> set[MemberId]:
+    """Every member id a rule's pattern or output names."""
+    ids: set[MemberId] = set(rule.output.target) if isinstance(rule.output, MoveToSet) else set()
+    p = rule.pattern
+    if p.alpha is not None:
+        ids |= p.alpha
+    if p.entries is not None:
+        for e in p.entries:
+            if isinstance(e, tuple):
+                ids.add(e[1])
+            elif e is not None:
+                ids |= e
+    return ids
+
+
 @dataclass(frozen=True)
 class Automaton:
     """Finite-state machine over observations.
@@ -309,21 +324,6 @@ class Automaton:
 
     def mentioned_members(self) -> set[MemberId]:
         return set().union(*map(rule_members, self.rules))
-
-
-def rule_members(rule: Rule) -> set[MemberId]:
-    """Every member id a rule's pattern or output names."""
-    ids: set[MemberId] = set(rule.output.target) if isinstance(rule.output, MoveToSet) else set()
-    p = rule.pattern
-    if p.alpha is not None:
-        ids |= p.alpha
-    if p.entries is not None:
-        for e in p.entries:
-            if isinstance(e, tuple):
-                ids.add(e[1])
-            elif e is not None:
-                ids |= e
-    return ids
 
 
 def pebble(name: StateId, rows: Iterable[tuple[ObservationPattern, Output]]) -> Automaton:

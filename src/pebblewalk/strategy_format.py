@@ -475,11 +475,12 @@ def _entry_of(tok: str):
     return _set_of(tok)
 
 
-def _rule_of(state, alpha, star, e1, e2, e3, output, next_state) -> Rule:
-    """The rule a `rule` or pebble `when` line's groups spell."""
+def _tagged_rule(number, state, alpha, star, e1, e2, e3, output, next_state, priority):
+    """(rule, line, priority) from the groups of a `rule` or pebble `when` line."""
     entries = None if star else (_entry_of(e1), _entry_of(e2), _entry_of(e3))
     pattern = ObservationPattern(None if alpha == "*" else _set_of(alpha), entries)
-    return Rule(state, pattern, parse_output(output), next_state)
+    rule = Rule(state, pattern, parse_output(output), next_state)
+    return rule, number, None if priority is None else int(priority)
 
 
 def parse_strategy(text: str) -> StrategyFile:
@@ -510,9 +511,7 @@ def parse_strategy(text: str) -> StrategyFile:
         elif head == "rule":
             m = _RULE.fullmatch(body)
             if m:
-                state, *when, next_state, priority = m.groups()
-                rule = _rule_of(state, *when, next_state)
-                leader_rules.append((rule, number, None if priority is None else int(priority)))
+                leader_rules.append(_tagged_rule(number, *m.groups()))
                 continue
         elif head == "pebble":
             m = _PEBBLE.fullmatch(body)
@@ -523,8 +522,7 @@ def parse_strategy(text: str) -> StrategyFile:
                 rows = pebble_rows.setdefault(pid, [])
                 if named == pname:
                     if when[0] is not None:
-                        rule = _rule_of(pname, *when, next_state or pname)
-                        rows.append((rule, number, None if priority is None else int(priority)))
+                        rows.append(_tagged_rule(number, pname, *when, next_state or pname, priority))
                     continue
         elif head == "place":
             m = _PLACE_LINE.fullmatch(body)

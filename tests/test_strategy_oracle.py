@@ -26,6 +26,7 @@ from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
 from pebblewalk.strategy_format import MAX_DIGITS, ParseError, emit_strategy, parse_strategy
 from pebblewalk.util import FrozenMap
 import strategy_reference
+from test_strategy_format import MINIMAL
 
 
 def outcome(parse, text: str):
@@ -63,11 +64,11 @@ def collectives(draw):
             alpha = None
         entries = None
         if draw(st.booleans()):
-            entry = st.one_of(st.none(), st.sampled_from([("has", x) for x in others]), st.just(frozenset())) if others else st.none()
+            entry = st.sampled_from([None, frozenset(), *(("has", x) for x in others)])
             entries = [draw(entry) if draw(st.booleans()) else subsets(draw, others) for _ in range(3)]
         return ObservationPattern(alpha, entries)
 
-    outputs = st.sampled_from([STAY, MOVE_TO_FREE, *(move_to_set([x]) for x in ids)] + ([move_to_set(ids)] if ids else []))
+    outputs = st.sampled_from([STAY, MOVE_TO_FREE, *(move_to_set(ids[:k]) for k in range(1, len(ids) + 1))])
     states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
     rules, always = [], []
     for i, state in enumerate(states):
@@ -76,12 +77,13 @@ def collectives(draw):
             output = draw(outputs)
             if wildcard:
                 always.append(output)
-            rules.append(Rule(state, ObservationPattern(None) if wildcard else pattern(1), output, draw(st.sampled_from(states))))
+            when = ObservationPattern(None) if wildcard else pattern(1)
+            rules.append(Rule(state, when, output, draw(st.sampled_from(states))))
     moves = [o for o in always if o != STAY]
-    pebbles = {
-        pid: pebble(f"p{pid}", [(pattern(pid, True), draw(st.sampled_from(moves))) for _ in range(draw(st.integers(0, 2)) if moves else 0)])
-        for pid in ids
-    }
+    pebbles = {}
+    for pid in ids:
+        rows = range(draw(st.integers(0, 2 if moves else 0)))
+        pebbles[pid] = pebble(f"p{pid}", [(pattern(pid, True), draw(st.sampled_from(moves))) for _ in rows])
     positions = {1: vertex(0, draw(st.integers(0, 1)))}
     positions.update({pid: vertex(draw(st.integers(0, 2)), draw(st.integers(0, 1))) for pid in ids})
     return Collective(
@@ -97,7 +99,8 @@ TEXTS = st.one_of(st.sampled_from(BUILTIN_TEXTS), st.builds(emit_strategy, colle
 
 TOP = "9" * MAX_DIGITS
 NUMBERS = st.sampled_from(
-    ["0", "1", "2", "3", "9", "00", "01", "-1", "-0", "-2", TOP, "1" + TOP, "-" + TOP, "-1" + TOP, "0" + TOP, "٣", "²", "1٣"]
+    ["0", "1", "2", "3", "9", "00", "01", "-1", "-0", "-2", TOP, "-" + TOP]
+    + ["1" + TOP, "-1" + TOP, "0" + TOP, "٣", "²", "1٣"]
 )
 TOKENS = st.one_of(
     NUMBERS,
@@ -126,7 +129,9 @@ def mutate(data, lines: list[str]) -> list[str]:
     i = data.draw(st.integers(0, len(lines) - 1))
     tokens = lines[i].split()
     op = data.draw(
-        st.sampled_from(["insert", "delete", "swap", "replace", "neighbourhood", "respace", "copy-line", "drop-line", "swap-lines"])
+        st.sampled_from(
+            ["insert", "delete", "swap", "replace", "neighbourhood", "respace", "copy-line", "drop-line", "swap-lines"]
+        )
     )
     if op == "copy-line":
         lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
@@ -193,8 +198,9 @@ def test_wildcard_neighbourhood_differs_from_three_wildcard_entries():
     assert assert_same(text.replace("| * ->", "| * * ->", 1))[0] == "error"
 
 
-@pytest.mark.parametrize("directive", ["format: pebblewalk-strategy 1", "strategy again", "members 1", "leader initial s"])
-def test_duplicated_directives_fail_alike(directive):
-    text = "format: pebblewalk-strategy 1\nstrategy s\nmembers 1\nleader initial s\nrule s: * | * -> free then s\nplace 1 (0,0)\n"
-    assert assert_same(text + directive + "\n")[:3] == ("error", 7, 1)
-    assert assert_same(text + "place 1 (1,0)\n")[:3] == ("error", 7, 7)
+@pytest.mark.parametrize(
+    "directive, col",
+    [("format: pebblewalk-strategy 1", 1), ("strategy again", 1), ("members 1", 1), ("leader initial s", 1), ("place 1 (1,0)", 7)],
+)
+def test_duplicated_directives_fail_alike(directive, col):
+    assert assert_same(MINIMAL + directive + "\n")[:3] == ("error", 7, col)
