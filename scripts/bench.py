@@ -8,14 +8,15 @@ unchanged) with `--workload all` on this checkout and on the parent's
 checkout in 10 alternating pairs: pair i runs at seed first-seed + i,
 parent first when i is even.  Each checkout then gets one `--trace 1` run at
 seed 1, and then runs once each of the end-to-end commands the benchmark
-does not cover: `scripts/reproduce_results.py` and `pebblewalk simulate
-walker14 --adversary seeded:42` at horizons 10000 and 50000, with the
-checkout's `src` on PYTHONPATH.  The file holds each checkout's git SHA, the
-Python version, every run's four end-to-end metrics per workload with their
-median and quartiles, failed and attempted op counts, the count-valued
-per-layer metrics of the traced run, and each timed command's exit code,
-wall time and CPU time.  It measures only: nothing is compared or gated.
-An existing BENCH_<n>.json is never overwritten.
+does not cover: `scripts/reproduce_results.py`, `pebblewalk simulate
+walker14 --adversary seeded:42` at horizons 10000 and 50000, and the test
+suite (`python -m pytest -q`), with the checkout's `src` on PYTHONPATH.
+The file holds each checkout's git SHA, the Python version, every run's
+four end-to-end metrics per workload with their median and quartiles,
+failed and attempted op counts, the count-valued per-layer metrics of the
+traced run, and each timed command's exit code, wall time and CPU time.
+It measures only: nothing is compared or gated.  An existing
+BENCH_<n>.json is never overwritten.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def timed_commands(out_dir: Path) -> dict[str, list[str]]:
             f"simulate_{h}": [*simulate, "--horizon", str(h), "--output", str(out_dir / f"walker14-{h}.trace.jsonl")]
             for h in (10000, 50000)
         },
+        "tests": [sys.executable, "-m", "pytest", "-q"],
     }
 
 

@@ -6,8 +6,8 @@ exhibiting one infinite realization whose coordinate stays put.  The witness
 format is a lasso: a finite choice prefix followed by a choice cycle that
 returns the collective to the exact same configuration and internal states,
 hence replays forever with zero net displacement.  The search expands a
-`collective.Quotient`, the graph `walk` steps through, and reads its lasso
-prefix off the quotient's discovery tree.
+`collective.Quotient`, the graph `walk` steps through, and reads each
+certificate off it; `finalize_certificate` replays one as the check.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from pebblewalk.collective import (
@@ -184,7 +185,7 @@ def search_lasso(
     zero revisits an absolute configuration exactly, so it extends to an
     infinite realization whose coordinate is confined.  The lasso's prefix
     is the discovery-tree path to the walk's base, a shortest path from the
-    initial class.  Certificates are replay-validated before being returned.
+    initial class.  The certificate is read off the quotient, not replayed.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -219,8 +220,7 @@ def search_lasso(
         return SearchOutcome(None, not truncated, stats)
     base, cycle_edges = found
     _, prefix_edges = g.tree_path(base)
-    cert = _certificate_from_edges(initial, g, prefix_edges, cycle_edges)
-    return SearchOutcome(cert, not truncated, stats)
+    return SearchOutcome(_certificate_from_edges(g, prefix_edges, cycle_edges), not truncated, stats)
 
 
 def _negative_cycle(nodes: list[int], edges: list[int], g: Graph, weight: Callable[[int], int]) -> Optional[list[int]]:
@@ -323,23 +323,26 @@ def _compose_zero_walk(g: Graph, pos_cycle: list[int], neg_cycle: list[int]) -> 
     return a, walk
 
 
-def _certificate_from_edges(
-    initial: CollectiveState,
-    g: Graph,
-    prefix_edges: list[int],
-    cycle_edges: list[int],
-) -> Optional[LassoCertificate]:
-    prefix = tuple(g.edges[ei].offset for ei in prefix_edges if g.edges[ei].consulted)
-    cycle = tuple(g.edges[ei].offset for ei in cycle_edges if g.edges[ei].consulted)
-    cert = LassoCertificate(
-        prefix=prefix,
+def _certificate_from_edges(g: Graph, prefix_edges: list[int], cycle_edges: list[int]) -> LassoCertificate:
+    """The lasso along the edges, measured as `finalize_certificate` measures
+    a replay, over the cycle walked twice: a class at anchor a has position
+    sums (sum of x over its representative + members * a, sum of y)."""
+    cycle = [g.edges[ei] for ei in cycle_edges]
+    reps = [g.reps[cycle[0].src], *(g.reps[move.dst] for move in cycle * 2)]
+    anchors = accumulate((move.weight for move in cycle * 2), initial=0)
+    members = len(reps[0].positions)
+    sums = [(x + members * a, y) for (x, y), a in zip(position_sums(reps), anchors)]
+    base_x, base_y = sums[0]
+    spread = max(max(abs(x - base_x), abs(y - base_y)) for x, y in sums)
+    end_x, end_y = sums[len(cycle)]
+    return LassoCertificate(
+        prefix=tuple(g.edges[ei].offset for ei in prefix_edges if g.edges[ei].consulted),
         prefix_steps=len(prefix_edges),
-        cycle=cycle,
-        cycle_steps=len(cycle_edges),
-        net_displacement=(Fraction(0), Fraction(0)),
-        confinement_radius=Fraction(0),
+        cycle=tuple(move.offset for move in cycle if move.consulted),
+        cycle_steps=len(cycle),
+        net_displacement=(Fraction(end_x - base_x, members), Fraction(end_y - base_y, members)),
+        confinement_radius=Fraction(spread, members),
     )
-    return finalize_certificate(initial, cert)
 
 
 def finalize_certificate(initial: CollectiveState, cert: LassoCertificate) -> Optional[LassoCertificate]:
@@ -400,7 +403,7 @@ def defeat_strategy(
     """Find a confinement witness for a collective with at most 3 pebbles.
 
     Runs the lasso search once and keeps its stats.  A found lasso is
-    returned as a replayed certificate; otherwise the outcome is
+    returned as the search's certificate; otherwise the outcome is
     inconclusive, and its detail says whether the whole quotient graph was
     expanded or the search was cut off by `max_depth` or the diameter bound.
     """

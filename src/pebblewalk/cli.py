@@ -182,8 +182,7 @@ def cmd_defeat(args) -> int:
         print(f"inconclusive: {outcome.detail}")
         return VIOLATED
     cert = outcome.certificate
-    replayed = finalize_certificate(collective.initial_state(), cert)
-    if replayed is None:
+    if finalize_certificate(collective.initial_state(), cert) != cert:
         return _fail(RUNTIME_FAULT, "defeat: certificate failed replay validation")
     print(
         f"defeated {collective.name}: lasso with {cert.prefix_steps}-step prefix,"

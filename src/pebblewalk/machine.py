@@ -322,9 +322,6 @@ class Automaton:
         """Every output some state could emit on obs (fallback Stay included)."""
         return {self.act(state, obs)[0] for state in self.states}
 
-    def mentioned_members(self) -> set[MemberId]:
-        return set().union(*map(rule_members, self.rules))
-
 
 def pebble(name: StateId, rows: Iterable[tuple[ObservationPattern, Output]]) -> Automaton:
     """A one-state automaton: its state is its name, and every row keeps it."""

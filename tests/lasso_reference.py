@@ -1,18 +1,22 @@
 """Reference expansion for the lasso search: every representative is
 planned and stepped afresh through plan_step and apply_choice, and every
-successor is keyed by canonicalize, with no quotient table.  The search's
-own expansion must reach the same outcome."""
+successor is keyed by canonicalize, with no quotient table.  A found lasso
+is measured by replaying it through finalize_certificate, not read off the
+graph.  The search's own expansion must reach the same outcome."""
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
+from typing import Optional
 
 from pebblewalk.adversary import (
+    LassoCertificate,
     SearchOutcome,
     SearchStats,
-    _certificate_from_edges,
     _find_zero_walk,
     canonicalize,
+    finalize_certificate,
 )
 from pebblewalk.collective import (
     CollectiveState,
@@ -82,5 +86,26 @@ def search_lasso(
         return SearchOutcome(None, not truncated, stats)
     base, cycle_edges = walk
     prefix_edges = bfs_path(g, 0, base)
-    cert = _certificate_from_edges(initial, g, prefix_edges, cycle_edges)
+    cert = replayed_certificate(initial, g, prefix_edges, cycle_edges)
     return SearchOutcome(cert, not truncated, stats)
+
+
+def replayed_certificate(
+    initial: CollectiveState,
+    g: Graph,
+    prefix_edges: list[int],
+    cycle_edges: list[int],
+) -> Optional[LassoCertificate]:
+    """The lasso along the edges with zeroed measures, which
+    finalize_certificate replays from initial and fills in."""
+    prefix = tuple(g.edges[ei].offset for ei in prefix_edges if g.edges[ei].consulted)
+    cycle = tuple(g.edges[ei].offset for ei in cycle_edges if g.edges[ei].consulted)
+    cert = LassoCertificate(
+        prefix=prefix,
+        prefix_steps=len(prefix_edges),
+        cycle=cycle,
+        cycle_steps=len(cycle_edges),
+        net_displacement=(Fraction(0), Fraction(0)),
+        confinement_radius=Fraction(0),
+    )
+    return finalize_certificate(initial, cert)

@@ -13,7 +13,7 @@ import re
 
 from pebblewalk.collective import Collective
 from pebblewalk.lattice import vertex
-from pebblewalk.machine import Automaton, ObservationPattern, Rule, parse_output
+from pebblewalk.machine import Automaton, MemberId, ObservationPattern, Rule, parse_output, rule_members
 from pebblewalk.strategy_format import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -140,6 +140,10 @@ def _parse_output(line: _Line):
     except ValueError as e:
         raise ParseError(line.number, col, str(e)) from None
 
+
+def mentioned_members(automaton: Automaton) -> set[MemberId]:
+    """Every member id the automaton's rules name."""
+    return set().union(*map(rule_members, automaton.rules))
 
 
 def parse_strategy(text: str) -> StrategyFile:
@@ -283,7 +287,7 @@ def parse_strategy(text: str) -> StrategyFile:
 
     member_ids = {1, *want_pebbles}
     for rule, rline, _ in leader_rules + [r for rows in pebble_rows.values() for r in rows]:
-        mentioned = Automaton(initial=rule.state, rules=(rule,)).mentioned_members()
+        mentioned = mentioned_members(Automaton(initial=rule.state, rules=(rule,)))
         extra = mentioned - member_ids
         if extra:
             raise ParseError(rline, 1, f"rule mentions unknown member {min(extra)}")

@@ -34,7 +34,7 @@ from pebblewalk.collective import (
 )
 from pebblewalk.graph import Graph, cycle_components
 from pebblewalk.lattice import vertex, x_translation
-from pebblewalk.machine import Automaton, ObservationPattern, move_to_set, pebble
+from pebblewalk.machine import MOVE_TO_FREE, STAY, Automaton, ObservationPattern, Rule, move_to_set, pebble
 from pebblewalk.strategies import (
     BUILTIN_STRATEGIES,
     build_carrier,
@@ -158,7 +158,7 @@ def test_lasso_found_for_free_walker():
 def test_lasso_certificate_replays():
     initial = build_free_walker().initial_state()
     cert = search_lasso(initial, max_depth=40).certificate
-    assert finalize_certificate(initial, cert) is not None
+    assert finalize_certificate(initial, cert) == cert
 
 
 @pytest.mark.parametrize("prefix_steps,cycle_steps", [(0, 0), (-2, 0), (0, -1)])
@@ -352,6 +352,67 @@ def test_search_expands_like_the_reference(name):
             assert got.certificate == want.certificate
             assert got.complete == want.complete
             assert got.stats == want.stats
+
+
+def _random_pattern(rng: random.Random, others: list[int], beside_leader: bool = False) -> ObservationPattern:
+    alpha = {m for m in others if rng.random() < 0.4}
+    if beside_leader:
+        alpha.add(1)
+    elif rng.random() < 0.3:
+        alpha = None
+    if not others or rng.random() < 0.5:
+        return ObservationPattern(alpha)
+    entries = [
+        rng.choice((None, ("has", rng.choice(others)), {m for m in others if rng.random() < 0.3}))
+        for _ in range(3)
+    ]
+    return ObservationPattern(alpha, entries)
+
+
+def _random_collective(rng: random.Random, pebbles: int) -> Collective:
+    """A random legal collective: a leader of 1-3 states whose first rule in
+    each state is a wildcard, and pebbles that copy a leader move while
+    member 1 is co-located.  Illegal draws are drawn again."""
+    ids = list(range(2, pebbles + 2))
+    outputs = [STAY, MOVE_TO_FREE, *(move_to_set(rng.sample(ids, rng.randint(1, len(ids)))) for _ in ids)]
+    while True:
+        states = [f"s{i}" for i in range(rng.randint(1, 3))]
+        rules = tuple(
+            Rule(state, _random_pattern(rng, ids) if j else W, rng.choice(outputs), rng.choice(states))
+            for state in states
+            for j in range(rng.randint(1, 2))
+        )
+        moves = [rule.output for rule in rules if rule.output != STAY]
+        pebbles_table = {}
+        for pid in ids:
+            others = [m for m in (1, *ids) if m != pid]
+            rows = [
+                (_random_pattern(rng, others, beside_leader=True), rng.choice(moves))
+                for _ in range(rng.randint(0, 2) if moves else 0)
+            ]
+            pebbles_table[pid] = pebble(f"p{pid}", rows)
+        positions = {1: vertex(0, rng.randint(0, 1))}
+        positions.update({pid: vertex(rng.randint(0, 2), rng.randint(0, 1)) for pid in ids})
+        col = Collective("random", Automaton(states[0], rules), FrozenMap(pebbles_table), FrozenMap(positions))
+        if not col.validate_pebbles():
+            return col
+
+
+def test_read_off_certificates_replay_on_random_collectives():
+    rng = random.Random(18)
+    found = 0
+    for i in range(240):
+        col = _random_collective(rng, i % 4)
+        initial = col.initial_state()
+        outcome = search_lasso(initial, max_depth=200)
+        assert outcome == lasso_reference.search_lasso(initial, 200)
+        cert = outcome.certificate
+        if cert is None:
+            continue
+        found += 1
+        assert finalize_certificate(initial, cert) == cert
+        assert (cert.net_displacement, cert.confinement_radius) == fraction_measures(initial, cert)
+    assert found >= 100
 
 
 def test_builtin_catalog():

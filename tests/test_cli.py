@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import time
 
 import pytest
 
+import pebblewalk.cli as cli
 from pebblewalk.adversary import Oscillator, ScriptedChoices
 from pebblewalk.cli import main, parse_adversary
 from pebblewalk.collective import run
@@ -425,6 +427,21 @@ def test_defeat_truncated_search_is_inconclusive(capsys):
     captured = capsys.readouterr()
     assert captured.out == "inconclusive: depth 1 exhausted (diameter bound 4)\n"
     assert captured.err == "defeat: 2 classes, 1 moves, 0 faults, 0 pruned\n"
+
+
+def test_defeat_refuses_a_certificate_its_replay_does_not_measure(monkeypatch, capsys):
+    real = cli.defeat_strategy
+
+    def misreported(collective, max_depth):
+        outcome = real(collective, max_depth=max_depth)
+        cert = dataclasses.replace(outcome.certificate, confinement_radius=outcome.certificate.confinement_radius + 1)
+        return dataclasses.replace(outcome, certificate=cert)
+
+    monkeypatch.setattr(cli, "defeat_strategy", misreported)
+    assert main(["defeat", "baseline-10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("defeat: certificate failed replay validation\n")
 
 
 def test_defeat_walker_out_of_scope(capsys):

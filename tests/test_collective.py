@@ -365,8 +365,9 @@ def test_run_and_search_quotients_hold_their_discovery_tree(monkeypatch, name):
     col = load_builtin(name)
     run(col.initial_state(), SeededRandom(42), 3000)
     assert len(run_tables) == 1
-    search_lasso(col.initial_state(), max_depth=200)  # a found lasso's replay runs again
+    search_lasso(col.initial_state(), max_depth=200)
     assert len(search_tables) == 1
+    assert len(run_tables) == 1  # a found lasso is read off the search's table, not replayed
     for table in run_tables + search_tables:
         assert len(table.edges) > 1
         assert_discovery_tree(table)

@@ -93,7 +93,7 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
         assert list(side["timed"]) == ["ok", "fails"]
         assert [side["timed"][name]["exit"] for name in side["timed"]] == [0, 4]
         assert all(run["wall_s"] > 0 and run["cpu_s"] >= 0 for run in side["timed"].values())
-    assert list(bench.timed_commands(tmp_path)) == ["reproduce_results", "simulate_10000", "simulate_50000"]
+    assert list(bench.timed_commands(tmp_path)) == ["reproduce_results", "simulate_10000", "simulate_50000", "tests"]
 
     before = (change / "BENCH_3.json").read_text()
     calls.clear()
