@@ -9,8 +9,9 @@ checkout in 10 alternating pairs: pair i runs at seed first-seed + i,
 parent first when i is even.  Each checkout then gets one `--trace 1` run at
 seed 1, and then runs once each of the end-to-end commands the benchmark
 does not cover: `scripts/reproduce_results.py`, `pebblewalk simulate
-walker14 --adversary seeded:42` at horizons 10000 and 50000, and the test
-suite (`python -m pytest -q`), with the checkout's `src` on PYTHONPATH.
+walker14 --adversary seeded:42` at horizons 10000 and 50000, `pebblewalk
+defeat <file>` on each baseline written out as a strategy file, and the
+test suite (`python -m pytest -q`), with the checkout's `src` on PYTHONPATH.
 The file holds each checkout's git SHA, the Python version, every run's
 four end-to-end metrics per workload with their median and quartiles,
 failed and attempted op counts, the count-valued per-layer metrics of the
@@ -34,6 +35,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
+from pebblewalk.strategy_format import emit_strategy
+
 PAIRS = 10
 TRACE_SEED = 1
 COUNT_UNITS = ("count", "bytes")
@@ -46,14 +52,21 @@ def benchmark_command(checkout: Path) -> list[str]:
 
 
 def timed_commands(out_dir: Path) -> dict[str, list[str]]:
-    """End-to-end commands the benchmark does not time, run from a checkout."""
+    """End-to-end commands the benchmark does not time, run from a checkout.
+    Writes each baseline's strategy file into out_dir for `defeat` to read."""
     simulate = [sys.executable, "-m", "pebblewalk", "simulate", "walker14", "--adversary", "seeded:42"]
+    defeat = {}
+    for name in sorted(n for n in BUILTIN_STRATEGIES if n.startswith("baseline")):
+        path = out_dir / f"{name}.strategy"
+        path.write_text(emit_strategy(load_builtin(name)))
+        defeat[f"defeat_{name}"] = [sys.executable, "-m", "pebblewalk", "defeat", str(path)]
     return {
         "reproduce_results": [sys.executable, "scripts/reproduce_results.py"],
         **{
             f"simulate_{h}": [*simulate, "--horizon", str(h), "--output", str(out_dir / f"walker14-{h}.trace.jsonl")]
             for h in (10000, 50000)
         },
+        **defeat,
         "tests": [sys.executable, "-m", "pytest", "-q"],
     }
 

@@ -25,11 +25,9 @@ fires first.  A pebble `when` line with a `then` naming a second state
 parses structurally but is rejected by the pebble validator.
 
 Tokens are separated by any run of whitespace, tabs and Unicode spaces
-included.  The grammar is one whole-line regular expression per directive,
-and an accepted line's rule, pattern, output or vertex is built straight
-from its groups.  The token cursor `_Line` only places errors: it reads a
-line that no pattern accepts, or whose fields fail a check, and raises the
-ParseError of its first bad token with that token's line and column.
+included.  Each directive line is split once into its tokens, which are
+read in the order they are written; the first bad or missing one raises
+the ParseError, with its line and column.
 """
 
 from __future__ import annotations
@@ -37,10 +35,10 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import NoReturn
+from operator import attrgetter
 
 from pebblewalk.collective import Collective
-from pebblewalk.lattice import Vertex, vertex
+from pebblewalk.lattice import vertex
 from pebblewalk.machine import (
     Automaton,
     ObservationPattern,
@@ -63,35 +61,11 @@ MAX_DIGITS = 18
 # line above this is refused before any enumeration.
 MAX_MEMBERS = 9
 
-# The grammar: one whole-line pattern per directive.  Tokens are separated
-# by any whitespace run (Unicode spaces too, as str.split() cuts them), a
-# line may start with one, and numbers are 1..MAX_DIGITS ASCII digits.
-_WORD = r"[A-Za-z0-9][A-Za-z0-9_-]*"
-_NUMBER = rf"[0-9]{{1,{MAX_DIGITS}}}"
-_SET = rf"\{{(?:{_NUMBER}(?:,{_NUMBER})*)?\}}"
-_ENTRY = rf"\*|has\({_NUMBER}\)|{_SET}"
-# <pattern> -> <output>: groups alpha, wildcard neighbourhood, three
-# entries, output.  A lone `*` neighbourhood is one only before `->`.
-_WHEN = (
-    rf"(\*|{_SET})\s+\|\s+(?:(\*)|({_ENTRY})\s+({_ENTRY})\s+({_ENTRY}))"
-    rf"\s+->\s+(stay|free|set:{_NUMBER}(?:,{_NUMBER})*)"
-)
-_PRIORITY = rf"(?:\s+priority\s+({_NUMBER}))?"
-_HEADER = re.compile(rf"\s*format:\s+{re.escape(FORMAT_NAME)}\s+({_NUMBER})")
-_STRATEGY = re.compile(rf"\s*strategy\s+({_WORD})")
-_MEMBERS = re.compile(rf"\s*members\s+({_NUMBER})")
-_LEADER = re.compile(rf"\s*leader\s+initial\s+({_WORD})")
-_RULE = re.compile(rf"\s*rule\s+({_WORD}):\s+{_WHEN}\s+then\s+({_WORD}){_PRIORITY}")
-_PEBBLE = re.compile(
-    rf"\s*pebble\s+({_NUMBER})\s+({_WORD})(?:\s+when\s+{_WHEN}(?:\s+then\s+({_WORD}))?{_PRIORITY})?"
-)
-_PLACE_LINE = re.compile(rf"\s*place\s+({_NUMBER})\s+\((-?{_NUMBER}),(-?{_NUMBER})\)")
-
-# The cursor's token tests, for placing an error.
-_NAME = re.compile(_WORD + r"\Z")
-_SET_LITERAL = re.compile(r"\{(\d+(,\d+)*)?\}\Z", re.ASCII)
-_HAS = re.compile(r"has\((\d+)\)\Z", re.ASCII)
-_PLACE = re.compile(r"\((-?\d+),(-?\d+)\)\Z", re.ASCII)
+# Names are words; numbers are ASCII digits, at most MAX_DIGITS of them.
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
+_SET_LITERAL = re.compile(r"\{(\d+(,\d+)*)?\}", re.ASCII)
+_HAS = re.compile(r"has\((\d+)\)", re.ASCII)
+_PLACE = re.compile(r"\((-?\d+),(-?\d+)\)", re.ASCII)
 _TOKEN = re.compile(r"\S+")
 
 
@@ -118,210 +92,120 @@ def strategy_hash(collective: Collective) -> str:
     return hashlib.sha256(emit_strategy(collective).encode()).hexdigest()
 
 
-class _Line:
-    """Token cursor over one directive line, for placing its error."""
-
-    def __init__(self, number: int, text: str):
-        self.number = number
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
-        self.pos = 0
-        self.end_col = len(text) + 1
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if not self.done() else None
-
-    def col(self) -> int:
-        return self.tokens[self.pos][1] if not self.done() else self.end_col
-
-    def take(self, what: str) -> str:
-        if self.done():
-            raise ParseError(self.number, self.end_col, f"expected {what}")
-        tok, _ = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, literal: str) -> None:
-        col = self.col()
-        tok = self.take(f"'{literal}'")
-        if tok != literal:
-            raise ParseError(self.number, col, f"expected '{literal}', got {tok!r}")
-
-    def fail(self, message: str) -> ParseError:
-        return ParseError(self.number, self.col(), message)
-
-    def finish(self) -> None:
-        if not self.done():
-            raise self.fail(f"unexpected trailing {self.peek()!r}")
+# A directive line is read as its list of tokens `t` with "" appended, so a
+# field past the last token reads as "", which no field accepts.
 
 
-def _take_name(line: _Line, what: str) -> str:
-    col = line.col()
-    tok = line.take(what)
-    if not _NAME.match(tok):
-        raise ParseError(line.number, col, f"invalid {what} {tok!r}")
+class _BadField(Exception):
+    """Token `index` of the line being read is bad or missing; parse_strategy
+    raises the ParseError at its column."""
+
+    def __init__(self, index: int, reason: str):
+        self.index = index
+        self.reason = reason
+
+
+def _bad(t: list[str], i: int, what: str, reason: str) -> _BadField:
+    """`reason` against token i, or `expected <what>` past the last token."""
+    return _BadField(i, reason if t[i] else f"expected {what}")
+
+
+def _expected(t: list[str], i: int, what: str) -> _BadField:
+    return _bad(t, i, what, f"expected {what}, got {t[i]!r}")
+
+
+def _trailing(t: list[str], i: int) -> _BadField:
+    return _BadField(i, f"unexpected trailing {t[i]!r}")
+
+
+def _too_long(i: int, what: str) -> _BadField:
+    return _BadField(i, f"{what} has more than {MAX_DIGITS} digits")
+
+
+def _name(t: list[str], i: int, what: str) -> str:
+    tok = t[i]
+    if _NAME.fullmatch(tok) is None:
+        raise _bad(t, i, what, f"invalid {what} {tok!r}")
     return tok
 
 
-def _int(line: _Line, col: int, digits: str, what: str) -> int:
-    """int() of already matched ASCII digits, optionally signed."""
-    if len(digits) > MAX_DIGITS + digits.startswith("-"):
-        raise ParseError(line.number, col, f"{what} has more than {MAX_DIGITS} digits")
-    return int(digits)
-
-
-def _take_int(line: _Line, what: str) -> int:
-    col = line.col()
-    tok = line.take(what)
+def _int(t: list[str], i: int, what: str) -> int:
+    tok = t[i]
     if not (tok.isascii() and tok.isdigit()):
-        raise ParseError(line.number, col, f"expected {what}, got {tok!r}")
-    return _int(line, col, tok, what)
+        raise _expected(t, i, what)
+    if len(tok) > MAX_DIGITS:
+        raise _too_long(i, what)
+    return int(tok)
 
 
-def _check_set(line: _Line, tok: str, col: int) -> None:
-    m = _SET_LITERAL.match(tok)
-    if not m:
-        raise ParseError(line.number, col, f"invalid set literal {tok!r}")
-    if m.group(1):
-        for x in m.group(1).split(","):
-            _int(line, col, x, "member id")
+def _set(t: list[str], i: int, what: str) -> frozenset[int]:
+    tok = t[i]
+    if tok == "{}":
+        return frozenset()
+    if _SET_LITERAL.fullmatch(tok) is None:
+        raise _bad(t, i, what, f"invalid set literal {tok!r}")
+    ids = tok[1:-1].split(",")
+    if len(tok) > MAX_DIGITS + 1 and any(len(x) > MAX_DIGITS for x in ids):
+        raise _too_long(i, "member id")
+    return frozenset(map(int, ids))
 
 
-def _check_entry(line: _Line) -> None:
-    col = line.col()
-    tok = line.take("neighborhood entry")
+def _entry(t: list[str], i: int):
+    tok = t[i]
     if tok == "*":
-        return
-    has = _HAS.match(tok)
-    if has:
-        _int(line, col, has.group(1), "member id")
-    else:
-        _check_set(line, tok, col)
+        return None
+    if tok[:1] != "{":
+        has = _HAS.fullmatch(tok)
+        if has is not None:
+            if len(has[1]) > MAX_DIGITS:
+                raise _too_long(i, "member id")
+            return ("has", int(has[1]))
+    return _set(t, i, "neighborhood entry")
 
 
-def _check_pattern(line: _Line) -> None:
-    col = line.col()
-    tok = line.take("alpha pattern")
-    if tok != "*":
-        _check_set(line, tok, col)
-    line.expect("|")
-    if line.peek() == "*":
-        ahead = [t for t, _ in line.tokens[line.pos + 1 : line.pos + 2]]
-        if ahead == ["->"] or ahead == []:
-            line.take("neighborhood")
-            return
-    for _ in range(3):
-        _check_entry(line)
+def _pattern(t: list[str], i: int) -> tuple[ObservationPattern, int]:
+    """The pattern whose alpha part is t[i], and the index after it.  A lone
+    `*` neighbourhood is one only before `->` or at the end of the line."""
+    alpha = None if t[i] == "*" else _set(t, i, "alpha pattern")
+    if t[i + 1] != "|":
+        raise _expected(t, i + 1, "'|'")
+    if t[i + 2] == "*" and t[i + 3] in ("->", ""):
+        return ObservationPattern(alpha, None), i + 3
+    return ObservationPattern(alpha, (_entry(t, i + 2), _entry(t, i + 3), _entry(t, i + 4))), i + 5
 
 
-def _check_output(line: _Line) -> None:
-    col = line.col()
-    tok = line.take("output")
-    if tok.startswith("set:") and any(len(d) > MAX_DIGITS for d in tok[4:].split(",")):
-        raise ParseError(line.number, col, f"member id has more than {MAX_DIGITS} digits")
+def _output(t: list[str], i: int):
+    tok = t[i]
+    if len(tok) > MAX_DIGITS + 4 and tok.startswith("set:") and any(len(d) > MAX_DIGITS for d in tok[4:].split(",")):
+        raise _too_long(i, "member id")
     try:
-        parse_output(tok)
+        return parse_output(tok)
     except ValueError as e:
-        raise ParseError(line.number, col, str(e)) from None
+        raise _bad(t, i, "output", str(e)) from None
 
 
-def _check_priority(line: _Line) -> None:
-    if line.peek() == "priority":
-        line.take("priority")
-        _take_int(line, "priority value")
-
-
-def _raise_line_error(number, body, header_seen, name, members, leader_initial, pebble_names, places) -> NoReturn:
-    """Raise the ParseError of a directive line that no pattern accepts.
-
-    The cursor reads the line token by token, in the order its fields are
-    written, and reports the first bad token or failed check: a duplicate
-    directive, a renamed pebble, a member count outside 1..MAX_MEMBERS, a
-    row other than 0 or 1, a member placed twice, a number over MAX_DIGITS
-    digits.  The other arguments are the directives read so far.
-    """
-    line = _Line(number, body)
-    head_col = line.col()
-    head = line.take("directive")
-    if not header_seen:
-        if head != "format:":
-            raise ParseError(number, head_col, "expected the format header first")
-        fmt_col = line.col()
-        fmt = line.take("format name")
-        if fmt != FORMAT_NAME:
-            raise ParseError(number, fmt_col, f"unknown format {fmt!r}")
-        ver_col = line.col()
-        version = _take_int(line, "format version")
-        if version != FORMAT_VERSION:
-            raise ParseError(number, ver_col, f"unsupported version {version}")
-    elif head == "format:":
-        raise ParseError(number, head_col, "duplicate format header")
-    elif head == "strategy":
-        if name is not None:
-            raise ParseError(number, head_col, "duplicate strategy line")
-        _take_name(line, "strategy name")
-    elif head == "members":
-        if members is not None:
-            raise ParseError(number, head_col, "duplicate members line")
-        count = _take_int(line, "member count")
-        if count < 1:
-            raise ParseError(number, head_col, "members must be at least 1")
-        if count > MAX_MEMBERS:
-            raise ParseError(number, head_col, f"members must be at most {MAX_MEMBERS}")
-    elif head == "leader":
-        line.expect("initial")
-        if leader_initial is not None:
-            raise ParseError(number, head_col, "duplicate leader initial line")
-        _take_name(line, "state name")
-    elif head == "rule":
-        state_col = line.col()
-        state_tok = line.take("state name followed by ':'")
-        if not state_tok.endswith(":") or not _NAME.match(state_tok[:-1]):
-            raise ParseError(number, state_col, f"invalid rule state {state_tok!r}")
-        _check_pattern(line)
-        line.expect("->")
-        _check_output(line)
-        line.expect("then")
-        _take_name(line, "state name")
-        _check_priority(line)
-    elif head == "pebble":
-        pid = _take_int(line, "pebble id")
-        pname_col = line.col()
-        pname = _take_name(line, "pebble name")
-        if pid in pebble_names and pebble_names[pid][0] != pname:
-            raise ParseError(
-                number, pname_col, f"pebble {pid} was named {pebble_names[pid][0]!r} earlier"
-            )
-        if not line.done():
-            line.expect("when")
-            _check_pattern(line)
-            line.expect("->")
-            _check_output(line)
-            if line.peek() == "then":
-                line.take("then")
-                _take_name(line, "state name")
-            _check_priority(line)
-    elif head == "place":
-        mid_col = line.col()
-        mid = _take_int(line, "member id")
-        spot_col = line.col()
-        spot = line.take("coordinate pair")
-        m = _PLACE.match(spot)
-        if not m:
-            raise ParseError(number, spot_col, f"invalid coordinate pair {spot!r}")
-        x, y = (_int(line, spot_col, g, "coordinate") for g in m.groups())
-        try:
-            vertex(x, y)
-        except ValueError as e:
-            raise ParseError(number, spot_col, str(e)) from None
-        if mid in places:
-            raise ParseError(number, mid_col, f"member {mid} placed twice")
-    else:
-        raise ParseError(number, head_col, f"unknown directive {head!r}")
-    line.finish()
-    raise AssertionError(f"line {number}: no pattern accepts this line, yet the cursor finds no error")
+def _tagged_rule(t: list[str], i: int, state: str, number: int, then_required: bool):
+    """(rule, line, priority) of `<pattern> -> <output> [then <state>]
+    [priority <n>]` from t[i] to the end of the line; without `then` the
+    rule stays in its state."""
+    pattern, i = _pattern(t, i)
+    if t[i] != "->":
+        raise _expected(t, i, "'->'")
+    output = _output(t, i + 1)
+    i += 2
+    next_state = state
+    if then_required or t[i] == "then":
+        if t[i] != "then":
+            raise _expected(t, i, "'then'")
+        next_state = _name(t, i + 1, "state name")
+        i += 2
+    priority = None
+    if t[i] == "priority":
+        priority = _int(t, i + 1, "priority value")
+        i += 2
+    if t[i]:
+        raise _trailing(t, i)
+    return Rule(state, pattern, output, next_state), number, priority
 
 
 def _emit_set(s: frozenset) -> str:
@@ -345,15 +229,13 @@ def _emit_pattern(p: ObservationPattern) -> str:
     return f"{alpha} | {nbh}"
 
 
-def _group_by_state(rules) -> list[tuple[str, list]]:
-    order: list[str] = []
+def _by_state(items, state=attrgetter("state")) -> dict[str, list]:
+    """The items grouped by their rule's state, `state(item)`, states in
+    first-appearance order."""
     groups: dict[str, list] = {}
-    for r in rules:
-        if r.state not in groups:
-            order.append(r.state)
-            groups[r.state] = []
-        groups[r.state].append(r)
-    return [(s, groups[s]) for s in order]
+    for item in items:
+        groups.setdefault(state(item), []).append(item)
+    return groups
 
 
 def emit_strategy(collective: Collective) -> str:
@@ -365,7 +247,7 @@ def emit_strategy(collective: Collective) -> str:
         "",
         f"leader initial {collective.leader.initial}",
     ]
-    for state, group in _group_by_state(collective.leader.rules):
+    for state, group in _by_state(collective.leader.rules).items():
         for i, r in enumerate(group):
             lines.append(
                 f"rule {state}: {_emit_pattern(r.pattern)} -> "
@@ -402,11 +284,8 @@ def _check_overlaps(tagged_rules, member_count: int, observer: int) -> None:
     priorities, is checked by matching each realizable observation against
     each of its rules once; the least overlapping pair is reported.
     """
-    by_state = {}
-    for entry in tagged_rules:
-        by_state.setdefault(entry[0].state, []).append(entry)
     observations = None
-    for state, group in by_state.items():
+    for state, group in _by_state(tagged_rules, lambda entry: entry[0].state).items():
         priorities = [pri for _, _, pri in group]
         if len(group) < 2 or None not in priorities and len(set(priorities)) == len(priorities):
             continue
@@ -446,41 +325,11 @@ def _least_overlap(matchers, priorities, observations):
 
 
 def _order_rules(tagged_rules) -> tuple[Rule, ...]:
-    """Group by state in first-appearance order; sort inside by priority."""
-    ordered: list[Rule] = []
-    seen: list[str] = []
-    groups: dict[str, list] = {}
-    for idx, (rule, line, pri) in enumerate(tagged_rules):
-        if rule.state not in groups:
-            seen.append(rule.state)
-            groups[rule.state] = []
-        groups[rule.state].append((pri if pri is not None else idx, idx, rule))
-    for state in seen:
-        for _, _, rule in sorted(groups[state], key=lambda t: (t[0], t[1])):
-            ordered.append(rule)
-    return tuple(ordered)
-
-
-def _set_of(tok: str) -> frozenset[int]:
-    """The ids of a set literal the patterns accepted."""
-    return frozenset(map(int, tok[1:-1].split(","))) if tok != "{}" else frozenset()
-
-
-def _entry_of(tok: str):
-    """A neighbourhood entry the patterns accepted: *, has(<id>) or a set."""
-    if tok == "*":
-        return None
-    if tok[0] == "h":
-        return ("has", int(tok[4:-1]))
-    return _set_of(tok)
-
-
-def _tagged_rule(number, state, alpha, star, e1, e2, e3, output, next_state, priority):
-    """(rule, line, priority) from the groups of a `rule` or pebble `when` line."""
-    entries = None if star else (_entry_of(e1), _entry_of(e2), _entry_of(e3))
-    pattern = ObservationPattern(None if alpha == "*" else _set_of(alpha), entries)
-    rule = Rule(state, pattern, parse_output(output), next_state)
-    return rule, number, None if priority is None else int(priority)
+    """Group by state in first-appearance order; sort inside by priority,
+    a rule without one ranking as its index in the list."""
+    ranked = [(idx if pri is None else pri, idx, rule) for idx, (rule, _, pri) in enumerate(tagged_rules)]
+    groups = _by_state(ranked, lambda entry: entry[2].state).values()
+    return tuple(rule for group in groups for _, _, rule in sorted(group))
 
 
 def parse_strategy(text: str) -> StrategyFile:
@@ -496,57 +345,89 @@ def parse_strategy(text: str) -> StrategyFile:
     lines = text.splitlines()
     line_count = len(lines)
 
-    # Each branch that accepts its line continues; a line no pattern
-    # accepts, or whose fields fail a check, falls through to the cursor.
-    for number, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].rstrip()
-        if not body:
-            continue
-        head = body.split(None, 1)[0]
-        if not header_seen:
-            m = _HEADER.fullmatch(body)
-            if m and int(m[1]) == FORMAT_VERSION:
+    try:
+        for number, raw in enumerate(lines, start=1):
+            body = raw.split("#", 1)[0]
+            t = body.split()
+            if not t:
+                continue
+            t.append("")
+            head = t[0]
+            if not header_seen:
+                if head != "format:":
+                    raise _BadField(0, "expected the format header first")
+                if t[1] != FORMAT_NAME:
+                    raise _bad(t, 1, "format name", f"unknown format {t[1]!r}")
+                if _int(t, 2, "format version") != FORMAT_VERSION:
+                    raise _BadField(2, f"unsupported version {int(t[2])}")
+                if t[3]:
+                    raise _trailing(t, 3)
                 header_seen = True
-                continue
-        elif head == "rule":
-            m = _RULE.fullmatch(body)
-            if m:
-                leader_rules.append(_tagged_rule(number, *m.groups()))
-                continue
-        elif head == "pebble":
-            m = _PEBBLE.fullmatch(body)
-            if m:
-                pid, pname, *when, next_state, priority = m.groups()
-                pid = int(pid)
+            elif head == "rule":
+                state = t[1]
+                if state[-1:] != ":" or _NAME.fullmatch(state[:-1]) is None:
+                    raise _bad(t, 1, "state name followed by ':'", f"invalid rule state {state!r}")
+                leader_rules.append(_tagged_rule(t, 2, state[:-1], number, then_required=True))
+            elif head == "pebble":
+                pid = _int(t, 1, "pebble id")
+                pname = _name(t, 2, "pebble name")
                 named = pebble_names.setdefault(pid, (pname, number))[0]
+                if named != pname:
+                    raise _BadField(2, f"pebble {pid} was named {named!r} earlier")
                 rows = pebble_rows.setdefault(pid, [])
-                if named == pname:
-                    if when[0] is not None:
-                        rows.append(_tagged_rule(number, pname, *when, next_state or pname, priority))
-                    continue
-        elif head == "place":
-            m = _PLACE_LINE.fullmatch(body)
-            if m:
-                mid, x, y = map(int, m.groups())
-                if y in (0, 1) and mid not in places:
-                    places[mid] = (Vertex(x, y), number)
-                    continue
-        elif head == "members":
-            m = _MEMBERS.fullmatch(body)
-            if m and members is None and 1 <= int(m[1]) <= MAX_MEMBERS:
-                members = int(m[1])
-                continue
-        elif head == "strategy":
-            m = _STRATEGY.fullmatch(body)
-            if m and name is None:
-                name = m[1]
-                continue
-        elif head == "leader":
-            m = _LEADER.fullmatch(body)
-            if m and leader_initial is None:
-                leader_initial = m[1]
-                continue
-        _raise_line_error(number, body, header_seen, name, members, leader_initial, pebble_names, places)
+                if t[3]:
+                    if t[3] != "when":
+                        raise _expected(t, 3, "'when'")
+                    rows.append(_tagged_rule(t, 4, pname, number, then_required=False))
+            elif head == "place":
+                mid = _int(t, 1, "member id")
+                spot = _PLACE.fullmatch(t[2])
+                if spot is None:
+                    raise _bad(t, 2, "coordinate pair", f"invalid coordinate pair {t[2]!r}")
+                x, y = spot.groups()
+                if len(t[2]) > MAX_DIGITS + 3 and any(len(c.lstrip("-")) > MAX_DIGITS for c in (x, y)):
+                    raise _too_long(2, "coordinate")
+                try:
+                    v = vertex(int(x), int(y))
+                except ValueError as e:
+                    raise _BadField(2, str(e)) from None
+                if mid in places:
+                    raise _BadField(1, f"member {mid} placed twice")
+                if t[3]:
+                    raise _trailing(t, 3)
+                places[mid] = (v, number)
+            elif head == "members":
+                if members is not None:
+                    raise _BadField(0, "duplicate members line")
+                members = _int(t, 1, "member count")
+                if members < 1:
+                    raise _BadField(0, "members must be at least 1")
+                if members > MAX_MEMBERS:
+                    raise _BadField(0, f"members must be at most {MAX_MEMBERS}")
+                if t[2]:
+                    raise _trailing(t, 2)
+            elif head == "strategy":
+                if name is not None:
+                    raise _BadField(0, "duplicate strategy line")
+                name = _name(t, 1, "strategy name")
+                if t[2]:
+                    raise _trailing(t, 2)
+            elif head == "leader":
+                if t[1] != "initial":
+                    raise _expected(t, 1, "'initial'")
+                if leader_initial is not None:
+                    raise _BadField(0, "duplicate leader initial line")
+                leader_initial = _name(t, 2, "state name")
+                if t[3]:
+                    raise _trailing(t, 3)
+            elif head == "format:":
+                raise _BadField(0, "duplicate format header")
+            else:
+                raise _BadField(0, f"unknown directive {head!r}")
+    except _BadField as e:
+        body = body.rstrip()
+        cols = [m.start() + 1 for m in _TOKEN.finditer(body)] + [len(body) + 1]
+        raise ParseError(number, cols[e.index], e.reason) from None
 
     if not header_seen:
         raise ParseError(max(line_count, 1), 1, "expected the format header first")

@@ -445,9 +445,8 @@ def read_document(path: str) -> TraceDocument:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = len((data[: e.start] + b".").splitlines())
+        line = data.count(b"\n", 0, e.start) + 1
         raise TraceError(f"line {line}: byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
-    # Lines end at \r\n and \r as they do when the file is read in text mode.
-    doc = parse_document(text.replace("\r\n", "\n").replace("\r", "\n"))
+    doc = parse_document(text)
     check_steps(doc.trace)
     return doc

@@ -1,5 +1,5 @@
-"""Reference strategy parser: the token-cursor `parse_strategy` that the
-whole-line patterns in `pebblewalk.strategy_format` replaced, kept as it was.
+"""Reference strategy parser: the token-cursor `parse_strategy` that
+`pebblewalk.strategy_format` used before its line reader, kept as it was.
 Every directive line is read token by token through `_Line`.  The package's
 parser must accept the same texts with the same canonical text and hash,
 and reject the others with the same `ParseError` line, column and reason.

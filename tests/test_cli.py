@@ -279,11 +279,14 @@ def test_trace_that_is_not_utf8_exits_two(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"{command}: line 3: byte 0xfe is not UTF-8 (invalid start byte)\n"
 
 
-def test_trace_lines_may_end_in_crlf_as_text_mode_reads_them(tmp_path):
+def test_check_and_render_refuse_trace_lines_that_end_in_crlf(tmp_path, capsys):
     _, out = simulate(tmp_path, horizon=3)
-    lf = read_document(str(out))
     out.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
-    assert read_document(str(out)) == lf
+    capsys.readouterr()
+    assert main(["check", str(out), "--c1", "2", "--c2", "1"]) == 2
+    assert main(["render", str(out)]) == 2
+    reason = "line 1: a line ends in \\n alone and holds no \\r\n"
+    assert capsys.readouterr().err == "check: " + reason + "render: " + reason
 
 
 def test_check_rejects_bad_window(tmp_path):

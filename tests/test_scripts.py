@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from pebblewalk.strategies import load_builtin
+from pebblewalk.strategy_format import emit_strategy
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -93,7 +96,14 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
         assert list(side["timed"]) == ["ok", "fails"]
         assert [side["timed"][name]["exit"] for name in side["timed"]] == [0, 4]
         assert all(run["wall_s"] > 0 and run["cpu_s"] >= 0 for run in side["timed"].values())
-    assert list(bench.timed_commands(tmp_path)) == ["reproduce_results", "simulate_10000", "simulate_50000", "tests"]
+    baselines = ["baseline-10", "baseline-11", "baseline-12", "baseline-13-caterpillar"]
+    timed = bench.timed_commands(tmp_path)
+    defeats = [f"defeat_{name}" for name in baselines]
+    assert list(timed) == ["reproduce_results", "simulate_10000", "simulate_50000", *defeats, "tests"]
+    for name in baselines:
+        path = tmp_path / f"{name}.strategy"
+        assert timed[f"defeat_{name}"][-2:] == ["defeat", str(path)]
+        assert path.read_text() == emit_strategy(load_builtin(name))
 
     before = (change / "BENCH_3.json").read_text()
     calls.clear()
