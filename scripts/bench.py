@@ -10,8 +10,10 @@ parent first when i is even.  Each checkout then gets one `--trace 1` run at
 seed 1, and then runs once each of the end-to-end commands the benchmark
 does not cover: `scripts/reproduce_results.py`, `pebblewalk simulate
 walker14 --adversary seeded:42` at horizons 10000 and 50000, `pebblewalk
-defeat <file>` on each baseline written out as a strategy file, and the
-test suite (`python -m pytest -q`), with the checkout's `src` on PYTHONPATH.
+check --c1 2 --c2 22` and `pebblewalk render --window 12` on the 50000-step
+document, `pebblewalk defeat <file>` on each baseline written out as a
+strategy file, and the test suite (`python -m pytest -q`), with the
+checkout's `src` on PYTHONPATH.
 The file holds each checkout's git SHA, the Python version, every run's
 four end-to-end metrics per workload with their median and quartiles,
 failed and attempted op counts, the count-valued per-layer metrics of the
@@ -54,18 +56,24 @@ def benchmark_command(checkout: Path) -> list[str]:
 def timed_commands(out_dir: Path) -> dict[str, list[str]]:
     """End-to-end commands the benchmark does not time, run from a checkout.
     Writes each baseline's strategy file into out_dir for `defeat` to read."""
-    simulate = [sys.executable, "-m", "pebblewalk", "simulate", "walker14", "--adversary", "seeded:42"]
+    cli = [sys.executable, "-m", "pebblewalk"]
+    simulate = [*cli, "simulate", "walker14", "--adversary", "seeded:42"]
     defeat = {}
     for name in sorted(n for n in BUILTIN_STRATEGIES if n.startswith("baseline")):
         path = out_dir / f"{name}.strategy"
         path.write_text(emit_strategy(load_builtin(name)))
-        defeat[f"defeat_{name}"] = [sys.executable, "-m", "pebblewalk", "defeat", str(path)]
+        defeat[f"defeat_{name}"] = [*cli, "defeat", str(path)]
+    document = str(out_dir / "walker14-50000.trace.jsonl")
     return {
         "reproduce_results": [sys.executable, "scripts/reproduce_results.py"],
         **{
             f"simulate_{h}": [*simulate, "--horizon", str(h), "--output", str(out_dir / f"walker14-{h}.trace.jsonl")]
             for h in (10000, 50000)
         },
+        # These read the document simulate_50000 wrote; check exits 1 there
+        # (the seeded:42 trace violates the every-moment window check).
+        "check_50000": [*cli, "check", document, "--c1", "2", "--c2", "22"],
+        "render_50000": [*cli, "render", document, "--window", "12"],
         **defeat,
         "tests": [sys.executable, "-m", "pytest", "-q"],
     }

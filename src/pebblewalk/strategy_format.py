@@ -326,10 +326,10 @@ def _least_overlap(matchers, priorities, observations):
 
 def _order_rules(tagged_rules) -> tuple[Rule, ...]:
     """Group by state in first-appearance order; sort inside by priority,
-    a rule without one ranking as its index in the list."""
-    ranked = [(idx if pri is None else pri, idx, rule) for idx, (rule, _, pri) in enumerate(tagged_rules)]
-    groups = _by_state(ranked, lambda entry: entry[2].state).values()
-    return tuple(rule for group in groups for _, _, rule in sorted(group))
+    a rule without one ranking as its index among its state's rules."""
+    groups = _by_state(tagged_rules, lambda entry: entry[0].state).values()
+    ranked = [sorted((i if pri is None else pri, i, rule) for i, (rule, _, pri) in enumerate(g)) for g in groups]
+    return tuple(rule for group in ranked for _, _, rule in group)
 
 
 def parse_strategy(text: str) -> StrategyFile:

@@ -9,25 +9,37 @@ outputs denote its options and carry set at the previous positions, each
 carried pebble rode with the leader from the leader's previous vertex onto
 the choice, and no one else moved.
 
-A walker trace repeats a handful of record parts shifted along x, so each
-direction works once per distinct part, with memos that live for one call:
-rendering makes one `%` template per record shape (its states, outputs and
-carried objects, option count and member order) and fills in only the
-coordinates and t; parsing checks and converts each distinct vertex, member
-id, positions key order, states map, outputs map and carried list once; and
-`check_steps` derives the options and carry set once per outputs map and
-layout relative to the leader.  Parsing accepts only the types,
-spellings and line layout rendering writes: one `{...}` object per line with
-its keys and member ids in sorted order, lines ended by a lone `\n`, and
-exactly one after the last.  Decoding JSON erases what lies between and
-inside its tokens, so whitespace between tokens, string escapes, `-0` and a
-repeated key are the layout freedoms left unchecked.
+A walker trace repeats a handful of record shapes shifted along x, so each
+direction works once per shape, with memos that live for one call.
+Rendering makes one `%` template per shape (its states, outputs and carried
+objects, option count and member order) and fills in coordinates and t.
+Parsing splits each line after record 0, up to its `,"t":` tail, at the
+coordinate pairs spelled as rendering spells them (`_PAIR`); the literal
+pieces between the pairs are the line's shape.  At a shape's second
+sighting, the record the JSON path decoded and checked becomes the shape's,
+if its line is byte for byte the renderer's and its pairs are exactly its
+choice, options and positions in line order.  A later line of that shape
+with tail `,"t":<expected t>}` is the same template filled with other pairs,
+so its record is built from the pair tokens, shares the shape's states,
+outputs and carried objects, and needs only the checks that depend on
+coordinates (options distinct and sorted, choice among them).  Every other
+line, or one failing those checks, goes through the JSON path, the one
+checker, which raises every `TraceError` and converts each distinct vertex,
+member id, states map, outputs map and carried list once.  `check_steps`
+derives the options and carry set once per outputs map and layout relative
+to the leader.  Parsing accepts only the types, spellings and line layout
+rendering writes: one `{...}` object per line with its keys and member ids
+in sorted order, lines ended by a lone `\n`, and exactly one after the
+last.  Decoding JSON erases what lies between and inside its tokens, so
+whitespace between tokens, string escapes, `-0` and a repeated key are the
+layout freedoms left unchecked.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from itertools import chain
@@ -37,10 +49,12 @@ from pebblewalk.collective import Collective, StepRecord, Trace, move_onto, step
 from pebblewalk.lattice import Vertex, vertex
 from pebblewalk.machine import format_output, parse_output
 from pebblewalk.strategy_format import strategy_hash
-from pebblewalk.util import FrozenMap
+from pebblewalk.util import FrozenMap, Memo
 
 FORMAT_NAME = "pebblewalk-trace"
 FORMAT_VERSION = 1
+# A coordinate pair as the renderer spells it; the group is its "x,y" token.
+_PAIR = re.compile(r"\[((?:0|-?[1-9][0-9]*),[01])\]")
 
 
 class TraceError(ValueError):
@@ -162,15 +176,14 @@ class _Decoder:
     Memo keys are exact: a vertex is keyed by (x, y) only once both are
     ints, and a string map by its items only once every value is a str,
     since 1 == 1.0 == True hash alike.  A map's member set is checked when
-    it is first seen; the member set of a document never changes.  A
-    positions key order is checked (member ids, sorted) the first time it
-    is seen; later positions maps in that order only convert their vertices.
+    it is first seen; the member set of a document never changes.  In a
+    document whose shapes never repeat every line comes here, and shared
+    vertices keep the live objects, and so the garbage collector's work, down.
     """
 
     def __init__(self):
         self.members: frozenset = frozenset()
         self.ids: dict[str, int] = {}
-        self.orders: dict[tuple[str, ...], tuple[int, ...]] = {}  # positions key order -> member ids
         self.vertices: dict[tuple[int, int], Vertex] = {}
         self.maps: dict[tuple, FrozenMap] = {}  # (what, *items) -> member map
         self.carried: dict[tuple, frozenset] = {}
@@ -203,15 +216,9 @@ class _Decoder:
     def positions(self, obj, line_no: int) -> FrozenMap:
         if type(obj) is not dict:
             raise TraceError(f"line {line_no}: expected a member map, got {obj!r}")
-        vertex = self.vertex
-        keys = tuple(obj)
-        members = self.orders.get(keys)
-        if members is not None:  # member ids and order already checked
-            return FrozenMap(zip(members, [vertex(p, line_no) for p in obj.values()]))
         member_id = self.member_id
-        out = FrozenMap({member_id(k, line_no): vertex(p, line_no) for k, p in obj.items()})
+        out = FrozenMap({member_id(k, line_no): self.vertex(p, line_no) for k, p in obj.items()})
         _check_sorted(obj, line_no)
-        self.orders[keys] = tuple(out)
         return out
 
     def strings(self, obj, line_no: int, what: str, convert=None) -> FrozenMap:
@@ -254,6 +261,45 @@ class _Decoder:
                 return out
         raise TraceError(f"line {line_no}: carried must list member ids")
 
+    def record(self, raw: str, line_no: int, t: int) -> StepRecord:
+        """The record on one line, decoded as JSON and checked; t is the
+        expected step index."""
+        row = _row(raw, line_no)
+        if "t" not in row:
+            raise TraceError(f"line {line_no}: not a step record")
+        if type(row["t"]) is not int or row["t"] != t:
+            raise TraceError(f"line {line_no}: step index {row['t']!r}, expected {t}")
+        positions = self.positions(row.get("positions"), line_no)
+        if t == 0:
+            if not positions:
+                raise TraceError(f"line {line_no}: a record needs at least one member")
+            self.members = frozenset(positions)
+        elif positions.keys() != self.members:
+            raise TraceError(f"line {line_no}: member set changed mid-trace")
+        states = self.strings(row.get("states"), line_no, "state")
+        if t == 0:
+            return StepRecord(t=0, positions=positions, states=states)
+        try:
+            outputs = self.strings(row["outputs"], line_no, "output", _output)
+            if type(row["options"]) is not list:
+                raise TraceError(f"line {line_no}: options must list coordinate pairs")
+            options = tuple([self.vertex(p, line_no) for p in row["options"]])
+            choice = self.vertex(row["choice"], line_no)
+            consulted = row["consulted"]
+            carried = self.carry_set(row["carried"], line_no)
+        except KeyError as e:
+            raise TraceError(f"line {line_no}: record missing field {e.args[0]!r}") from None
+        if choice not in options:
+            raise TraceError(f"line {line_no}: choice {choice} is not among the options")
+        # Offsets from one leader vertex order like the vertices themselves.
+        if len(options) > 1 and any(a >= b for a, b in zip(options, options[1:])):
+            raise TraceError(f"line {line_no}: options must be distinct and sorted by offset")
+        if type(consulted) is not bool:
+            raise TraceError(f"line {line_no}: consulted must be a boolean")
+        if consulted != (len(options) >= 2):
+            raise TraceError(f"line {line_no}: consulted must be true exactly when there are two or more options")
+        return StepRecord(t, positions, states, outputs, options, choice, carried)
+
 
 def _check_sorted(obj: dict, line_no: int) -> None:
     if list(obj) != sorted(obj):
@@ -286,15 +332,41 @@ def _output(spelling: str, line_no: int):
     return out
 
 
+def _learn(rec: StepRecord, raw: str, parts: list[str]) -> Optional[tuple]:
+    """rec's shape, if raw is exactly the renderer's line for rec and its
+    pair tokens are rec's choice, options and positions in line order."""
+    members = tuple(rec.positions)
+    template, order = _template(rec, members, True)
+    coords = (rec.choice, *rec.options, *rec.positions.values())
+    if order is None and parts[1::2] == [f"{x},{y}" for x, y in coords]:
+        if template % (*chain.from_iterable(coords), rec.t) == raw:
+            return rec, members, len(rec.options)
+    return None
+
+
+def _fill(shape: tuple, tokens: list[str], t: int, vertices: Memo) -> Optional[StepRecord]:
+    """The record of a line in a learned shape, sharing the shape's states,
+    outputs and carried objects; None if a coordinate check fails."""
+    proto, members, n = shape
+    try:
+        vs = list(map(vertices.__getitem__, tokens))
+    except ValueError:  # a token too long for int()
+        return None
+    choice, options = vs[0], tuple(vs[1 : n + 1])
+    if choice not in options or n > 1 and any(a >= b for a, b in zip(options, options[1:])):
+        return None
+    return StepRecord(t, FrozenMap(zip(members, vs[n + 1 :])), proto.states, proto.outputs, options, choice, proto.carried)
+
+
 def parse_document(text: str) -> TraceDocument:
     """Rebuild a document, checking each record on its own.
 
     Every value must have the type and spelling the renderer writes, and
     every line its layout (see the module docstring).  Whether the records
-    follow one another is `check_steps`'s question.  Each distinct vertex,
-    member id, positions key order, states map, outputs map and carried list
-    is checked and converted once; records that spell a map alike share one
-    FrozenMap.
+    follow one another is `check_steps`'s question.  A line of a learned
+    shape is built from its coordinate tokens; any other line is decoded as
+    JSON and checked by `_Decoder.record`, and records that spell a map alike
+    share one FrozenMap.
     """
     lines = text.split("\n")
     if lines[-1] or len(lines) > 2 and not lines[-2]:
@@ -328,55 +400,31 @@ def parse_document(text: str) -> TraceDocument:
         raise TraceError(f"line 1: horizon must be a nonnegative integer, got {header.horizon!r}")
 
     decode = _Decoder()
+    vertices = Memo(lambda token: Vertex(*map(int, token.split(","))))  # pair token -> Vertex
+    # literal pieces between a line's pairs, joined by "\n" (which no line
+    # holds) -> 1 once seen, then the learned (record, member order, option
+    # count) or None if not learnable
+    shapes: dict[str, object] = {}
     records: list[StepRecord] = []
     for line_no, raw in enumerate(lines[1:], start=2):
-        row = _row(raw, line_no)
-        if "t" not in row:
-            raise TraceError(f"line {line_no}: not a step record")
-        t = row["t"]
-        if type(t) is not int or t != len(records):
-            raise TraceError(f"line {line_no}: step index {t!r}, expected {len(records)}")
-        positions = decode.positions(row.get("positions"), line_no)
-        if t == 0:
-            if not positions:
-                raise TraceError(f"line {line_no}: a record needs at least one member")
-            decode.members = frozenset(positions)
-        elif positions.keys() != decode.members:
-            raise TraceError(f"line {line_no}: member set changed mid-trace")
-        states = decode.strings(row.get("states"), line_no, "state")
-        if t == 0:
-            records.append(StepRecord(t=0, positions=positions, states=states))
-            continue
-        try:
-            outputs = decode.strings(row["outputs"], line_no, "output", _output)
-            if type(row["options"]) is not list:
-                raise TraceError(f"line {line_no}: options must list coordinate pairs")
-            options = tuple([decode.vertex(p, line_no) for p in row["options"]])
-            choice = decode.vertex(row["choice"], line_no)
-            consulted = row["consulted"]
-            carried = decode.carry_set(row["carried"], line_no)
-        except KeyError as e:
-            raise TraceError(f"line {line_no}: record missing field {e.args[0]!r}") from None
-        if choice not in options:
-            raise TraceError(f"line {line_no}: choice {choice} is not among the options")
-        # Offsets from one leader vertex order like the vertices themselves.
-        if len(options) > 1 and any(a >= b for a, b in zip(options, options[1:])):
-            raise TraceError(f"line {line_no}: options must be distinct and sorted by offset")
-        if type(consulted) is not bool:
-            raise TraceError(f"line {line_no}: consulted must be a boolean")
-        if consulted != (len(options) >= 2):
-            raise TraceError(f"line {line_no}: consulted must be true exactly when there are two or more options")
-        records.append(
-            StepRecord(
-                t=t,
-                positions=positions,
-                states=states,
-                outputs=outputs,
-                options=options,
-                choice=choice,
-                carried=carried,
-            )
-        )
+        t = len(records)
+        tail = f',"t":{t}}}'
+        seen = None
+        if t and raw.endswith(tail):
+            parts = _PAIR.split(raw[: -len(tail)])
+            key = "\n".join(parts[::2])
+            seen = shapes.get(key, 0)
+            if type(seen) is tuple:
+                rec = _fill(seen, parts[1::2], t, vertices)
+                if rec is not None:
+                    records.append(rec)
+                    continue
+        rec = decode.record(raw, line_no, t)
+        records.append(rec)
+        if seen == 0:
+            shapes[key] = 1
+        elif seen == 1:
+            shapes[key] = _learn(rec, raw, parts)
     if not records:
         raise TraceError("document has a header but no records")
     return TraceDocument(header, Trace(tuple(records)))

@@ -1,5 +1,6 @@
-"""The template encoder and the once-per-layout panels against the
-field-by-field references they replaced, on hand-built traces.
+"""The template encoder, the shape-filling parser and the once-per-layout
+panels against the field-by-field references they replaced, on hand-built
+traces.
 
 Records need not follow one another here: both renderers read each record
 on its own.  Records draw their states, outputs and carried objects from a
@@ -17,9 +18,9 @@ from pebblewalk.collective import StepRecord, Trace
 from pebblewalk.lattice import Vertex
 from pebblewalk.machine import MOVE_TO_FREE, STAY, move_to_set
 from pebblewalk.render import render_records
-from pebblewalk.tracefile import TraceDocument, TraceHeader, render_document
+from pebblewalk.tracefile import TraceDocument, TraceError, TraceHeader, parse_document, render_document
 from pebblewalk.util import FrozenMap
-from trace_reference import field_render, reference_panel, reference_records, reference_render
+from trace_reference import field_render, reference_panel, reference_parse, reference_records, reference_render
 
 # '%', 's', 'd' and '{' spell the templates' own syntax, '"' and '\\' need
 # JSON escapes, and so does non-ASCII text (U+2028 and an astral one too).
@@ -74,6 +75,38 @@ def test_render_document_matches_the_field_by_field_encoder(records, strategy):
     doc = document(records, strategy)
     text = render_document(doc)
     assert text == field_render(doc) == reference_render(doc)
+
+
+def repeated(records, times=3):
+    """The records with their steps run `times` times, each run shifted
+    right, so every record shape is seen at least `times` times."""
+
+    def shift(v, d):
+        return Vertex(v.x + d, v.y)
+
+    steps = [
+        rec._replace(
+            t=1 + k * (len(records) - 1) + i,
+            positions=FrozenMap({m: shift(v, 5 * k) for m, v in rec.positions.items()}),
+            options=tuple(shift(v, 5 * k) for v in rec.options),
+            choice=shift(rec.choice, 5 * k),
+        )
+        for k in range(times)
+        for i, rec in enumerate(records[1:])
+    ]
+    return records[:1] + steps
+
+
+@settings(max_examples=120, deadline=None)
+@given(traces(), NAMES)
+def test_parse_document_matches_the_json_only_parser(records, strategy):
+    doc = document(repeated(records), strategy)
+    text = render_document(doc)
+    if not records:
+        with pytest.raises(TraceError):
+            parse_document(text)
+        return
+    assert parse_document(text) == reference_parse(text) == doc
 
 
 @settings(max_examples=120, deadline=None)

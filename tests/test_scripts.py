@@ -99,7 +99,12 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     baselines = ["baseline-10", "baseline-11", "baseline-12", "baseline-13-caterpillar"]
     timed = bench.timed_commands(tmp_path)
     defeats = [f"defeat_{name}" for name in baselines]
-    assert list(timed) == ["reproduce_results", "simulate_10000", "simulate_50000", *defeats, "tests"]
+    reads = ["check_50000", "render_50000"]
+    assert list(timed) == ["reproduce_results", "simulate_10000", "simulate_50000", *reads, *defeats, "tests"]
+    document = str(tmp_path / "walker14-50000.trace.jsonl")
+    assert timed["simulate_50000"][-1] == document
+    assert timed["check_50000"][-6:] == ["check", document, "--c1", "2", "--c2", "22"]
+    assert timed["render_50000"][-4:] == ["render", document, "--window", "12"]
     for name in baselines:
         path = tmp_path / f"{name}.strategy"
         assert timed[f"defeat_{name}"][-2:] == ["defeat", str(path)]

@@ -406,6 +406,23 @@ place 2 (0,0)
     assert col.validate_pebbles() == []
 
 
+def test_rule_without_priority_ranks_by_its_index_within_its_state():
+    rules = [
+        "rule a: {} | * -> free then b priority 0",
+        "rule b: {} | * -> stay then a",
+        "rule b: {2} | * -> stay then b priority 1",
+        "rule a: * | * -> stay then a priority 1",
+    ]
+    head = "format: pebblewalk-strategy 1\nstrategy order\nmembers 2\nleader initial a\n"
+    tail = "pebble 2 p when * | * -> stay priority 0\nplace 1 (0,0)\nplace 2 (1,0)\n"
+    # State b's lines are the same in both texts; only an `a` line moves past them.
+    moved = [rules[0], rules[3], rules[1], rules[2]]
+    first, second = (parse_strategy(head + "\n".join(r) + "\n" + tail) for r in (rules, moved))
+    assert first.text == second.text
+    assert first.strategy_hash == second.strategy_hash
+    assert first.text.index("rule b: {} ") < first.text.index("rule b: {2} ")
+
+
 def nine_members(rules: list[str]) -> str:
     """A strategy of MAX_MEMBERS members: the leader's rule lines in state s,
     then idle pebbles."""

@@ -26,7 +26,7 @@ from pebblewalk.tracefile import (
 )
 from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
-from trace_reference import assert_one_object_per_value, dump, follows, reference_render
+from trace_reference import assert_one_object_per_value, dump, follows, reference_parse, reference_render
 
 
 def walker_document(seed=42, horizon=50):
@@ -402,7 +402,8 @@ JSON = st.recursive(
     | st.dictionaries(st.sampled_from(["1", "2", "6", "02", "²", "x"]), inner, max_size=3),
     max_leaves=6,
 )
-FUZZ_LINES = render_document(walker_document(horizon=4)).splitlines()
+# Long enough for record shapes to repeat, so edited lines meet learned shapes.
+FUZZ_LINES = render_document(walker_document(horizon=30)).splitlines()
 
 
 def field_paths(obj, prefix=()):
@@ -428,11 +429,90 @@ def test_parse_raises_only_trace_errors_and_accepted_documents_re_render(data):
     if data.draw(st.booleans()):  # plus a blank line anywhere
         lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", " ", "\t", "\r"])))
     text = "\n".join(lines) + "\n"
+    got = outcome(parse_document, text)
+    assert got == outcome(reference_parse, text)
+    if not isinstance(got, str):
+        assert got[1] == text
+
+
+def outcome(parse, text):
+    """The parsed document and its re-render, or the TraceError text."""
     try:
-        doc = parse_document(text)
-    except TraceError:
-        return
-    assert render_document(doc) == text
+        doc = parse(text)
+    except TraceError as e:
+        return str(e)
+    return doc, render_document(doc)
+
+
+ORACLE = walker_document(horizon=60)
+ORACLE_LINES = render_document(ORACLE).splitlines()
+
+
+def shape_of(rec):
+    return rec.states, rec.outputs, rec.carried, len(rec.options)
+
+
+def later_sightings():
+    """Records whose shape was seen at least twice before them."""
+    seen: dict = {}
+    for rec in ORACLE.records[1:]:
+        seen[shape_of(rec)] = seen.get(shape_of(rec), 0) + 1
+        if seen[shape_of(rec)] > 2:
+            yield rec
+
+
+def coordinate_edits(x, y):
+    return [f"-0,{y}", f"0{x},{y}", f"{x}.0,{y}", f" {x},{y}", f"{x},2", f"{'9' * 5000},{y}", f"{x + 7},{y}"]
+
+
+def line_edits(rec):
+    line = ORACLE_LINES[rec.t + 1]
+    choice, last = rec.choice, rec.positions[5]
+    state = rec.states[1]
+    tail = f',"t":{rec.t}}}'
+    for token in coordinate_edits(*choice):
+        yield line.replace(f'"choice":[{choice.x},{choice.y}]', f'"choice":[{token}]')
+    for token in coordinate_edits(*last):
+        yield line.replace(f'"5":[{last.x},{last.y}]', f'"5":[{token}]')
+    if len(rec.options) == 2:
+        a, b = (f"[{v.x},{v.y}]" for v in rec.options)
+        yield line.replace(f"{a},{b}", f"{b},{a}")
+    yield line.replace(tail, f',"t":{rec.t + 1}}}')
+    yield line + " "
+    yield line + "\r"
+    yield line.replace(f'"states":{{"1":"{state}"', f'"states":{{"1":"7{state[1:]}"')
+    yield line.replace(f'"states":{{"1":"{state}"', f'"states":{{"1":"{state}[3,0]"')
+
+
+def test_lines_of_learned_shapes_parse_like_the_json_only_parser():
+    records = list(later_sightings())
+    assert any(len(rec.options) == 2 for rec in records)
+    picked = records[::6] + [rec for rec in records if len(rec.options) == 2][:2]
+    for rec in picked:
+        for edited in line_edits(rec):
+            assert edited != ORACLE_LINES[rec.t + 1]
+            lines = [*ORACLE_LINES[: rec.t + 1], edited, *ORACLE_LINES[rec.t + 2 :]]
+            text = "\n".join(lines) + "\n"
+            assert outcome(parse_document, text) == outcome(reference_parse, text), edited[:80]
+
+
+def test_records_of_one_shape_share_its_objects():
+    records = parse_document("\n".join(ORACLE_LINES) + "\n").records
+    first: dict = {}
+    for rec in records[1:]:
+        proto = first.setdefault(shape_of(rec), rec)
+        assert rec.states is proto.states and rec.outputs is proto.outputs and rec.carried is proto.carried
+    assert len(first) < len(records) // 3
+
+
+# The second spelling puts a coordinate pair inside a string, which a line's
+# split cuts out like any other pair.
+@pytest.mark.parametrize("spelling", ["{}@{}", "{}[{},0]"])
+def test_document_whose_shapes_never_repeat_parses_like_the_json_only_parser(spelling):
+    records = [rec._replace(states=rec.states.set(1, spelling.format(rec.states[1], rec.t))) for rec in ORACLE.records]
+    doc = replace(ORACLE, trace=Trace(tuple(records)))
+    text = render_document(doc)
+    assert parse_document(text) == reference_parse(text) == doc
 
 
 STEPPED = walker_document(horizon=12).records

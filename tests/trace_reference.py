@@ -11,16 +11,21 @@
   output spellings without `collective`, a reference for `check_steps`.
 - `step`: one step planned afresh from its configuration, with no quotient
   and no reuse; `collective.run` must match a loop of it.
+- `reference_parse`: the JSON-only parser `parse_document` replaced, which
+  decodes every line with `json.loads` and checks it field by field.
+  `parse_document` must return equal records or raise the same message.
 """
 
 from __future__ import annotations
 
 import json
 
-from pebblewalk.collective import ChoiceContext, apply_choice, initial_digest, plan_step
-from pebblewalk.lattice import neighbors
-from pebblewalk.machine import MoveToFree, Stay, format_output
+from pebblewalk.collective import ChoiceContext, StepRecord, Trace, apply_choice, initial_digest, plan_step
+from pebblewalk.lattice import Vertex, neighbors, vertex
+from pebblewalk.machine import MoveToFree, Stay, format_output, parse_output
 from pebblewalk.render import member_letter
+from pebblewalk.tracefile import FORMAT_NAME, FORMAT_VERSION, TraceDocument, TraceError, TraceHeader
+from pebblewalk.util import FrozenMap
 
 
 def dump(obj) -> str:
@@ -191,3 +196,230 @@ def step(state, adversary, digest=None):
     if plan.consulted:
         idx = adversary.choose(plan.options, ChoiceContext(state.step_index, plan.at, state.positions, digest))
     return apply_choice(state, plan, plan.options[idx])
+
+
+class _Decoder:
+    """The checks and conversions of one parse, each done once per distinct
+    input.
+
+    Memo keys are exact: a vertex is keyed by (x, y) only once both are
+    ints, and a string map by its items only once every value is a str,
+    since 1 == 1.0 == True hash alike.  A map's member set is checked when
+    it is first seen; the member set of a document never changes.  A
+    positions key order is checked (member ids, sorted) the first time it
+    is seen; later positions maps in that order only convert their vertices.
+    """
+
+    def __init__(self):
+        self.members: frozenset = frozenset()
+        self.ids: dict[str, int] = {}
+        self.orders: dict[tuple[str, ...], tuple[int, ...]] = {}  # positions key order -> member ids
+        self.vertices: dict[tuple[int, int], Vertex] = {}
+        self.maps: dict[tuple, FrozenMap] = {}  # (what, *items) -> member map
+        self.carried: dict[tuple, frozenset] = {}
+
+    def member_id(self, key: str, line_no: int) -> int:
+        m = self.ids.get(key)
+        if m is None:
+            # Only the spelling str(m) renders back: ASCII digits, no leading zero.
+            if not (key.isascii() and key.isdigit() and (key[0] != "0" or key == "0")):
+                raise TraceError(f"line {line_no}: bad member id {key!r}")
+            try:
+                m = self.ids[key] = int(key)
+            except ValueError:  # too many digits to convert
+                raise TraceError(f"line {line_no}: bad member id {key!r}") from None
+        return m
+
+    def vertex(self, pair, line_no: int) -> Vertex:
+        if type(pair) is list and len(pair) == 2:
+            x, y = pair
+            if type(x) is int and type(y) is int:
+                v = self.vertices.get((x, y))
+                if v is None:
+                    try:
+                        v = self.vertices[x, y] = vertex(x, y)
+                    except ValueError as e:
+                        raise TraceError(f"line {line_no}: {e}") from None
+                return v
+        raise TraceError(f"line {line_no}: bad coordinate pair {pair!r}")
+
+    def positions(self, obj, line_no: int) -> FrozenMap:
+        if type(obj) is not dict:
+            raise TraceError(f"line {line_no}: expected a member map, got {obj!r}")
+        vertex = self.vertex
+        keys = tuple(obj)
+        members = self.orders.get(keys)
+        if members is not None:  # member ids and order already checked
+            return FrozenMap(zip(members, [vertex(p, line_no) for p in obj.values()]))
+        member_id = self.member_id
+        out = FrozenMap({member_id(k, line_no): vertex(p, line_no) for k, p in obj.items()})
+        _check_sorted(obj, line_no)
+        self.orders[keys] = tuple(out)
+        return out
+
+    def strings(self, obj, line_no: int, what: str, convert=None) -> FrozenMap:
+        """A member map of strings, shared by every record that spells it
+        alike; convert(value, line_no) runs once per distinct map."""
+        if type(obj) is not dict:
+            raise TraceError(f"line {line_no}: expected a member map, got {obj!r}")
+        for value in obj.values():
+            if type(value) is not str:
+                raise TraceError(f"line {line_no}: {what} must be a string, got {value!r}")
+        key = (what, *obj.items())
+        out = self.maps.get(key)
+        if out is None:
+            out = FrozenMap(
+                {
+                    self.member_id(k, line_no): value if convert is None else convert(value, line_no)
+                    for k, value in obj.items()
+                }
+            )
+            if out.keys() != self.members:
+                raise TraceError(f"line {line_no}: {what}s and positions disagree on members")
+            _check_sorted(obj, line_no)
+            self.maps[key] = out
+        return out
+
+    def carry_set(self, obj, line_no: int) -> frozenset:
+        if type(obj) is list:
+            for c in obj:
+                if type(c) is not int:
+                    break
+            else:
+                key = tuple(obj)
+                out = self.carried.get(key)
+                if out is None:
+                    out = frozenset(key)
+                    # Rendered sorted and without repeats; only pebbles ride along.
+                    if list(key) != sorted(out) or not out <= self.members - {1}:
+                        raise TraceError(f"line {line_no}: carried must list pebble ids in increasing order")
+                    self.carried[key] = out
+                return out
+        raise TraceError(f"line {line_no}: carried must list member ids")
+
+
+def _check_sorted(obj: dict, line_no: int) -> None:
+    if list(obj) != sorted(obj):
+        raise TraceError(f"line {line_no}: keys must be in sorted order")
+
+
+def _row(raw: str, line_no: int) -> dict:
+    """The JSON object on one line, which must be laid out as rendered."""
+    if "\r" in raw:
+        raise TraceError(f"line {line_no}: a line ends in \\n alone and holds no \\r")
+    if raw[:1] != "{" or raw[-1:] != "}":
+        raise TraceError(f"line {line_no}: a line holds one JSON object from its first character to its last")
+    # json.loads raises ValueError on bad JSON or an int too long to convert,
+    # and RecursionError on nesting too deep.
+    try:
+        row = json.loads(raw)
+    except (ValueError, RecursionError) as e:
+        raise TraceError(f"line {line_no}: {e}") from None
+    _check_sorted(row, line_no)
+    return row
+
+
+def _output(spelling: str, line_no: int):
+    try:
+        out = parse_output(spelling)
+    except ValueError as e:
+        raise TraceError(f"line {line_no}: {e}") from None
+    if format_output(out) != spelling:
+        raise TraceError(f"line {line_no}: output {spelling!r} is not spelled as {format_output(out)!r}")
+    return out
+
+
+def reference_parse(text: str) -> TraceDocument:
+    """Rebuild a document, checking each record on its own.
+
+    Every value must have the type and spelling the renderer writes, and
+    every line its layout (see the module docstring).  Whether the records
+    follow one another is `check_steps`'s question.  Each distinct vertex,
+    member id, positions key order, states map, outputs map and carried list
+    is checked and converted once; records that spell a map alike share one
+    FrozenMap.
+    """
+    lines = text.split("\n")
+    if lines[-1] or len(lines) > 2 and not lines[-2]:
+        last = text.rstrip("\n").count("\n") + 1
+        raise TraceError(f"line {last}: a document ends in exactly one \\n after its last line")
+    del lines[-1]
+    if not lines:
+        raise TraceError("empty document")
+    head = _row(lines[0], 1)
+    if head.get("format") != FORMAT_NAME:
+        raise TraceError("line 1: missing trace header")
+    version = head.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise TraceError(f"line 1: unsupported version {version!r}")
+    try:
+        header = TraceHeader(
+            strategy=head["strategy"],
+            strategy_hash=head["strategy_hash"],
+            adversary=head["adversary"],
+            seed=head["seed"],
+            horizon=head["horizon"],
+        )
+    except KeyError as e:
+        raise TraceError(f"line 1: header missing field {e.args[0]!r}") from None
+    for field in ("strategy", "strategy_hash", "adversary"):
+        if type(head[field]) is not str:
+            raise TraceError(f"line 1: {field} must be a string, got {head[field]!r}")
+    if header.seed is not None and type(header.seed) is not int:
+        raise TraceError(f"line 1: seed must be null or an integer, got {header.seed!r}")
+    if type(header.horizon) is not int or header.horizon < 0:
+        raise TraceError(f"line 1: horizon must be a nonnegative integer, got {header.horizon!r}")
+
+    decode = _Decoder()
+    records: list[StepRecord] = []
+    for line_no, raw in enumerate(lines[1:], start=2):
+        row = _row(raw, line_no)
+        if "t" not in row:
+            raise TraceError(f"line {line_no}: not a step record")
+        t = row["t"]
+        if type(t) is not int or t != len(records):
+            raise TraceError(f"line {line_no}: step index {t!r}, expected {len(records)}")
+        positions = decode.positions(row.get("positions"), line_no)
+        if t == 0:
+            if not positions:
+                raise TraceError(f"line {line_no}: a record needs at least one member")
+            decode.members = frozenset(positions)
+        elif positions.keys() != decode.members:
+            raise TraceError(f"line {line_no}: member set changed mid-trace")
+        states = decode.strings(row.get("states"), line_no, "state")
+        if t == 0:
+            records.append(StepRecord(t=0, positions=positions, states=states))
+            continue
+        try:
+            outputs = decode.strings(row["outputs"], line_no, "output", _output)
+            if type(row["options"]) is not list:
+                raise TraceError(f"line {line_no}: options must list coordinate pairs")
+            options = tuple([decode.vertex(p, line_no) for p in row["options"]])
+            choice = decode.vertex(row["choice"], line_no)
+            consulted = row["consulted"]
+            carried = decode.carry_set(row["carried"], line_no)
+        except KeyError as e:
+            raise TraceError(f"line {line_no}: record missing field {e.args[0]!r}") from None
+        if choice not in options:
+            raise TraceError(f"line {line_no}: choice {choice} is not among the options")
+        # Offsets from one leader vertex order like the vertices themselves.
+        if len(options) > 1 and any(a >= b for a, b in zip(options, options[1:])):
+            raise TraceError(f"line {line_no}: options must be distinct and sorted by offset")
+        if type(consulted) is not bool:
+            raise TraceError(f"line {line_no}: consulted must be a boolean")
+        if consulted != (len(options) >= 2):
+            raise TraceError(f"line {line_no}: consulted must be true exactly when there are two or more options")
+        records.append(
+            StepRecord(
+                t=t,
+                positions=positions,
+                states=states,
+                outputs=outputs,
+                options=options,
+                choice=choice,
+                carried=carried,
+            )
+        )
+    if not records:
+        raise TraceError("document has a header but no records")
+    return TraceDocument(header, Trace(tuple(records)))
