@@ -10,10 +10,10 @@ configurations can share one.  On top of that quotient the module provides:
 * the reflection-symmetry equivalence on schemas,
 * a bounded search for worst-case confusability: a shared realization that
   feeds the automaton identical observation streams in two different
-  worlds forever.  Each search builds one move table per layout it meets
-  (every single move with the automaton's observation after it) and joins
-  the two worlds' tables; each schema pair observes every leader spot of
-  every interpretation once, and no table outlives the call,
+  worlds forever.  Each search numbers the translation classes of the
+  single-world layouts it meets, tables each class's moves once (the next
+  class and the automaton's observation there) and joins the two worlds'
+  tables on pairs of class numbers; no table outlives the call,
 * the graph of single-pebble relocations between neighboring vertices,
   labeled by whether the target vertex was occupied, and
 * extraction of confined cycles from that graph, certified by a concrete
@@ -78,20 +78,23 @@ def schema_of(positions: Mapping[MemberId, Vertex]) -> Schema:
     return Schema(frozenset(pebbles), len(pebbles))
 
 
-def _connected(vs: frozenset[Vertex]) -> bool:
+def _connected(vs: Iterable[Vertex]) -> bool:
     """Whether the vertices form one component under lattice adjacency.
 
     Members on equal or adjacent vertices see each other, so a layout is one
-    observation-range component exactly when its occupied set is connected."""
-    frontier = [next(iter(vs))]
-    seen: set[Vertex] = set()
-    while frontier:
-        v = frontier.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        frontier.extend(w for w in neighbors(v) if w in vs)
-    return len(seen) == len(vs)
+    observation-range component exactly when its occupied set is connected.
+    Both cells of a column are adjacent, so on the two rows a set is
+    connected exactly when its columns run without a gap and each two
+    neighbouring columns share a row.  Every vertex must lie on the two rows
+    (`validate_witness` refuses a layout that leaves them)."""
+    rows: dict[int, int] = {}
+    for x, y in vs:
+        rows[x] = rows.get(x, 0) | 1 << y
+    lo = min(rows)
+    for x in range(lo, lo + len(rows) - 1):
+        if not rows.get(x, 0) & rows.get(x + 1, 0):
+            return False
+    return True
 
 
 def enumerate_schemas(pebbles: int) -> frozenset[Schema]:
@@ -277,63 +280,69 @@ def _subsets(items: tuple) -> tuple[frozenset, ...]:
     )
 
 
-class _Move(NamedTuple):
-    carried: frozenset
-    layout: FrozenMap
-    occupied: frozenset
-    seen: Observation  # the automaton's observation after the move
+class _Worlds:
+    """The translation classes of the single-world layouts one search meets.
+
+    Automata see no coordinates, so connectedness, the automaton's
+    observation and its moves depend on a layout only up to x-translation.
+    A class is numbered when first met, keeps its layout at least x 0 and
+    the automaton's observation there, or None when that layout is
+    disconnected.  Its move table is built at its first expansion: per
+    neighbor of the automaton in `neighbors` order, the offset and the crowd
+    there as a member mask, and per carried subset in `_subsets` order the
+    next class with its observation, or None when the move disconnects the
+    layout.  Classes with equal observations list the same carried subsets.
+    """
+
+    def __init__(self) -> None:
+        self.index: dict[FrozenMap, int] = {}
+        self.reps: list[FrozenMap] = []
+        self.seen: list[Optional[Observation]] = []
+        self.tables: list[Optional[tuple]] = []
+
+    def locate(self, positions: FrozenMap) -> int:
+        rel = at_origin(positions)[0]
+        c = self.index.get(rel)
+        if c is None:
+            c = self.index[rel] = len(self.reps)
+            self.reps.append(rel)
+            self.seen.append(observe(rel, 1) if _connected(rel.values()) else None)
+            self.tables.append(None)
+        return c
+
+    def table(self, c: int) -> tuple:
+        """(carried subsets, per-neighbor moves) of class c."""
+        table = self.tables[c]
+        if table is None:
+            rep = self.reps[c]
+            leader = rep[1]
+            carried_options = _subsets(tuple(sorted(m for m, v in rep.items() if m != 1 and v == leader)))
+            reaches = []
+            for w in neighbors(leader):
+                moves = []
+                for carried in carried_options:
+                    nxt = self.locate(move_onto(rep, carried, w))
+                    moves.append(None if self.seen[nxt] is None else (nxt, self.seen[nxt]))
+                crowd = sum(1 << m for m, v in rep.items() if v == w)
+                reaches.append(((w.x - leader.x, w.y - leader.y), crowd, moves))
+            table = self.tables[c] = (carried_options, reaches)
+        return table
 
 
-class _Reach(NamedTuple):
-    """The automaton's moves to one neighbor, one per carried subset."""
-
-    offset: tuple[int, int]
-    crowd: frozenset
-    moves: tuple[_Move, ...]
-
-
-def _move_table(positions: FrozenMap) -> tuple[_Reach, ...]:
-    """Every single move of the automaton, in neighbor then subset order.
-
-    The carried subsets come from the pebbles on the automaton's own vertex,
-    so two layouts with equal observations list the same subsets in the same
-    order."""
-    leader = positions[1]
-    alpha = tuple(sorted(m for m, v in positions.items() if m != 1 and v == leader))
-    carried_options = _subsets(alpha)
-    table = []
-    for w in neighbors(leader):
-        moves = []
-        for carried in carried_options:
-            moved = move_onto(positions, carried, w)
-            moves.append(_Move(carried, moved, frozenset(moved.values()), observe(moved, 1)))
-        offset = (w.x - leader.x, w.y - leader.y)
-        table.append(_Reach(offset, occupants(positions, w), tuple(moves)))
-    return tuple(table)
-
-
-def _joint_successors(pos_a: FrozenMap, pos_b: FrozenMap, tables: Memo, connected: Memo):
-    """Join the two layouts' move tables on crowd and observation.
-
-    `tables` maps a layout to its move table and `connected` an occupied set
-    to its connectedness; both belong to one search."""
-    table_b = tables[pos_b]
-    for reach_a in tables[pos_a]:
-        for reach_b in table_b:
-            if reach_a.crowd != reach_b.crowd:
+def _joint_successors(worlds: _Worlds, ca: int, cb: int, steps: Memo):
+    """Join two classes' move tables on crowd and observation, yielding
+    each joint step with the classes it reaches.  `steps` holds the
+    search's JointSteps by their fields."""
+    carried_options, table_a = worlds.table(ca)
+    table_b = worlds.table(cb)[1]
+    for offset_a, crowd, moves_a in table_a:
+        for offset_b, crowd_b, moves_b in table_b:
+            if crowd != crowd_b:
                 continue
-            for move_a, move_b in zip(reach_a.moves, reach_b.moves):
-                if move_a.seen != move_b.seen:
+            for carried, move_a, move_b in zip(carried_options, moves_a, moves_b):
+                if move_a is None or move_b is None or move_a[1] != move_b[1]:
                     continue
-                if not connected[move_a.occupied] or not connected[move_b.occupied]:
-                    continue
-                step = JointStep(
-                    offset_a=reach_a.offset,
-                    offset_b=reach_b.offset,
-                    carried=move_a.carried,
-                    to_occupied=bool(reach_a.crowd),
-                )
-                yield step, move_a.layout, move_b.layout
+                yield steps[offset_a, offset_b, carried, bool(crowd)], move_a[0], move_b[0]
 
 
 def validate_witness(witness: Witness) -> None:
@@ -341,9 +350,11 @@ def validate_witness(witness: Witness) -> None:
     pos_a, pos_b = witness.start_a, witness.start_b
     if set(pos_a) != set(pos_b) or 1 not in pos_a:
         raise ValueError("worlds must share one automaton and pebble ids")
+    if any(y not in (0, 1) for _, y in (*pos_a.values(), *pos_b.values())):
+        raise ValueError("a starting layout leaves the two rows")
     if observe(pos_a, 1) != observe(pos_b, 1):
         raise ValueError("starting observations differ")
-    if not (_connected(frozenset(pos_a.values())) and _connected(frozenset(pos_b.values()))):
+    if not (_connected(pos_a.values()) and _connected(pos_b.values())):
         raise ValueError("a starting layout separates the collective")
     if not witness.cycle:
         raise ValueError("the cycle is empty")
@@ -358,7 +369,7 @@ def validate_witness(witness: Witness) -> None:
         pos_b = _apply_checked(pos_b, step.offset_b, step)
         if observe(pos_a, 1) != observe(pos_b, 1):
             raise ValueError(f"observations diverge after step {i}")
-        if not (_connected(frozenset(pos_a.values())) and _connected(frozenset(pos_b.values()))):
+        if not (_connected(pos_a.values()) and _connected(pos_b.values())):
             raise ValueError(f"step {i} separates the collective")
         if i + 1 == len(witness.prefix):
             checkpoint = _joint_key(pos_a, pos_b)
@@ -406,8 +417,9 @@ class _JointEdge(NamedTuple):
     step: JointStep
 
 
-def _extract_witness(g: Graph, closing: list[int], depth: int) -> Optional[Witness]:
-    """The first valid witness closed by a transfer edge in `closing`."""
+def _extract_witness(g: Graph, roots: list, closing: list[int], depth: int) -> Optional[Witness]:
+    """The first valid witness closed by a transfer edge in `closing`;
+    `roots` holds each root's start layouts."""
     candidates = sorted(
         closing,
         key=lambda ei: (g.depths[g.edges[ei].dst], g.edges[ei].src, g.edges[ei].dst),
@@ -421,8 +433,8 @@ def _extract_witness(g: Graph, closing: list[int], depth: int) -> Optional[Witne
             continue
         root, prefix = g.tree_path(dst)
         witness = Witness(
-            start_a=g.reps[root][0],
-            start_b=g.reps[root][1],
+            start_a=roots[root][0],
+            start_b=roots[root][1],
             prefix=tuple(g.edges[i].step for i in prefix),
             cycle=(*(g.edges[i].step for i in back), step),
         )
@@ -435,15 +447,17 @@ def _extract_witness(g: Graph, closing: list[int], depth: int) -> Optional[Witne
 
 
 def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
-    g = Graph()
+    g = Graph()  # nodes keyed and represented by (class in world a, class in world b)
+    worlds = _Worlds()
+    steps = Memo(lambda fields: JointStep(*fields))
+    roots = []
     frontier_cut = False
-    tables, connected = Memo(_move_table), Memo(_connected)
-    origins = Memo(lambda positions: at_origin(positions)[0])
 
     for pos_a, pos_b in starts:
-        key = _joint_key(pos_a, pos_b)
+        key = (worlds.locate(pos_a), worlds.locate(pos_b))
         if key not in g.index:
-            g.add_node(key, (pos_a, pos_b), 0)
+            g.add_node(key, key, 0)
+            roots.append((pos_a, pos_b))
     if not g.reps:
         return IndistinguishabilityOutcome(DISTINCT, None, 0, False)
 
@@ -451,19 +465,19 @@ def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
     while queue:
         for _ in range(len(queue)):
             u = queue.popleft()
-            for step, na, nb in _joint_successors(*g.reps[u], tables, connected):
-                key = (origins[na], origins[nb])
+            for step, na, nb in _joint_successors(worlds, *g.reps[u], steps):
+                key = (na, nb)
                 v = g.index.get(key)
                 if v is None:
                     if g.depths[u] + 1 > depth or len(g.reps) >= max_nodes:
                         frontier_cut = True
                         continue
-                    v = g.add_node(key, (na, nb), g.depths[u] + 1)
+                    v = g.add_node(key, key, g.depths[u] + 1)
                     queue.append(v)
                 g.add_edge(_JointEdge(u, v, step))
         # the transfer edges that lie on some cycle
         closing = [ei for _, edges in cycle_components(g) for ei in edges if g.edges[ei].step.carried]
-        witness = _extract_witness(g, closing, depth)
+        witness = _extract_witness(g, roots, closing, depth)
         if witness is not None:
             return IndistinguishabilityOutcome(WITNESS, witness, len(g.reps), frontier_cut)
     if frontier_cut or closing:
@@ -487,22 +501,22 @@ def _interpretations(schema: Schema) -> Iterator[FrozenMap]:
             yield FrozenMap(dict(zip(ids, assignment)))
 
 
-def _leader_spots(pebbles: Mapping[MemberId, Vertex]) -> tuple[Vertex, ...]:
-    spots = set(pebbles.values())
+def _leader_spots(occupied: Iterable[Vertex]) -> tuple[Vertex, ...]:
+    spots = set(occupied)
     for v in tuple(spots):
         spots.update(neighbors(v))
     return tuple(sorted(spots))
 
 
-def _placements(pebbles: FrozenMap) -> tuple[tuple[FrozenMap, Observation], ...]:
-    """Connected layouts with the automaton on or beside a pebble, in sorted
-    spot order, each with the automaton's observation."""
-    placed = []
-    for spot in _leader_spots(pebbles):
-        positions = pebbles.set(1, spot)
-        if _connected(frozenset(positions.values())):
-            placed.append((positions, observe(positions, 1)))
-    return tuple(placed)
+def _open_spots(schema: Schema) -> tuple[Vertex, ...]:
+    """Leader spots, sorted, that keep every interpretation connected: they
+    all occupy the schema's vertices."""
+    return tuple(s for s in _leader_spots(schema.vertices) if _connected((*schema.vertices, s)))
+
+
+def _placements(pebbles: FrozenMap, spots) -> tuple[tuple[FrozenMap, Observation], ...]:
+    """The layouts with the automaton on each spot, each with its observation."""
+    return tuple((positions, observe(positions, 1)) for positions in (pebbles.set(1, s) for s in spots))
 
 
 def _by_observation(placed) -> dict[Observation, list[FrozenMap]]:
@@ -516,8 +530,9 @@ def _schema_starts(a: Schema, b: Schema):
     """Start pairs agreeing on the automaton's observation: per pair of
     interpretations, in a-spot order, then b-spot order."""
     mid_a, mid_b = _middle_vertex(a), _middle_vertex(b)
-    placed_a = [(ia, _placements(ia)) for ia in _interpretations(a)]
-    groups_b = [(ib, _by_observation(_placements(ib))) for ib in _interpretations(b)]
+    spots_a, spots_b = _open_spots(a), _open_spots(b)
+    placed_a = [(ia, _placements(ia, spots_a)) for ia in _interpretations(a)]
+    groups_b = [(ib, _by_observation(_placements(ib, spots_b))) for ib in _interpretations(b)]
     for ia, placed in placed_a:
         for ib, groups in groups_b:
             if mid_a is not None and mid_b is not None:
@@ -553,11 +568,12 @@ def worst_case_indistinguishable(
     is bounded by `depth` steps; `distinct` is reported only when the joint
     search space was exhausted without a cut.
 
-    Per call, each interpretation's leader placements are observed once and
-    grouped by observation, each layout's moves and their observations are
-    tabled once, each moved layout is translated to least x 0 once, and each
-    occupied set is checked for connectedness once; all of it is dropped on
-    return, so calls share nothing.
+    Per call, each schema's leader spots are checked for connectedness once,
+    each interpretation's placements are observed once and grouped by
+    observation, and the joint search runs on pairs of translation classes:
+    each class is checked for connectedness, observed and its moves tabled
+    once, and each JointStep is built once.  All of it is dropped on return,
+    so calls share nothing.
     """
     if a.pebbles != b.pebbles:
         raise ValueError("schemas with different pebble counts are incomparable")

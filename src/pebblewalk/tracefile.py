@@ -495,6 +495,7 @@ def read_document(path: str) -> TraceDocument:
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         raise TraceError(f"line {line}: byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
+    del data  # the bytes would otherwise stay alive beside the text through the parse
     doc = parse_document(text)
     check_steps(doc.trace)
     return doc

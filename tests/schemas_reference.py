@@ -1,7 +1,9 @@
 """Reference successor and start enumeration for the indistinguishability
-search: every move and every leader spot is rebuilt and observed afresh for
-each pairing, with no table.  The search's own enumeration must yield the
-same items in the same order."""
+search: every move and every leader spot is rebuilt, observed and checked
+for connectedness afresh for each pairing, with no table and no translation
+class.  The search's own enumeration must yield the same items in the same
+order, and its column-run connectedness check must agree with the
+depth-first one here on layouts that stay on the two rows."""
 
 from __future__ import annotations
 
@@ -10,12 +12,24 @@ from pebblewalk.lattice import neighbors
 from pebblewalk.machine import observe, occupants
 from pebblewalk.schemas import (
     JointStep,
-    _connected,
     _interpretations,
     _leader_spots,
     _middle_vertex,
     _subsets,
 )
+
+
+def _connected(vs):
+    """Whether the vertices form one component under lattice adjacency."""
+    frontier = [next(iter(vs))]
+    seen = set()
+    while frontier:
+        v = frontier.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        frontier.extend(w for w in neighbors(v) if w in vs)
+    return len(seen) == len(vs)
 
 
 def _joint_successors(pos_a, pos_b):
@@ -47,12 +61,12 @@ def _joint_successors(pos_a, pos_b):
 
 
 def _config_starts(pebbles_a, pebbles_b):
-    for la in _leader_spots(pebbles_a):
+    for la in _leader_spots(pebbles_a.values()):
         pos_a = pebbles_a.set(1, la)
         if not _connected(frozenset(pos_a.values())):
             continue
         obs_a = observe(pos_a, 1)
-        for lb in _leader_spots(pebbles_b):
+        for lb in _leader_spots(pebbles_b.values()):
             pos_b = pebbles_b.set(1, lb)
             if observe(pos_b, 1) != obs_a:
                 continue

@@ -8,14 +8,16 @@ no dependency on the module under test.
 from __future__ import annotations
 
 import gc
+import hashlib
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from pebblewalk.collective import transform_positions
+from pebblewalk.collective import at_origin, transform_positions
 from pebblewalk.lattice import X_REFLECTION, Y_REFLECTION, Vertex, neighbors, vertex
 from pebblewalk.machine import observe
 from pebblewalk.schemas import (
@@ -400,11 +402,44 @@ def test_witness_validation_rejects_tampering():
         validate_witness(bad)
 
 
+def test_witness_validation_refuses_starts_off_the_two_rows():
+    # A depth-first search over lattice neighbours reads {(0,0),(0,2)} as two
+    # components and the column-run check as one column, so validation
+    # refuses such layouts before it asks whether they are connected.
+    assert not schemas_reference._connected(frozenset({Vertex(0, 0), Vertex(0, 2)}))
+    w = worst_case_indistinguishable(PAIR_ROW0, PAIR_COLUMN, depth=12).witness
+    x, _ = w.start_a[2]
+    for start_a, start_b in (
+        (w.start_a.set(2, Vertex(x, 2)), w.start_b),
+        (w.start_a, w.start_b.set(2, Vertex(x, -1))),
+    ):
+        bad = Witness(start_a=start_a, start_b=start_b, prefix=w.prefix, cycle=w.cycle)
+        with pytest.raises(ValueError, match="a starting layout leaves the two rows"):
+            validate_witness(bad)
+
+
+_WINDOW_2X5 = [vertex(x, y) for x in range(5) for y in (0, 1)]
+
+
+@pytest.mark.parametrize("shift", [0, -3, -8])
+def test_column_run_connectivity_agrees_with_depth_first_search(shift):
+    for bits in range(1, 1 << len(_WINDOW_2X5)):
+        vs = frozenset(Vertex(v.x + shift, v.y) for i, v in enumerate(_WINDOW_2X5) if bits >> i & 1)
+        assert schemas_module._connected(vs) == schemas_reference._connected(vs), sorted(vs)
+
+
 def test_worst_case_requires_equal_counts():
     with pytest.raises(ValueError):
         worst_case_indistinguishable(
             Schema(frozenset({(0, 0), (1, 0)}), 2), PAIR_ROW0
         )
+
+
+@lru_cache(maxsize=None)
+def _all_pair_outcomes(pebbles, bounds):
+    """Outcomes over every ordered schema pair, a-major in sorted order."""
+    schemas = sorted_schemas(enumerate_schemas(pebbles))
+    return tuple(worst_case_indistinguishable(a, b, **dict(bounds)) for a in schemas for b in schemas)
 
 
 @pytest.mark.parametrize(
@@ -444,14 +479,35 @@ def test_worst_case_requires_equal_counts():
     ids=["2-depth1", "2-depth12-max30", "2-depth12", "3-depth1", "3-depth12-max30", "3-depth12"],
 )
 def test_all_pairs_under_search_bounds(pebbles, bounds, verdicts, explored, witness_steps):
-    schemas = sorted_schemas(enumerate_schemas(pebbles))
-    outs = [worst_case_indistinguishable(a, b, **bounds) for a in schemas for b in schemas]
+    outs = _all_pair_outcomes(pebbles, tuple(bounds.items()))
     assert Counter((o.verdict, o.frontier_cut) for o in outs) == verdicts
     assert sum(o.explored for o in outs) == explored
     witnesses = [o.witness for o in outs if o.witness is not None]
     assert sum(len(w.prefix) + len(w.cycle) for w in witnesses) == witness_steps
     for w in witnesses:
         validate_witness(w)
+
+
+# sha256 of one line per ordered pair, the repr of (verdict, explored,
+# frontier_cut, witness) with the witness's start layouts and steps, recorded
+# from the search that keyed its nodes by translated layouts.  The sums above
+# would miss a change that only reorders outcomes or witnesses.
+@pytest.mark.parametrize(
+    "pebbles, bounds, digest",
+    [
+        (2, {"depth": 1}, "28f7de4bb232b8eedfb704ea67da8200f84ef3afa17bec9471891f2c3ebf98db"),
+        (2, {"depth": 12, "max_nodes": 30}, "33740c1b27b22fc2eebb13b7e9788c682a6d7449099e69a559b73a4a5b1c743f"),
+        (2, {"depth": 12}, "ff859ee7067e06fc877c4476c2e5ca32c6fad85fd1168bf75c741cc450c94918"),
+        (3, {"depth": 1}, "0b48276ab3a3707bc86afc505346c360aaf6808471e42d52491a73f24c982310"),
+        (3, {"depth": 12, "max_nodes": 30}, "df1dd2cc2dcfe33c0d37ad546fe79cdc112996f15a4a445e2a5da97cf970f98a"),
+        (3, {"depth": 12}, "97b9b82afd68cbe4d9f4799d17684d6c92b3f278dffd287bba13feabe0985272"),
+    ],
+    ids=["2-depth1", "2-depth12-max30", "2-depth12", "3-depth1", "3-depth12-max30", "3-depth12"],
+)
+def test_all_pair_outcomes_match_the_recorded_digest(pebbles, bounds, digest):
+    outs = _all_pair_outcomes(pebbles, tuple(bounds.items()))
+    text = "".join(f"{(o.verdict, o.explored, o.frontier_cut, o.witness)!r}\n" for o in outs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 TWO_PEBBLE_SCHEMAS = sorted_schemas(enumerate_schemas(2))
@@ -462,15 +518,21 @@ ORDER_PAIRS = [
 
 
 def test_search_enumerates_like_the_reference(monkeypatch):
-    """Move tables and observation groups change no successor or start, nor
-    their order, at any node the depth-12 searches expand."""
+    """World classes, move tables and observation groups change no successor
+    or start, nor their order, at any node the depth-12 searches expand: a
+    node's classes, read back as their representatives, have the reference's
+    successors, translated to least x 0."""
     tabled = schemas_module._joint_successors
     expanded = []
 
-    def checked(pos_a, pos_b, *memo):
-        got = list(tabled(pos_a, pos_b, *memo))
-        assert got == list(schemas_reference._joint_successors(pos_a, pos_b))
-        expanded.append(pos_a)
+    def checked(worlds, ca, cb, steps):
+        got = list(tabled(worlds, ca, cb, steps))
+        reps = worlds.reps
+        want = schemas_reference._joint_successors(reps[ca], reps[cb])
+        assert [(step, reps[na], reps[nb]) for step, na, nb in got] == [
+            (step, at_origin(na)[0], at_origin(nb)[0]) for step, na, nb in want
+        ]
+        expanded.append((ca, cb))
         return got
 
     monkeypatch.setattr(schemas_module, "_joint_successors", checked)
@@ -519,6 +581,20 @@ def test_confinement_cycle_search_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         assert find_confinement_cycle(graph) is not None
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_indistinguishability_search_leaves_no_cyclic_garbage():
+    worst_case_indistinguishable(ROW0_TRIPLE, ELL_UP_LEFT, depth=12)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert worst_case_indistinguishable(ROW0_TRIPLE, ELL_UP_LEFT, depth=12).verdict == "witness"
+        assert worst_case_indistinguishable(ROW0_TRIPLE, PAIR_COLUMN, depth=12).verdict == "distinct"
         assert gc.collect() == 0
     finally:
         if was_enabled:
