@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import hashlib
 from collections import Counter
-from functools import lru_cache
 from itertools import product
 
 from hypothesis import given
@@ -435,15 +434,12 @@ def test_worst_case_requires_equal_counts():
         )
 
 
-@lru_cache(maxsize=None)
-def _all_pair_outcomes(pebbles, bounds):
-    """Outcomes over every ordered schema pair, a-major in sorted order."""
-    schemas = sorted_schemas(enumerate_schemas(pebbles))
-    return tuple(worst_case_indistinguishable(a, b, **dict(bounds)) for a in schemas for b in schemas)
-
-
+# Each digest is the sha256 of one line per ordered pair, the repr of
+# (verdict, explored, frontier_cut, witness) with the witness's start layouts
+# and steps, recorded from the search that keyed its nodes by translated
+# layouts.  The sums would miss a change that only reorders outcomes.
 @pytest.mark.parametrize(
-    "pebbles, bounds, verdicts, explored, witness_steps",
+    "pebbles, bounds, verdicts, explored, witness_steps, digest",
     [
         (
             2,
@@ -451,6 +447,7 @@ def _all_pair_outcomes(pebbles, bounds):
             {("witness", False): 4, ("distinct", False): 12, ("depth-exhausted", True): 9},
             500,
             4,
+            "28f7de4bb232b8eedfb704ea67da8200f84ef3afa17bec9471891f2c3ebf98db",
         ),
         (
             2,
@@ -458,14 +455,23 @@ def _all_pair_outcomes(pebbles, bounds):
             {("witness", True): 4, ("distinct", False): 12, ("depth-exhausted", True): 9},
             480,
             4,
+            "33740c1b27b22fc2eebb13b7e9788c682a6d7449099e69a559b73a4a5b1c743f",
         ),
-        (2, {"depth": 12}, {("witness", False): 13, ("distinct", False): 12}, 880, 22),
+        (
+            2,
+            {"depth": 12},
+            {("witness", False): 13, ("distinct", False): 12},
+            880,
+            22,
+            "ff859ee7067e06fc877c4476c2e5ca32c6fad85fd1168bf75c741cc450c94918",
+        ),
         (
             3,
             {"depth": 1},
             {("witness", False): 4, ("distinct", False): 72, ("depth-exhausted", True): 45},
             9668,
             4,
+            "0b48276ab3a3707bc86afc505346c360aaf6808471e42d52491a73f24c982310",
         ),
         (
             3,
@@ -473,39 +479,28 @@ def _all_pair_outcomes(pebbles, bounds):
             {("witness", True): 13, ("distinct", False): 72, ("depth-exhausted", True): 36},
             7824,
             22,
+            "df1dd2cc2dcfe33c0d37ad546fe79cdc112996f15a4a445e2a5da97cf970f98a",
         ),
-        (3, {"depth": 12}, {("witness", False): 49, ("distinct", False): 72}, 16056, 94),
+        (
+            3,
+            {"depth": 12},
+            {("witness", False): 49, ("distinct", False): 72},
+            16056,
+            94,
+            "97b9b82afd68cbe4d9f4799d17684d6c92b3f278dffd287bba13feabe0985272",
+        ),
     ],
     ids=["2-depth1", "2-depth12-max30", "2-depth12", "3-depth1", "3-depth12-max30", "3-depth12"],
 )
-def test_all_pairs_under_search_bounds(pebbles, bounds, verdicts, explored, witness_steps):
-    outs = _all_pair_outcomes(pebbles, tuple(bounds.items()))
+def test_all_pairs_under_search_bounds(pebbles, bounds, verdicts, explored, witness_steps, digest):
+    schemas = sorted_schemas(enumerate_schemas(pebbles))
+    outs = [worst_case_indistinguishable(a, b, **bounds) for a in schemas for b in schemas]
     assert Counter((o.verdict, o.frontier_cut) for o in outs) == verdicts
     assert sum(o.explored for o in outs) == explored
     witnesses = [o.witness for o in outs if o.witness is not None]
     assert sum(len(w.prefix) + len(w.cycle) for w in witnesses) == witness_steps
     for w in witnesses:
         validate_witness(w)
-
-
-# sha256 of one line per ordered pair, the repr of (verdict, explored,
-# frontier_cut, witness) with the witness's start layouts and steps, recorded
-# from the search that keyed its nodes by translated layouts.  The sums above
-# would miss a change that only reorders outcomes or witnesses.
-@pytest.mark.parametrize(
-    "pebbles, bounds, digest",
-    [
-        (2, {"depth": 1}, "28f7de4bb232b8eedfb704ea67da8200f84ef3afa17bec9471891f2c3ebf98db"),
-        (2, {"depth": 12, "max_nodes": 30}, "33740c1b27b22fc2eebb13b7e9788c682a6d7449099e69a559b73a4a5b1c743f"),
-        (2, {"depth": 12}, "ff859ee7067e06fc877c4476c2e5ca32c6fad85fd1168bf75c741cc450c94918"),
-        (3, {"depth": 1}, "0b48276ab3a3707bc86afc505346c360aaf6808471e42d52491a73f24c982310"),
-        (3, {"depth": 12, "max_nodes": 30}, "df1dd2cc2dcfe33c0d37ad546fe79cdc112996f15a4a445e2a5da97cf970f98a"),
-        (3, {"depth": 12}, "97b9b82afd68cbe4d9f4799d17684d6c92b3f278dffd287bba13feabe0985272"),
-    ],
-    ids=["2-depth1", "2-depth12-max30", "2-depth12", "3-depth1", "3-depth12-max30", "3-depth12"],
-)
-def test_all_pair_outcomes_match_the_recorded_digest(pebbles, bounds, digest):
-    outs = _all_pair_outcomes(pebbles, tuple(bounds.items()))
     text = "".join(f"{(o.verdict, o.explored, o.frontier_cut, o.witness)!r}\n" for o in outs)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
