@@ -40,6 +40,7 @@ from pebblewalk.collective import (
     Collective,
     CollectiveState,
     PebbleFault,
+    StepFault,
     StepRecord,
     StrategyFault,
     Trace,

@@ -22,9 +22,8 @@ from pebblewalk.collective import (
     ChoiceContext,
     Collective,
     CollectiveState,
-    PebbleFault,
     Quotient,
-    StrategyFault,
+    StepFault,
     apply_choice,
     at_origin,
     diameter_of,
@@ -203,7 +202,7 @@ def search_lasso(
             continue
         try:
             plan = g.plan(u, rep, 0)
-        except (StrategyFault, PebbleFault):
+        except StepFault:
             faults += 1
             continue
         for idx, opt in enumerate(plan.options):
@@ -360,7 +359,7 @@ def finalize_certificate(initial: CollectiveState, cert: LassoCertificate) -> Op
     horizon = cert.prefix_steps + 2 * cert.cycle_steps
     try:
         trace = run(initial, script, horizon)
-    except (StrategyFault, PebbleFault, ScriptError):
+    except (StepFault, ScriptError):
         return None
     if script.cursor != len(script.offsets):
         return None

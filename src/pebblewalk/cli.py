@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes are a contract: 0 success or property holds, 1 property violated
-or search inconclusive, 2 input error (bad arguments, unparseable files,
-out-of-scope requests), 3 runtime fault during simulation.  The env var
+or search inconclusive, 2 input error: any ValueError or OSError, so also
+unreadable input and unwritable output, which `main` alone turns into one
+`<command>: <message>` line; 3 a step fault (its partial trace is written)
+or a certificate whose replay measures differently.  The env var
 PEBBLEWALK_OUT names the default directory for written traces.
 """
 
@@ -24,8 +26,7 @@ from pebblewalk.adversary import (
 )
 from pebblewalk.collective import (
     Collective,
-    PebbleFault,
-    StrategyFault,
+    StepFault,
     check_directed,
     check_uniform,
     run,
@@ -41,12 +42,7 @@ from pebblewalk.schemas import (
 from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
 from pebblewalk.strategy_format import MAX_DIGITS, ParseError, parse_strategy
 from pebblewalk.render import render_records
-from pebblewalk.tracefile import (
-    TraceError,
-    make_document,
-    read_document,
-    write_document,
-)
+from pebblewalk.tracefile import make_document, read_document, write_document
 
 OK = 0
 VIOLATED = 1
@@ -103,18 +99,17 @@ def _default_output(strategy: str, adversary: str, horizon: int) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        collective = load_strategy(args.strategy)
-        adversary = parse_adversary(args.adversary)
-        if args.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-    except (ParseError, ValueError, OSError) as e:
-        return _fail(INPUT_ERROR, f"simulate: {e}")
+    collective = load_strategy(args.strategy)
+    adversary = parse_adversary(args.adversary)
     out = args.output or _default_output(collective.name, adversary.name, args.horizon)
+    # The trace is written after the run, so its directory is asked for before.
+    directory = os.path.dirname(os.path.abspath(out))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {out}: {directory} is not a writable directory")
     started = time.perf_counter()
     try:
         trace = run(collective.initial_state(), adversary, args.horizon)
-    except (StrategyFault, PebbleFault) as fault:
+    except StepFault as fault:
         if fault.trace is not None:
             write_document(make_document(collective, adversary, args.horizon, fault.trace), out)
             print(f"wrote partial trace to {out}", file=sys.stderr)
@@ -130,24 +125,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        doc = read_document(args.trace)
-    except (TraceError, OSError) as e:
-        return _fail(INPUT_ERROR, f"check: {e}")
     checker = check_uniform if args.uniform else check_directed
-    try:
-        verdict = checker(doc.trace, c1=args.c1, c2=args.c2)
-    except ValueError as e:
-        return _fail(INPUT_ERROR, f"check: {e}")
+    verdict = checker(read_document(args.trace).trace, c1=args.c1, c2=args.c2)
     print(verdict)
     return OK if verdict.holds else VIOLATED
 
 
 def cmd_schemas(args) -> int:
-    try:
-        schemas = sorted_schemas(enumerate_schemas(args.pebbles))
-    except ValueError as e:
-        return _fail(INPUT_ERROR, f"schemas: {e}")
+    schemas = sorted_schemas(enumerate_schemas(args.pebbles))
     if args.emit == "list":
         for s in schemas:
             print(s)
@@ -165,14 +150,8 @@ def cmd_schemas(args) -> int:
 
 
 def cmd_defeat(args) -> int:
-    try:
-        collective = load_strategy(args.strategy)
-    except (ParseError, OSError) as e:
-        return _fail(INPUT_ERROR, f"defeat: {e}")
-    try:
-        outcome = defeat_strategy(collective, max_depth=args.max_depth)
-    except ValueError as e:
-        return _fail(INPUT_ERROR, f"defeat: {e}")
+    collective = load_strategy(args.strategy)
+    outcome = defeat_strategy(collective, max_depth=args.max_depth)
     stats = outcome.stats
     print(
         f"defeat: {stats.nodes} classes, {stats.edges} moves, {stats.faults} faults, {stats.pruned} pruned",
@@ -195,14 +174,7 @@ def cmd_defeat(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        doc = read_document(args.trace)
-    except (TraceError, OSError) as e:
-        return _fail(INPUT_ERROR, f"render: {e}")
-    try:
-        sys.stdout.write(render_records(doc.records, args.window))
-    except ValueError as e:
-        return _fail(INPUT_ERROR, f"render: {e}")
+    sys.stdout.write(render_records(read_document(args.trace).records, args.window))
     return OK
 
 
@@ -247,4 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError("stdout is closed")
+        code = args.func(args)
+        sys.stdout.flush()  # so that an unwritable stdout fails in here
+        return code
+    except (ValueError, OSError) as e:
+        return _fail(INPUT_ERROR, f"{args.command}: {e}")

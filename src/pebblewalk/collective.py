@@ -134,20 +134,20 @@ class Trace:
         return len(self.records)
 
 
-class StrategyFault(RuntimeError):
+class StepFault(RuntimeError):
+    """A step the step rule cannot take; `run` attaches the trace up to it."""
+
+    def __init__(self, message: str, trace: Optional[Trace] = None):
+        super().__init__(message)
+        self.trace = trace
+
+
+class StrategyFault(StepFault):
     """The leader's output produced an empty option set."""
 
-    def __init__(self, message: str, trace: Optional[Trace] = None):
-        super().__init__(message)
-        self.trace = trace
 
-
-class PebbleFault(RuntimeError):
+class PebbleFault(StepFault):
     """A pebble tried to move while the leader was elsewhere."""
-
-    def __init__(self, message: str, trace: Optional[Trace] = None):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,7 @@ def run(initial: CollectiveState, adversary, horizon: int) -> Trace:
     try:
         for _, record in islice(walk(initial, adversary), horizon):
             records.append(record)
-    except (StrategyFault, PebbleFault) as fault:
+    except StepFault as fault:
         fault.trace = Trace(tuple(records))
         raise
     return Trace(tuple(records))

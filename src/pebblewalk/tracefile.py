@@ -402,9 +402,12 @@ def parse_document(text: str) -> TraceDocument:
     decode = _Decoder()
     vertices = Memo(lambda token: Vertex(*map(int, token.split(","))))  # pair token -> Vertex
     # literal pieces between a line's pairs, joined by "\n" (which no line
-    # holds) -> 1 once seen, then the learned (record, member order, option
-    # count) or None if not learnable
-    shapes: dict[str, object] = {}
+    # holds) -> the learned (record, member order, option count), or None if
+    # not learnable.  A key seen once is kept as its hash alone, so a document
+    # of ever new shapes does not hold each one's key: a collision only moves
+    # a learning attempt earlier, and `_learn` checks what it learns.
+    shapes: dict[str, Optional[tuple]] = {}
+    once: set[int] = set()
     records: list[StepRecord] = []
     for line_no, raw in enumerate(lines[1:], start=2):
         t = len(records)
@@ -422,9 +425,10 @@ def parse_document(text: str) -> TraceDocument:
         rec = decode.record(raw, line_no, t)
         records.append(rec)
         if seen == 0:
-            shapes[key] = 1
-        elif seen == 1:
-            shapes[key] = _learn(rec, raw, parts)
+            if hash(key) in once:
+                shapes[key] = _learn(rec, raw, parts)
+            else:
+                once.add(hash(key))
     if not records:
         raise TraceError("document has a header but no records")
     return TraceDocument(header, Trace(tuple(records)))

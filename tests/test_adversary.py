@@ -169,6 +169,40 @@ def test_finalize_refuses_a_lasso_without_a_cycle(prefix_steps, cycle_steps):
     assert finalize_certificate(build_walker().initial_state(), cert) is None
 
 
+def replay(initial, cert):
+    """The run finalize_certificate replays, and its unused offsets."""
+    script = ScriptedChoices(list(cert.prefix) + list(cert.cycle) * 2)
+    trace = run(initial, script, cert.prefix_steps + 2 * cert.cycle_steps)
+    return trace, len(script.offsets) - script.cursor
+
+
+# The free walker's certificate steps up once, then right and back.
+FREE_WALKER_CERT = search_lasso(build_free_walker().initial_state(), max_depth=40).certificate
+
+
+def test_finalize_refuses_a_script_with_offsets_left_at_the_horizon():
+    initial = build_free_walker().initial_state()
+    doubled = dataclasses.replace(FREE_WALKER_CERT, cycle=FREE_WALKER_CERT.cycle * 2, cycle_steps=4)
+    assert finalize_certificate(initial, doubled) == doubled
+    # Claiming two steps for the four offsets: the replay still returns at
+    # steps 1, 3 and 5, but four offsets are never read.
+    short = dataclasses.replace(doubled, cycle_steps=2)
+    trace, unused = replay(initial, short)
+    assert unused == 4
+    assert {(r.positions, r.states) for r in trace.records[1::2]} == {(trace.records[1].positions, trace.records[1].states)}
+    assert finalize_certificate(initial, short) is None
+
+
+def test_finalize_refuses_a_replay_that_does_not_return():
+    initial = build_free_walker().initial_state()
+    # Right, one step each lap: the replay uses every offset and drifts.
+    drifting = dataclasses.replace(FREE_WALKER_CERT, cycle=((1, 0),), cycle_steps=1)
+    trace, unused = replay(initial, drifting)
+    assert unused == 0
+    assert [r.positions[1] for r in trace.records[1:]] == [(0, 1), (1, 1), (2, 1)]
+    assert finalize_certificate(initial, drifting) is None
+
+
 def test_lasso_for_motionless_strategy():
     leader = Automaton(initial="idle", rules=())
     col = Collective(

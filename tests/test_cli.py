@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import pebblewalk
 import pebblewalk.cli as cli
 from pebblewalk.adversary import Oscillator, ScriptedChoices
 from pebblewalk.cli import main, parse_adversary
@@ -139,6 +144,22 @@ def test_simulate_default_output_honors_env(tmp_path, monkeypatch):
     assert code == 0
     written = list(tmp_path.glob("walker14-last-3.trace.jsonl"))
     assert len(written) == 1
+
+
+@pytest.mark.parametrize("spelling", ["--output", "PEBBLEWALK_OUT"])
+def test_simulate_refuses_an_unwritable_trace_path_before_running(tmp_path, monkeypatch, capsys, spelling):
+    missing = tmp_path / "missing"
+    argv = ["simulate", "walker14", "--horizon", "5"]
+    if spelling == "--output":
+        argv += ["--output", str(missing / "out.trace.jsonl")]
+    else:
+        monkeypatch.setenv("PEBBLEWALK_OUT", str(missing))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    # One line and no "simulate: N steps" line: the run never started.
+    assert captured.out == ""
+    assert re.fullmatch(rf"simulate: cannot write \S+: {re.escape(str(missing))} is not a writable directory\n", captured.err)
+    assert list(tmp_path.iterdir()) == []  # no directory made, no .tmp left
 
 
 def test_parse_adversary_specs():
@@ -526,3 +547,81 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 5
+
+
+@pytest.mark.parametrize("closed", ["descriptor", "stream"])
+def test_a_closed_stdout_is_an_input_error(monkeypatch, capsys, closed):
+    # With descriptor 1 closed at start-up, Python sets sys.stdout to None.
+    stream = None if closed == "descriptor" else io.StringIO()
+    if stream is not None:
+        stream.close()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["schemas", "2"]) == 2
+    message = "stdout is closed" if stream is None else "I/O operation on closed file"
+    assert capsys.readouterr().err == f"schemas: {message}\n"
+
+
+# Bad input per command, as `python -m pebblewalk` arguments: {missing} is a
+# path that does not exist, {dir} a directory, {latin1} a file that is not
+# UTF-8, and {trace} a valid trace.  An unwritable stdout is a read-only one.
+CHECK, WINDOW = ["--c1", "2", "--c2", "22"], ["--window", "12"]
+BAD_PROCESS_INPUT = {
+    "simulate": {
+        "missing-file": ["{missing}", "--horizon", "5"],
+        "directory": ["{dir}", "--horizon", "5"],
+        "not-utf8": ["{latin1}", "--horizon", "5"],
+        "bad-number": ["walker14", "--horizon", "-1"],
+        "unwritable-output": ["walker14", "--horizon", "5", "--output", "{missing}/out.trace.jsonl"],
+        "unwritable-stdout": ["walker14", "--horizon", "5", "--output", "{dir}/out.trace.jsonl"],
+    },
+    "check": {
+        "missing-file": ["{missing}", *CHECK],
+        "directory": ["{dir}", *CHECK],
+        "not-utf8": ["{latin1}", *CHECK],
+        "bad-number": ["{trace}", "--c1", "2", "--c2", "0"],
+        "unwritable-stdout": ["{trace}", *CHECK],
+    },
+    "schemas": {
+        "bad-number": ["7"],
+        "unwritable-stdout": ["3", "--emit", "graph"],
+    },
+    "defeat": {
+        "missing-file": ["{missing}"],
+        "directory": ["{dir}"],
+        "not-utf8": ["{latin1}"],
+        "bad-number": ["baseline-10", "--max-depth", "0"],
+        "unwritable-stdout": ["baseline-10"],
+    },
+    "render": {
+        "missing-file": ["{missing}"],
+        "directory": ["{dir}"],
+        "not-utf8": ["{latin1}"],
+        "bad-number": ["{trace}", "--window", "0"],
+        "unwritable-stdout": ["{trace}", *WINDOW],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [pytest.param(command, case, id=f"{command}-{case}") for command, cases in BAD_PROCESS_INPUT.items() for case in cases],
+)
+def test_process_exits_two_with_one_line_on_bad_input(tmp_path, command, case):
+    _, trace = simulate(tmp_path, horizon=20)
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("caf\u00e9\n".encode("latin-1"))
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "latin1": latin1, "trace": trace}
+    argv = [arg.format(**paths) for arg in BAD_PROCESS_INPUT[command][case]]
+    src = os.path.dirname(os.path.dirname(pebblewalk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(os.devnull, "rb") as read_only:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pebblewalk", command, *argv],
+            stdout=read_only if case == "unwritable-stdout" else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("\n") and proc.stderr.splitlines()[-1].startswith(f"{command}: "), proc.stderr

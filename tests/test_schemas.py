@@ -7,6 +7,7 @@ no dependency on the module under test.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 from collections import Counter
@@ -37,6 +38,7 @@ from pebblewalk.schemas import (
     validate_witness,
     worst_case_indistinguishable,
 )
+from pebblewalk.util import FrozenMap
 from pebblewalk.walker14 import build_walker
 import pebblewalk.schemas as schemas_module
 import schemas_reference
@@ -415,6 +417,85 @@ def test_witness_validation_refuses_starts_off_the_two_rows():
         bad = Witness(start_a=start_a, start_b=start_b, prefix=w.prefix, cycle=w.cycle)
         with pytest.raises(ValueError, match="a starting layout leaves the two rows"):
             validate_witness(bad)
+
+
+# ROW0_TRIPLE against ELL_UP_LEFT: in world a the automaton and pebble 2
+# stand at (0,0) beside pebbles 3 and 4 at (1,0) and (2,0); in world b they
+# stand at (0,1) above pebble 3 at (0,0), with pebble 4 at (1,0).  The cycle
+# carries pebble 2 onto pebble 3 and back.
+ROW_ELL = worst_case_indistinguishable(ROW0_TRIPLE, ELL_UP_LEFT, depth=12).witness
+ONTO, BACK = ROW_ELL.cycle
+
+
+def edit_witness(**fields):
+    return lambda w: dataclasses.replace(w, **fields)
+
+
+def edit_step(i, **fields):
+    def edit(w):
+        cycle = list(w.cycle)
+        cycle[i] = dataclasses.replace(cycle[i], **fields)
+        return dataclasses.replace(w, cycle=tuple(cycle))
+
+    return edit
+
+
+def edit_start(world, member, v):
+    field = f"start_{world}"
+    return lambda w: dataclasses.replace(w, **{field: getattr(w, field).set(member, v)})
+
+
+def test_the_row_and_ell_witness_is_as_described():
+    assert ROW_ELL.start_a == {1: (0, 0), 2: (0, 0), 3: (1, 0), 4: (2, 0)}
+    assert ROW_ELL.start_b == {1: (0, 1), 2: (0, 1), 3: (0, 0), 4: (1, 0)}
+    assert ROW_ELL.prefix == ()
+    assert (ONTO.offset_a, ONTO.offset_b, ONTO.carried, ONTO.to_occupied) == ((1, 0), (0, -1), {2}, True)
+    assert (BACK.offset_a, BACK.offset_b, BACK.carried, BACK.to_occupied) == ((-1, 0), (0, 1), {2}, False)
+    # Entering the cycle one step late is the same realization.
+    validate_witness(dataclasses.replace(ROW_ELL, prefix=(ONTO,), cycle=(BACK, ONTO)))
+
+
+# Every refusal is reached by some witness: none is always caught by an
+# earlier check.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda w: dataclasses.replace(w, start_b=FrozenMap({(5 if m == 4 else m): v for m, v in w.start_b.items()})),
+            "worlds must share one automaton and pebble ids",
+            id="member-ids",
+        ),
+        pytest.param(edit_start("a", 4, Vertex(2, 2)), "a starting layout leaves the two rows", id="off-rows"),
+        pytest.param(edit_start("b", 3, vertex(0, 1)), "starting observations differ", id="start-observations"),
+        pytest.param(edit_start("a", 4, vertex(5, 0)), "a starting layout separates the collective", id="start-separated"),
+        pytest.param(edit_witness(cycle=()), "the cycle is empty", id="empty-cycle"),
+        pytest.param(
+            lambda w: dataclasses.replace(w, cycle=tuple(dataclasses.replace(s, carried=frozenset()) for s in w.cycle)),
+            "the cycle relocates no pebble",
+            id="carries-nothing",
+        ),
+        # a reaches (0,1) and sees nothing around it, b reaches (1,1) above pebble 4
+        pytest.param(edit_step(0, offset_a=(0, 1), offset_b=(1, 0), to_occupied=False), "observations diverge after step 0", id="diverging"),
+        # both step left alone with pebble 2, leaving pebbles 3 and 4 a column away
+        pytest.param(edit_step(0, offset_a=(-1, 0), offset_b=(-1, 0), to_occupied=False), "step 0 separates the collective", id="separating"),
+        pytest.param(edit_witness(prefix=(ONTO,), cycle=(BACK,)), "the cycle does not return to its entry layout", id="no-return"),
+        pytest.param(edit_step(0, offset_a=(0, -1)), "a move leaves the lattice: ", id="off-lattice"),
+        pytest.param(edit_step(0, offset_a=(2, 0)), "a move target is not adjacent to the automaton", id="not-adjacent"),
+        pytest.param(edit_step(0, to_occupied=False), "a step label does not match its target occupancy", id="label"),
+        pytest.param(edit_step(0, carried=frozenset({3})), "carried pebble 3 is not co-located", id="carried-off-leader"),
+        # back at the start, pebble 2 stays where it followed the automaton before
+        pytest.param(
+            edit_witness(cycle=(ONTO, BACK, dataclasses.replace(ONTO, carried=frozenset()))),
+            "pebble 2 would need two reactions to one observation",
+            id="two-reactions",
+        ),
+    ],
+)
+def test_witness_validation_refuses_each_broken_requirement(edit, message):
+    validate_witness(ROW_ELL)
+    with pytest.raises(ValueError) as exc:
+        validate_witness(edit(ROW_ELL))
+    assert str(exc.value).startswith(message), str(exc.value)
 
 
 _WINDOW_2X5 = [vertex(x, y) for x in range(5) for y in (0, 1)]
