@@ -11,7 +11,9 @@ seed 1, and then runs once each of the end-to-end commands the benchmark
 does not cover: `scripts/reproduce_results.py`, `pebblewalk simulate
 walker14 --adversary seeded:42` at horizons 10000 and 50000, `pebblewalk
 check --c1 2 --c2 22` and `pebblewalk render --window 12` on the 50000-step
-document, `pebblewalk defeat <file>` on each baseline written out as a
+document, `simulate` at 50000 with `--adversary first` and `check --c1 2
+--c2 22` on that document, which holds and so scans every window,
+`pebblewalk defeat <file>` on each baseline written out as a
 strategy file, and the test suite (`python -m pytest -q`), with the
 checkout's `src` on PYTHONPATH.
 The file holds each checkout's git SHA, the Python version, every run's
@@ -64,6 +66,7 @@ def timed_commands(out_dir: Path) -> dict[str, list[str]]:
         path.write_text(emit_strategy(load_builtin(name)))
         defeat[f"defeat_{name}"] = [*cli, "defeat", str(path)]
     document = str(out_dir / "walker14-50000.trace.jsonl")
+    first = str(out_dir / "walker14-first-50000.trace.jsonl")
     return {
         "reproduce_results": [sys.executable, "scripts/reproduce_results.py"],
         **{
@@ -74,6 +77,10 @@ def timed_commands(out_dir: Path) -> dict[str, list[str]]:
         # (the seeded:42 trace violates the every-moment window check).
         "check_50000": [*cli, "check", document, "--c1", "2", "--c2", "22"],
         "render_50000": [*cli, "render", document, "--window", "12"],
+        # The first-option trace holds at (2, 22), so this check exits 0
+        # after judging every moment.
+        "simulate_50000_first": [*cli, "simulate", "walker14", "--adversary", "first", "--horizon", "50000", "--output", first],
+        "check_50000_first": [*cli, "check", first, "--c1", "2", "--c2", "22"],
         **defeat,
         "tests": [sys.executable, "-m", "pytest", "-q"],
     }

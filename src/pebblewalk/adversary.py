@@ -24,9 +24,9 @@ from pebblewalk.collective import (
     CollectiveState,
     Quotient,
     StepFault,
-    apply_choice,
     at_origin,
     diameter_of,
+    move_onto,
     position_sums,
     run,
 )
@@ -201,17 +201,17 @@ def search_lasso(
             truncated = True
             continue
         try:
-            plan = g.plan(u, rep, 0)
+            plan, _ = g.plan(u, rep, 0)  # a representative lies at anchor 0
         except StepFault:
             faults += 1
             continue
         for idx, opt in enumerate(plan.options):
-            nxt, _ = apply_choice(rep, plan, opt)
-            if diameter_of(nxt.positions) > diameter_bound:
+            positions = move_onto(rep.positions, plan.carried, opt)
+            if diameter_of(positions) > diameter_bound:
                 pruned += 1
                 truncated = True
                 continue
-            g.follow(u, plan, idx, 0, nxt)
+            g.follow(u, plan, idx, 0, CollectiveState(rep.collective, positions, plan.next_states))
 
     found = _find_zero_walk(g)
     stats = SearchStats(len(g.reps), len(g.edges), faults, pruned)

@@ -2,8 +2,9 @@
 
 Exit codes are a contract: 0 success or property holds, 1 property violated
 or search inconclusive, 2 input error: any ValueError or OSError, so also
-unreadable input and unwritable output, which `main` alone turns into one
-`<command>: <message>` line; 3 a step fault (its partial trace is written)
+a refused command line, unreadable input and unwritable output, which
+`main` alone turns into one `<command>: <message>` line (`pebblewalk:` when
+no command was read); 3 a step fault (its partial trace is written)
 or a certificate whose replay measures differently.  The env var
 PEBBLEWALK_OUT names the default directory for written traces.
 """
@@ -178,8 +179,26 @@ def cmd_render(args) -> int:
     return OK
 
 
+class UsageError(ValueError):
+    """A command line the parser refuses; `command` names the (sub)parser
+    that refused it, `pebblewalk` when no command was read."""
+
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError where argparse would print
+    usage and exit, so that `main` reports it like any other input error.
+    Subparsers are made of the same class."""
+
+    def error(self, message: str):
+        raise UsageError(self.prog.rsplit(" ", 1)[-1], message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pebblewalk",
         description="Simulate and analyze pebble collectives on the width-2 lattice.",
     )
@@ -218,12 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    command = "pebblewalk"
     try:
+        args = build_parser().parse_args(argv)
+        command = args.command
         if sys.stdout is None:  # started with descriptor 1 closed
             raise OSError("stdout is closed")
         code = args.func(args)
         sys.stdout.flush()  # so that an unwritable stdout fails in here
         return code
+    except UsageError as e:
+        return _fail(INPUT_ERROR, f"{e.command}: {e}")
     except (ValueError, OSError) as e:
-        return _fail(INPUT_ERROR, f"{args.command}: {e}")
+        return _fail(INPUT_ERROR, f"{command}: {e}")

@@ -16,10 +16,18 @@ translation classes: a Quotient numbers the classes one call meets, plans
 each once, and follows (class, option index) along a Move to (next class,
 anchor shift).  `walk` streams steps through one, `run` collects a prefix of
 that stream, and the lasso search in `adversary` expands one as its graph.
-The Quotient is the only memo here and lives for one call: a later step of
-a class only shifts its plan's leader vertex and options, and its record
-shares the plan's outputs, next-states and carried objects.  Records, plans
-and states are named tuples.
+A step of `walk` translates its Move rather than recomputing it: it shifts
+the class plan's options to the configuration's anchor (only the one when
+the adversary is not consulted), moves the leader and carry set onto the
+chosen one, and feeds the history digest the bytes kept with the Move,
+offsets from the leader that are the same at every visit.  Its record
+shares the plan's outputs, next-states and carried objects.  The Quotient
+is the only memo here and lives for one call.  Records, plans and states
+are named tuples.
+
+The window checks make one pass over the records, coding each record's
+integer position sums as one int, and then c2 slice membership tests per
+moment.
 """
 
 from __future__ import annotations
@@ -169,12 +177,16 @@ def initial_digest(collective: Collective) -> bytes:
     return h.digest()
 
 
+def _digest_feed(at: Vertex, options: Sequence[Vertex], choice: Vertex) -> bytes:
+    """What a step feeds the history digest: its option and choice offsets
+    from the leader's vertex at, so one value per (class, option index)."""
+    parts = [f"({o.x - at.x},{o.y - at.y})" for o in options]
+    parts.append(f"|({choice.x - at.x},{choice.y - at.y})")
+    return "".join(parts).encode()
+
+
 def advance_digest(digest: bytes, at: Vertex, options: Sequence[Vertex], choice: Vertex) -> bytes:
-    h = hashlib.blake2b(digest, digest_size=16)
-    for o in options:
-        h.update(f"({o.x - at.x},{o.y - at.y})".encode())
-    h.update(f"|({choice.x - at.x},{choice.y - at.y})".encode())
-    return h.digest()
+    return hashlib.blake2b(digest + _digest_feed(at, options, choice), digest_size=16).digest()
 
 
 class StepPlan(NamedTuple):
@@ -259,9 +271,7 @@ def apply_choice(state: CollectiveState, plan: StepPlan, choice: Vertex) -> tupl
 
 
 def _pick(state: CollectiveState, plan: StepPlan, adversary, digest: bytes) -> int:
-    """Index of the chosen option: the adversary's pick when it has a real choice."""
-    if not plan.consulted:
-        return 0
+    """Index of the option the adversary picks among plan's two or more."""
     idx = adversary.choose(plan.options, ChoiceContext(state.step_index, plan.at, state.positions, digest))
     if not 0 <= idx < len(plan.options):
         raise ValueError(f"adversary returned option index {idx} out of range")
@@ -288,15 +298,17 @@ class Quotient(Graph):
     the carry set are equal, and the options shift with the leader.  A
     class is keyed by (states, positions at least x 0), its
     representative is that layout at step 0, and a configuration's anchor is
-    its least x.  Each class is planned once and its plan translated at
-    later visits.  Options are sorted by offset, so the class after a step
-    is fixed by the class before it and the chosen option's index: a
-    (node, option index) pair is located once, which adds its Move, and then
-    followed along it.  A class found by a Move lies one deeper than the
-    Move's source, so `tree_path` gives the first way `walk` or the lasso
-    search reached it.  Faults are never stored: a class's first visit
-    plans the configuration itself, so a fault keeps its true step index.
-    A table belongs to one call and is not shared.
+    its least x.  Each class is planned once, at its first visit, and its
+    plan translated at later visits.  Options are sorted by offset, so the
+    class after a step is fixed by the class before it and the chosen
+    option's index: a (node, option index) pair is located once, which adds
+    its Move, and then followed along it; `walk` keeps each followed pair's
+    Move with the bytes its step feeds the history digest.  A class found
+    by a Move lies one deeper than the Move's source, so `tree_path` gives
+    the first way `walk` or the lasso search reached it.  Faults are never
+    stored: a class's first visit plans the configuration itself, so a
+    fault keeps its true step index.  A table belongs to one call and is
+    not shared.
     """
 
     def __init__(self) -> None:
@@ -313,17 +325,18 @@ class Quotient(Graph):
             node = self.add_node(key, CollectiveState(state.collective, rel, state.states), depth)
         return node, anchor
 
-    def plan(self, node: int, state: CollectiveState, anchor: int) -> StepPlan:
-        """The plan of state, which lies in class node at anchor."""
-        if node not in self.plans:
-            self.plans[node] = (plan_step(state), anchor)
-        plan, made_at = self.plans[node]
-        return _shifted(plan, anchor - made_at)
+    def plan(self, node: int, state: CollectiveState, anchor: int) -> tuple[StepPlan, int]:
+        """Class node's plan and the anchor it was made at; the first call
+        plans state, which lies in class node at anchor."""
+        entry = self.plans.get(node)
+        if entry is None:
+            entry = self.plans[node] = (plan_step(state), anchor)
+        return entry
 
     def follow(self, node: int, plan: StepPlan, idx: int, anchor: int, nxt: CollectiveState) -> Move:
-        """The Move of option idx of plan, made at node's anchor; nxt, the
-        configuration that option led to, is located only the first time
-        the pair is followed."""
+        """The Move of option idx of node's plan, at any translation, from a
+        configuration at anchor; nxt, the configuration that option led to,
+        is located only the first time the pair is followed."""
         move = self.moves.get((node, idx))
         if move is None:
             next_node, next_anchor = self.locate(nxt, self.depths[node] + 1)
@@ -341,21 +354,43 @@ def walk(initial: CollectiveState, adversary) -> Iterator[tuple[CollectiveState,
     A step is planned, and the adversary consulted, only when it is drawn,
     and the history digest advances for a step only once the next is drawn,
     so a reader that stops leaves the adversary untouched past its last
-    step.  Plans and faults come through a Quotient local to the call, so
-    each translation class is planned once and the records of a class share
-    its maps.
+    step.  Steps go through a Quotient local to the call, and a step
+    translates its Move: a class is planned at its first visit only, and
+    a followed (class, option index) pair keeps its Move and the bytes its
+    step feeds the digest.  A step shifts only the options its record and
+    the adversary see: the one option of a forced step, or all of them
+    when the adversary is consulted, since it sees absolute vertices.  The
+    records of a class share its plan's maps.
     """
+    collective = initial.collective
     state = initial
-    digest = initial_digest(initial.collective)
+    digest = initial_digest(collective)
     table = Quotient()
+    followed: dict[tuple[int, int], tuple[Move, bytes]] = {}  # (node, option index) -> Move, digest feed
     node, anchor = table.locate(state)
     while True:
-        plan = table.plan(node, state, anchor)
-        idx = _pick(state, plan, adversary, digest)
-        nxt, record = apply_choice(state, plan, plan.options[idx])
-        yield nxt, record
-        digest = advance_digest(digest, plan.at, plan.options, record.choice)
-        move = table.follow(node, plan, idx, anchor, nxt)
+        plan, made_at = table.plan(node, state, anchor)
+        shift = anchor - made_at
+        if plan.consulted:
+            here = _shifted(plan, shift)
+            idx = _pick(state, here, adversary, digest)
+            options = here.options
+        else:
+            idx, options = 0, plan.options
+            if shift:
+                ((x, y),) = options
+                options = (Vertex(x + shift, y),)
+        choice = options[idx]
+        t = state.step_index + 1
+        positions = move_onto(state.positions, plan.carried, choice)
+        nxt = CollectiveState(collective, positions, plan.next_states, t)
+        yield nxt, StepRecord(t, positions, plan.next_states, plan.outputs, options, choice, plan.carried)
+        step = followed.get((node, idx))
+        if step is None:
+            move = table.follow(node, plan, idx, anchor, nxt)
+            step = followed[node, idx] = move, _digest_feed(plan.at, plan.options, plan.options[idx])
+        move, feed = step
+        digest = hashlib.blake2b(digest + feed, digest_size=16).digest()
         node, anchor, state = move.dst, anchor + move.weight, nxt
 
 
@@ -431,23 +466,62 @@ def check_directed(trace: Trace, c1: int, c2: int) -> Verdict:
     t', t'' in [1, c2] must satisfy
     coord(t+t') - coord(t) == coord(t+t'+t'') - coord(t+t').
     Moments too close to the end of the prefix are not judged.
+
+    With S a record's position sums, the pair condition reads
+    2*S(i) - S(t) == S(j) for some i in (t, t+c2] and j in (i, i+c2], one
+    slice membership test per i.  S is coded as the one int x*K + y, with
+    K = 2*span + 1 and span the largest y sum less the least.  That is
+    exact: 2*S(i) - S(t) - S(j) codes as K*dx + dy with |dy| <= 2*span < K,
+    which is 0 only when dx = dy = 0.
     """
-    return _check_windows(trace, c1, c2, _has_equal_displacement_pair)
+    return _check_windows(trace, c1, c2, _first_unpaired)
 
 
-def _check_windows(trace: Trace, c1: int, c2: int, has_pair) -> Verdict:
-    """The diameter bound, then has_pair(coords, t, c2) at each moment t, in
-    order, whose window t+2*c2 fits in the trace."""
+def check_uniform(trace: Trace, c1: int, c2: int) -> Verdict:
+    """As check_directed but with both time offsets pinned to exactly c2."""
+    return _check_windows(trace, c1, c2, _first_nonuniform)
+
+
+def _check_windows(trace: Trace, c1: int, c2: int, first_failure) -> Verdict:
+    """One pass applies the diameter bound and collects each record's
+    position sums, which must keep one member count; then
+    first_failure(codes, c2) gives the first moment, in order, whose window
+    t+2*c2 fits in the trace and fails, or None.  Codes are as
+    check_directed states."""
     if c1 < 0 or c2 < 1:
         raise ValueError("need c1 >= 0 and c2 >= 1")
+    counts = set()
+    xsums, ysums = [], []
     for t, rec in enumerate(trace.records):
-        if diameter_of(rec.positions) > c1:
+        xs, ys = zip(*rec.positions.values())
+        if max(xs) - min(xs) > c1 or max(ys) - min(ys) > c1:
             return Verdict(False, "diameter", t)
-    coords = position_sums(trace.records)
-    for t in range(len(coords) - 2 * c2):
-        if not has_pair(coords, t, c2):
-            return Verdict(False, "displacement", t)
-    return HOLDS
+        counts.add(len(xs))
+        xsums.append(sum(xs))
+        ysums.append(sum(ys))
+    if len(counts) > 1:
+        raise ValueError("member count changes mid-trace")
+    k = 2 * (max(ysums) - min(ysums)) + 1 if ysums else 1
+    failed = first_failure([x * k + y for x, y in zip(xsums, ysums)], c2)
+    return HOLDS if failed is None else Verdict(False, "displacement", failed)
+
+
+def _first_unpaired(codes: list[int], c2: int) -> Optional[int]:
+    for t in range(len(codes) - 2 * c2):
+        base = codes[t]
+        for i in range(t + 1, t + c2 + 1):
+            if 2 * codes[i] - base in codes[i + 1 : i + c2 + 1]:
+                break
+        else:
+            return t
+    return None
+
+
+def _first_nonuniform(codes: list[int], c2: int) -> Optional[int]:
+    for t in range(len(codes) - 2 * c2):
+        if 2 * codes[t + c2] - codes[t] != codes[t + 2 * c2]:
+            return t
+    return None
 
 
 def position_sums(records: Sequence[StepRecord]) -> list[tuple[int, int]]:
@@ -464,29 +538,6 @@ def position_sums(records: Sequence[StepRecord]) -> list[tuple[int, int]]:
         xs, ys = zip(*r.positions.values())
         sums.append((sum(xs), sum(ys)))
     return sums
-
-
-def _has_equal_displacement_pair(coords: list[tuple], t: int, c2: int) -> bool:
-    bx, by = coords[t]
-    for t1 in range(1, c2 + 1):
-        ax, ay = coords[t + t1]
-        dx = ax - bx
-        dy = ay - by
-        for t2 in range(1, c2 + 1):
-            cx, cy = coords[t + t1 + t2]
-            if cx - ax == dx and cy - ay == dy:
-                return True
-    return False
-
-
-def _has_uniform_pair(coords: list[tuple], t: int, c2: int) -> bool:
-    (ax, ay), (bx, by), (cx, cy) = coords[t + c2], coords[t], coords[t + 2 * c2]
-    return (ax - bx, ay - by) == (cx - ax, cy - ay)
-
-
-def check_uniform(trace: Trace, c1: int, c2: int) -> Verdict:
-    """As check_directed but with both time offsets pinned to exactly c2."""
-    return _check_windows(trace, c1, c2, _has_uniform_pair)
 
 
 def find_isolated(positions: Mapping[MemberId, Vertex]) -> list[frozenset]:

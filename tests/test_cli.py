@@ -571,6 +571,7 @@ BAD_PROCESS_INPUT = {
         "directory": ["{dir}", "--horizon", "5"],
         "not-utf8": ["{latin1}", "--horizon", "5"],
         "bad-number": ["walker14", "--horizon", "-1"],
+        "not-a-number": ["walker14", "--horizon", "abc"],
         "unwritable-output": ["walker14", "--horizon", "5", "--output", "{missing}/out.trace.jsonl"],
         "unwritable-stdout": ["walker14", "--horizon", "5", "--output", "{dir}/out.trace.jsonl"],
     },
@@ -580,6 +581,7 @@ BAD_PROCESS_INPUT = {
         "not-utf8": ["{latin1}", *CHECK],
         "bad-number": ["{trace}", "--c1", "2", "--c2", "0"],
         "unwritable-stdout": ["{trace}", *CHECK],
+        "no-arguments": [],
     },
     "schemas": {
         "bad-number": ["7"],
@@ -599,7 +601,18 @@ BAD_PROCESS_INPUT = {
         "bad-number": ["{trace}", "--window", "0"],
         "unwritable-stdout": ["{trace}", *WINDOW],
     },
+    # Not a command: the one line names the program instead.
+    "frobnicate": {
+        "unknown-command": [],
+    },
 }
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["check", "--help"])
+    assert exit.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pebblewalk check")
 
 
 @pytest.mark.parametrize(
@@ -623,5 +636,8 @@ def test_process_exits_two_with_one_line_on_bad_input(tmp_path, command, case):
             env=env,
         )
     assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.endswith("\n") and proc.stderr.splitlines()[-1].startswith(f"{command}: "), proc.stderr
+    assert "Traceback" not in proc.stderr and "usage:" not in proc.stderr
+    name = "pebblewalk" if case == "unknown-command" else command
+    assert proc.stderr.endswith("\n") and proc.stderr.splitlines()[-1].startswith(f"{name}: "), proc.stderr
+    if case != "unwritable-stdout":  # there simulate and defeat report their run first
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -100,11 +100,15 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     timed = bench.timed_commands(tmp_path)
     defeats = [f"defeat_{name}" for name in baselines]
     reads = ["check_50000", "render_50000"]
-    assert list(timed) == ["reproduce_results", "simulate_10000", "simulate_50000", *reads, *defeats, "tests"]
+    first = ["simulate_50000_first", "check_50000_first"]
+    assert list(timed) == ["reproduce_results", "simulate_10000", "simulate_50000", *reads, *first, *defeats, "tests"]
     document = str(tmp_path / "walker14-50000.trace.jsonl")
     assert timed["simulate_50000"][-1] == document
     assert timed["check_50000"][-6:] == ["check", document, "--c1", "2", "--c2", "22"]
     assert timed["render_50000"][-4:] == ["render", document, "--window", "12"]
+    first_document = str(tmp_path / "walker14-first-50000.trace.jsonl")
+    assert timed["simulate_50000_first"][-7:] == ["walker14", "--adversary", "first", "--horizon", "50000", "--output", first_document]
+    assert timed["check_50000_first"][-6:] == ["check", first_document, "--c1", "2", "--c2", "22"]
     for name in baselines:
         path = tmp_path / f"{name}.strategy"
         assert timed[f"defeat_{name}"][-2:] == ["defeat", str(path)]
