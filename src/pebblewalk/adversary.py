@@ -145,6 +145,12 @@ class LassoCertificate:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """The part of the quotient a lasso search expanded: classes located,
+    Moves added, classes whose plan faulted, and options cut by the
+    diameter bound.  A search that stops at a lasso counts only what it
+    expanded before the stop; one that finds none counts the whole quotient
+    within its cuts."""
+
     nodes: int
     edges: int
     faults: int
@@ -153,9 +159,11 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """certificate set: lasso found.  Otherwise `complete` says whether the
-    whole quotient graph was expanded (NotFound) or the search was truncated
-    by depth or the diameter bound (DepthExhausted)."""
+    """certificate set: a shortest lasso was found.  `complete` says whether
+    the whole quotient graph was expanded with no cut by depth or the
+    diameter bound; without a certificate that makes the verdict not-found,
+    and otherwise depth-exhausted.  A search that stopped at a lasso before
+    expanding every class is not complete."""
 
     certificate: Optional[LassoCertificate]
     complete: bool
@@ -173,8 +181,9 @@ def search_lasso(
     max_depth: int,
     diameter_bound: int = 4,
 ) -> SearchOutcome:
-    """Breadth-first expand the choice graph modulo x-translation and look
-    for a closed walk with zero net anchor shift.
+    """Breadth-first expand the choice graph modulo x-translation and return
+    its shortest lasso: a closed walk with zero net anchor shift, reached
+    along the discovery tree.
 
     The graph is a Quotient local to the call: nodes are its classes, each
     planned at its representative and expanded in node order, which is
@@ -184,7 +193,18 @@ def search_lasso(
     zero revisits an absolute configuration exactly, so it extends to an
     infinite realization whose coordinate is confined.  The lasso's prefix
     is the discovery-tree path to the walk's base, a shortest path from the
-    initial class.  The certificate is read off the quotient, not replayed.
+    initial class, and its length is the prefix's steps plus the walk's.
+    The certificate is read off the quotient, not replayed.
+
+    The search looks for lassos of length at most D once every class
+    shallower than D is planned, for D = 1, 2, 4, 8, ...: each class on the
+    cycle of such a lasso is shallower than D, so every such lasso is in the
+    graph by then, and the shortest of them is a shortest lasso of all.  The
+    search stops at the first look that finds one.  While every Move but
+    the ones that discovered a class is missing, the graph is a tree and the
+    look is skipped.  A search that no look stops expands the whole quotient
+    and then decides exactly.  Ties go as _shortest_zero_walk says, so the
+    certificate does not depend on where the search stopped.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -193,10 +213,19 @@ def search_lasso(
     faults = 0
     pruned = 0
     truncated = False
+    look_at = 1
+    found = None
 
     # A list iterator also yields what is appended while it runs, so this
     # loop reaches every class that following adds, in breadth-first order.
     for u, rep in enumerate(g.reps):
+        if g.depths[u] >= look_at:
+            if len(g.edges) >= len(g.reps):
+                found = _shortest_zero_walk(_bases(g)[0], look_at)
+                if found is not None:
+                    truncated = True  # the classes from u on are left unexpanded
+                    break
+            look_at *= 2
         if g.depths[u] >= max_depth:
             truncated = True
             continue
@@ -212,14 +241,125 @@ def search_lasso(
                 truncated = True
                 continue
             g.follow(u, plan, idx, 0, CollectiveState(rep.collective, positions, plan.next_states))
+    else:
+        if len(g.edges) >= len(g.reps):
+            found = _find_zero_walk(g)
 
-    found = _find_zero_walk(g)
     stats = SearchStats(len(g.reps), len(g.edges), faults, pruned)
     if found is None:
         return SearchOutcome(None, not truncated, stats)
-    base, cycle_edges = found
+    _, base, cycle_edges = found
     _, prefix_edges = g.tree_path(base)
     return SearchOutcome(_certificate_from_edges(g, prefix_edges, cycle_edges), not truncated, stats)
+
+
+_Lasso = tuple[int, int, list[int]]  # (length, base node, cycle edge list)
+_Component = tuple[list[int], list[int]]  # (nodes, inner edges), as cycle_components gives it
+_Out = dict[int, list[tuple[int, int, int]]]  # node -> (edge, dst, weight) for each edge out of it
+_Base = tuple[int, int, _Out, int, int]  # (depth, node, out edges, step, bound)
+
+
+def _bases(g: Graph) -> tuple[list[_Base], list[_Component]]:
+    """Every node a zero-weight closed walk could start from, in (depth,
+    node) order, with the edges such a walk can follow out of each node of
+    its component, their largest |weight| (step) and a bound on partial
+    weights; and the components of mixed sign.
+
+    A component whose weights all have one sign holds a zero walk exactly
+    when its weight-0 edges close a cycle, and only they can lie on one, so
+    a walk there follows only them.  In a component of mixed sign, the bound
+    is n * step (n its node count).  No proof says that a zero walk keeps
+    within it, so a search kept within it can miss one.
+    """
+    bases = []
+    mixed = []
+    for nodes, edges in cycle_components(g):
+        weights = [g.edges[ei].weight for ei in edges]
+        if min(weights) >= 0 or max(weights) <= 0:
+            edges = [ei for ei, w in zip(edges, weights) if w == 0]
+            step = 0
+        else:
+            mixed.append((nodes, edges))
+            step = max(map(abs, weights))
+        out: _Out = {}
+        for ei in edges:
+            e = g.edges[ei]
+            out.setdefault(e.src, []).append((ei, e.dst, e.weight))
+        bases.extend((g.depths[u], u, out, step, len(nodes) * step) for u in out)
+    bases.sort(key=lambda b: b[:2])
+    return bases, mixed
+
+
+def _shortest_zero_walk(bases: list[_Base], limit: int) -> Optional[_Lasso]:
+    """The shortest lasso from bases of length at most limit, or None.
+
+    A lasso's length is its base's depth plus its walk's length.  Bases are
+    searched exactly, in (depth, node) order, each cut at the best length
+    found so far, so a tie goes to the lowest base, then to the first walk
+    in edge order.
+    """
+    best = None
+    for depth, base, out, step, _ in bases:
+        budget = limit - depth if best is None else best[0] - depth - 1
+        if budget < 1:
+            break
+        walk = _zero_walk_at(base, out, step, budget=budget)
+        if walk is not None:
+            best = depth + len(walk), base, walk
+    return best
+
+
+def _find_zero_walk(g: Graph) -> Optional[_Lasso]:
+    """The shortest lasso in g, or None when g holds no zero-weight closed walk.
+
+    A first walk gives the length the exact search is cut at: the first
+    base whose walk keeps its partial weights within the bound gives one,
+    and if no base does, _zero_walk_by_signs decides the mixed components.
+    """
+    bases, mixed = _bases(g)
+    for depth, base, out, step, bound in bases:
+        walk = _zero_walk_at(base, out, step, bound=bound)
+        if walk is not None:
+            return _shortest_zero_walk(bases, depth + len(walk))
+    composed = _zero_walk_by_signs(g, mixed)
+    return None if composed is None else _shortest_zero_walk(bases, composed[0])
+
+
+def _zero_walk_at(
+    base: int, out: _Out, step: int, budget: Optional[int] = None, bound: int = 0
+) -> Optional[list[int]]:
+    """Edge list of a shortest zero-weight closed walk at base along the
+    edges in out, whose weights are at most step in size, or None.
+
+    Breadth-first over (node, partial weight), edges in list order, so the
+    walk is the first of the shortest in that order.  With a budget, walks
+    of at most that many edges are searched exactly: a partial weight is
+    dropped only when the edges left cannot bring it back to 0.  Without
+    one, partial weights are kept within [-bound, bound].
+    """
+    start = (base, 0)
+    back: dict[tuple[int, int], Optional[tuple[tuple[int, int], int]]] = {start: None}
+    level = [start]
+    length = 0
+    while level and length != budget:
+        length += 1
+        cap = bound if budget is None else (budget - length) * step
+        ahead = []
+        for here in level:
+            u, s = here
+            for ei, v, w in out.get(u, ()):
+                t = s + w
+                if t == 0 and v == base:
+                    walk = [ei]
+                    while back[here] is not None:
+                        here, ei = back[here]
+                        walk.append(ei)
+                    return walk[::-1]
+                if -cap <= t <= cap and (v, t) not in back:
+                    back[v, t] = here, ei
+                    ahead.append((v, t))
+        level = ahead
+    return None
 
 
 def _negative_cycle(nodes: list[int], edges: list[int], g: Graph, weight: Callable[[int], int]) -> Optional[list[int]]:
@@ -266,21 +406,21 @@ def _negative_cycle(nodes: list[int], edges: list[int], g: Graph, weight: Callab
     return cycle_edges
 
 
-def _find_zero_walk(g: Graph) -> Optional[tuple[int, list[int]]]:
-    """Find (base node, edge list) of a zero-net-weight closed walk, if any.
+def _zero_walk_by_signs(g: Graph, components: list[_Component]) -> Optional[_Lasso]:
+    """A lasso on a zero walk in the first of components that holds one, or None.
 
-    The components of `cycle_components` are tried least node first; the
-    first that holds such a walk gives it.  A component holds a zero-weight
-    closed walk exactly when it holds a simple cycle of weight <= 0 and one
-    of weight >= 0: a zero walk splits into simple cycles summing to zero,
-    and cycles of both signs compose into a zero walk.  A simple cycle of
-    length L <= n (n the component's node count) and weight W has weight
-    n*W - L under n*w - 1, which is negative exactly when W <= 0; likewise
-    -n*W - L is negative exactly when W >= 0.  So one negative-cycle search
-    per sign decides it.  The paths that stitch the two cycles together run
-    between nodes of the component, so they stay inside it.
+    A component holds a zero-weight closed walk exactly when it holds a
+    simple cycle of weight <= 0 and one of weight >= 0: a zero walk splits
+    into simple cycles summing to zero, and cycles of both signs compose
+    into a zero walk.  A simple cycle of length L <= n (n the component's
+    node count) and weight W has weight n*W - L under n*w - 1, which is
+    negative exactly when W <= 0; likewise -n*W - L is negative exactly when
+    W >= 0.  So one negative-cycle search per sign decides it.  Neither cycle
+    weighs 0, since a walk along one keeps within the search's bound, so
+    the two are stitched together; the paths between them run between nodes
+    of the component, so they stay inside it.
     """
-    for nodes, edges in cycle_components(g):
+    for nodes, edges in components:
         n = len(nodes)
         at_most_zero = _negative_cycle(nodes, edges, g, lambda w: n * w - 1)
         if at_most_zero is None:
@@ -288,12 +428,8 @@ def _find_zero_walk(g: Graph) -> Optional[tuple[int, list[int]]]:
         at_least_zero = _negative_cycle(nodes, edges, g, lambda w: -n * w - 1)
         if at_least_zero is None:
             continue
-        for cycle in (at_most_zero, at_least_zero):
-            if _edge_walk_weight(g, cycle) == 0:
-                # based at its earliest-discovered node, for the shortest prefix
-                first = min(range(len(cycle)), key=lambda i: g.edges[cycle[i]].src)
-                return g.edges[cycle[first]].src, cycle[first:] + cycle[:first]
-        return _compose_zero_walk(g, at_least_zero, at_most_zero)
+        base, walk = _compose_zero_walk(g, at_least_zero, at_most_zero)
+        return g.depths[base] + len(walk), base, walk
     return None
 
 

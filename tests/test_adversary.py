@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from pebblewalk.adversary import (
     ScriptError,
     SeededRandom,
     _find_zero_walk,
+    _zero_walk_by_signs,
     canonicalize,
     defeat_strategy,
     finalize_certificate,
@@ -176,8 +176,8 @@ def replay(initial, cert):
     return trace, len(script.offsets) - script.cursor
 
 
-# The free walker's certificate steps up once, then right and back.
-FREE_WALKER_CERT = search_lasso(build_free_walker().initial_state(), max_depth=40).certificate
+# A free walker certificate that steps up once, then right and back.
+FREE_WALKER_CERT = LassoCertificate(((0, 1),), 1, ((1, 0), (-1, 0)), 2, (Fraction(0), Fraction(0)), Fraction(1))
 
 
 def test_finalize_refuses_a_script_with_offsets_left_at_the_horizon():
@@ -267,74 +267,66 @@ def test_defeat_truncated_search_is_inconclusive():
     assert outcome.detail == "depth 200 exhausted (diameter bound 0)"
 
 
-def _random_graph(rng: random.Random) -> Graph:
+def _random_graph(rng: random.Random, weights: tuple[int, int] = (-2, 2)) -> Graph:
     g = Graph()
     n = rng.randint(1, 6)
     for u in range(n):
         g.add_node(u, None, 0)
     for _ in range(rng.randint(0, 2 * n)):
-        g.add_edge(Move(rng.randrange(n), rng.randrange(n), rng.randint(-2, 2), (0, 0), True))
+        g.add_edge(Move(rng.randrange(n), rng.randrange(n), rng.randint(*weights), (0, 0), True))
     return g
 
 
-def _mutual_classes(g: Graph) -> list[frozenset]:
-    """Brute force: node -> the nodes it reaches and is reached from."""
-    n = len(g.reps)
-    reach = [[u == v for v in range(n)] for u in range(n)]
-    for e in g.edges:
-        reach[e.src][e.dst] = True
-    for k, u, v in itertools.product(range(n), repeat=3):
-        reach[u][v] = reach[u][v] or (reach[u][k] and reach[k][v])
-    return [frozenset(v for v in range(n) if reach[u][v] and reach[v][u]) for u in range(n)]
-
-
-def _simple_cycle_weights_by_component(g: Graph) -> dict[frozenset, set[int]]:
-    """Brute force: weights of every simple cycle (as an edge sequence),
-    keyed by the strongly connected component it lies in."""
-    n = len(g.reps)
-    classes = _mutual_classes(g)
-    weights: dict[frozenset, set[int]] = {}
-
-    def extend(start, node, visited, weight):
-        for ei in g.out[node]:
-            e = g.edges[ei]
-            if e.dst == start:
-                weights.setdefault(classes[start], set()).add(weight + e.weight)
-            elif e.dst > start and e.dst not in visited:
-                extend(start, e.dst, visited | {e.dst}, weight + e.weight)
-
-    for start in range(n):
-        extend(start, start, {start}, 0)
-    return weights
+def assert_zero_lasso(g: Graph, lasso):
+    """A closed walk of weight 0 inside one component, with its length."""
+    length, base, walk = lasso
+    assert walk
+    assert g.edges[walk[0]].src == base
+    assert g.edges[walk[-1]].dst == base
+    for a, b in zip(walk, walk[1:]):
+        assert g.edges[a].dst == g.edges[b].src
+    assert sum(g.edges[ei].weight for ei in walk) == 0
+    classes = lasso_reference.mutual_classes(g)
+    assert all(classes[g.edges[ei].src] == classes[g.edges[ei].dst] == classes[base] for ei in walk)
+    assert length == g.depths[base] + len(walk)
 
 
 def test_find_zero_walk_matches_simple_cycle_oracle():
     rng = random.Random(2023)
-    for _ in range(3000):
-        g = _random_graph(rng)
-        expected = any(
-            min(ws) <= 0 <= max(ws) for ws in _simple_cycle_weights_by_component(g).values()
-        )
+    one_sign = {True: 0, False: 0}  # one-sign graphs with a cycle, by whether a walk was found
+    stitched = 0
+    for i in range(3000):
+        weights = ((-2, 2), (0, 2), (-2, 0))[i % 3]
+        g = _random_graph(rng, weights)
+        # depths ascending with the node number, as in a breadth-first quotient
+        g.depths[:] = sorted(rng.randint(0, 3) for _ in g.depths)
+        cycle_weights = lasso_reference.simple_cycle_weights_by_component(g)
+        expected = any(min(ws) <= 0 <= max(ws) for ws in cycle_weights.values())
         found = _find_zero_walk(g)
         assert (found is not None) == expected
-        if found is None:
-            continue
-        base, walk = found
-        assert walk
-        assert g.edges[walk[0]].src == base
-        assert g.edges[walk[-1]].dst == base
-        for a, b in zip(walk, walk[1:]):
-            assert g.edges[a].dst == g.edges[b].src
-        assert sum(g.edges[ei].weight for ei in walk) == 0
-        classes = _mutual_classes(g)
-        assert all(classes[g.edges[ei].src] == classes[g.edges[ei].dst] == classes[base] for ei in walk)
+        if i % 3 and cycle_weights:
+            one_sign[expected] += 1
+        if found is not None:
+            assert_zero_lasso(g, found)
+            # the brute force takes the lowest base, then the first walk in edge order
+            assert found[1:] == lasso_reference.shortest_lasso(g)
+        # The sign test's stitched walk, which the search falls back on when
+        # its bounded first walk misses: fed here a component whose simple
+        # cycles take both signs but never weigh 0.
+        for component in cycle_components(g):
+            ws = cycle_weights[frozenset(component[0])]
+            if min(ws) < 0 < max(ws) and 0 not in ws:
+                stitched += 1
+                assert_zero_lasso(g, _zero_walk_by_signs(g, [component]))
+    assert min(one_sign.values()) >= 100
+    assert stitched >= 100
 
 
 def test_cycle_components_match_mutual_reachability():
     rng = random.Random(14)
     for _ in range(3000):
         g = _random_graph(rng)
-        classes = _mutual_classes(g)
+        classes = lasso_reference.mutual_classes(g)
         want = []
         for nodes in sorted({tuple(sorted(c)) for c in classes}):
             edges = [ei for ei, e in enumerate(g.edges) if e.src in nodes and e.dst in nodes]
@@ -381,11 +373,29 @@ def test_search_expands_like_the_reference(name):
     col = build_tether() if name == "tether" else load_builtin(name)
     for max_depth in (1, 5, 200):
         for diameter_bound in (0, 2, 4):
-            got = search_lasso(col.initial_state(), max_depth, diameter_bound)
-            want = lasso_reference.search_lasso(col.initial_state(), max_depth, diameter_bound)
-            assert got.certificate == want.certificate
-            assert got.complete == want.complete
-            assert got.stats == want.stats
+            initial = col.initial_state()
+            assert_like_the_reference(
+                initial,
+                search_lasso(initial, max_depth, diameter_bound),
+                lasso_reference.search_lasso(initial, max_depth, diameter_bound),
+            )
+
+
+def assert_like_the_reference(initial, got, want):
+    """The reference's verdict and expansion, and a certificate as long as
+    the reference's brute-force shortest lasso that replays to itself."""
+    assert got.verdict == want.verdict
+    assert (got.complete, got.stats) == (want.complete, want.stats)
+    if got.certificate is None:
+        return
+    assert lasso_steps(got.certificate) == lasso_steps(want.certificate)
+    assert finalize_certificate(initial, got.certificate) == got.certificate
+    # both take the lowest base, then the first walk in edge order
+    assert got.certificate == want.certificate
+
+
+def lasso_steps(cert):
+    return cert.prefix_steps + cert.cycle_steps
 
 
 def _random_pattern(rng: random.Random, others: list[int], beside_leader: bool = False) -> ObservationPattern:
@@ -439,12 +449,11 @@ def test_read_off_certificates_replay_on_random_collectives():
         col = _random_collective(rng, i % 4)
         initial = col.initial_state()
         outcome = search_lasso(initial, max_depth=200)
-        assert outcome == lasso_reference.search_lasso(initial, 200)
+        assert_like_the_reference(initial, outcome, lasso_reference.search_lasso(initial, 200))
         cert = outcome.certificate
         if cert is None:
             continue
         found += 1
-        assert finalize_certificate(initial, cert) == cert
         assert (cert.net_displacement, cert.confinement_radius) == fraction_measures(initial, cert)
     assert found >= 100
 

@@ -402,29 +402,30 @@ def test_defeat_baseline_eleven(capsys):
     assert "cycle" in out
 
 
-# The full defeat stdout of each baseline, as the engine prints it: a change
-# to stepping or to the lasso search must leave these bytes alone.
+# The full defeat stdout of each baseline, as the engine prints it: the
+# search's shortest lasso, so a change to stepping or to the search that
+# keeps the lasso lengths must leave these bytes alone.
 DEFEAT_STDOUT = {
     "baseline-10": (
-        "defeated baseline-10: lasso with 1-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
-        "prefix choices: [(0, 1)]\n"
-        "cycle choices:  [(1, 0), (-1, 0)]\n"
+        "defeated baseline-10: lasso with 0-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
+        "prefix choices: []\n"
+        "cycle choices:  [(-1, 0), (1, 0)]\n"
     ),
     "baseline-11": (
-        "defeated baseline-11: lasso with 1-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
-        "prefix choices: [(0, 1)]\n"
-        "cycle choices:  [(1, 0), (-1, 0)]\n"
+        "defeated baseline-11: lasso with 0-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
+        "prefix choices: []\n"
+        "cycle choices:  [(-1, 0), (1, 0)]\n"
     ),
     "baseline-12": (
-        "defeated baseline-12: lasso with 2-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
-        "prefix choices: [(0, 1)]\n"
-        "cycle choices:  [(1, 0), (-1, 0)]\n"
+        "defeated baseline-12: lasso with 1-step prefix, 2-step cycle, net displacement (0,0), confinement radius 1\n"
+        "prefix choices: []\n"
+        "cycle choices:  [(-1, 0), (1, 0)]\n"
     ),
     "baseline-13-caterpillar": (
-        "defeated baseline-13-caterpillar: lasso with 12-step prefix, 30-step cycle, net displacement (0,0),"
-        " confinement radius 5/4\n"
-        "prefix choices: [(0, 1), (1, 0)]\n"
-        "cycle choices:  [(1, 0), (0, -1), (-1, 0), (-1, 0), (0, 1), (1, 0)]\n"
+        "defeated baseline-13-caterpillar: lasso with 1-step prefix, 20-step cycle, net displacement (0,0),"
+        " confinement radius 1\n"
+        "prefix choices: []\n"
+        "cycle choices:  [(0, 1), (-1, 0), (0, -1), (1, 0)]\n"
     ),
 }
 
