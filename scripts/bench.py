@@ -19,7 +19,8 @@ checkout's `src` on PYTHONPATH.
 The file holds each checkout's git SHA, the Python version, every run's
 four end-to-end metrics per workload with their median and quartiles,
 failed and attempted op counts, the count-valued per-layer metrics of the
-traced run, and each timed command's exit code, wall time and CPU time.
+traced run, and each timed command's exit code, wall time, CPU time and
+peak RSS.
 It measures only: nothing is compared or gated.  An existing
 BENCH_<n>.json is never overwritten.
 """
@@ -30,7 +31,6 @@ import argparse
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -87,15 +87,26 @@ def timed_commands(out_dir: Path) -> dict[str, list[str]]:
 
 
 def timed(argv: list[str], checkout: Path) -> dict:
-    """Exit code, wall time and CPU time (user + system) of one run."""
+    """Exit code, wall time, CPU time (user + system) and peak RSS of one run.
+
+    The CPU time and peak RSS are the child's own from os.wait4, and count
+    the processes it waited for; getrusage(RUSAGE_CHILDREN) would give the
+    peak over every child this script has run.  A child starts on this
+    script's pages until it execs, so no peak reads below this script's
+    resident size (about 22 MB on CPython 3.11).
+    """
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
-    return {"exit": proc.returncode, "wall_s": round(wall, 3), "cpu_s": round(cpu, 3)}
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "exit": proc.returncode,
+        "wall_s": round(wall, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB on Linux
+    }
 
 
 def git(checkout: Path, *args: str) -> str | None:

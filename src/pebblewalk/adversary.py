@@ -266,28 +266,34 @@ def _bases(g: Graph) -> tuple[list[_Base], list[_Component]]:
     weights; and the components of mixed sign.
 
     A component whose weights all have one sign holds a zero walk exactly
-    when its weight-0 edges close a cycle, and only they can lie on one, so
-    a walk there follows only them.  In a component of mixed sign, the bound
-    is n * step (n its node count).  No proof says that a zero walk keeps
+    when its weight-0 edges close a cycle, and only the weight-0 edges on
+    such a cycle can lie on one, so only their nodes are bases, and a walk
+    there follows only them.  In a component of mixed sign, the bound is
+    n * step (n its node count).  No proof says that a zero walk keeps
     within it, so a search kept within it can miss one.
     """
     bases = []
     mixed = []
+    zero = []
     for nodes, edges in cycle_components(g):
         weights = [g.edges[ei].weight for ei in edges]
         if min(weights) >= 0 or max(weights) <= 0:
-            edges = [ei for ei, w in zip(edges, weights) if w == 0]
-            step = 0
+            zero += [ei for ei, w in zip(edges, weights) if w == 0]
         else:
             mixed.append((nodes, edges))
-            step = max(map(abs, weights))
-        out: _Out = {}
-        for ei in edges:
-            e = g.edges[ei]
-            out.setdefault(e.src, []).append((ei, e.dst, e.weight))
-        bases.extend((g.depths[u], u, out, step, len(nodes) * step) for u in out)
+            bases += _component_bases(g, nodes, edges, max(map(abs, weights)))
+    for nodes, edges in cycle_components(g, zero) if zero else ():
+        bases += _component_bases(g, nodes, edges, 0)
     bases.sort(key=lambda b: b[:2])
     return bases, mixed
+
+
+def _component_bases(g: Graph, nodes: list[int], edges: list[int], step: int) -> list[_Base]:
+    out: _Out = {}
+    for ei in edges:
+        e = g.edges[ei]
+        out.setdefault(e.src, []).append((ei, e.dst, e.weight))
+    return [(g.depths[u], u, out, step, len(nodes) * step) for u in out]
 
 
 def _shortest_zero_walk(bases: list[_Base], limit: int) -> Optional[_Lasso]:

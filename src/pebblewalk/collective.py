@@ -222,7 +222,7 @@ def step_options(
 def move_onto(positions: Mapping[MemberId, Vertex], carried: frozenset, target: Vertex) -> FrozenMap:
     """The step rule's second half: positions after the leader and the carry
     set move onto target; everyone else stays."""
-    moved = dict(positions._d if type(positions) is FrozenMap else positions)
+    moved = dict(positions)
     moved[1] = target
     for m in carried:
         moved[m] = target

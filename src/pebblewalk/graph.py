@@ -82,8 +82,9 @@ def bfs_path(g: Graph, src: int, dst: int) -> list[int]:
     raise RuntimeError("no path inside the expanded graph")
 
 
-def cycle_components(g: Graph) -> list[tuple[list[int], list[int]]]:
-    """Every strongly connected component holding an edge, as (nodes, inner edges).
+def cycle_components(g: Graph, edges: Optional[list[int]] = None) -> list[tuple[list[int], list[int]]]:
+    """Every strongly connected component holding an edge, as (nodes, inner
+    edges), of g or, given a list of edge indices, of g with only those edges.
 
     An edge lies on a cycle exactly when it is some component's inner edge.
     Nodes and edges ascend, and components are ordered by least node.
@@ -92,23 +93,31 @@ def cycle_components(g: Graph) -> list[tuple[list[int], list[int]]]:
     component, labelled by the node it starts from.
     """
     n = len(g.reps)
+    if edges is None:
+        edges, out = range(len(g.edges)), g.out
+    else:
+        edges = sorted(edges)
+        out = [[] for _ in range(n)]
+        for ei in edges:
+            out[g.edges[ei].src].append(ei)
     finished: list[int] = []
     seen = [False] * n
     for root in range(n):
         if not seen[root]:
             seen[root] = True
-            work = [(root, iter(g.out[root]))]
+            work = [(root, iter(out[root]))]
             while work:
                 for ei in work[-1][1]:
                     v = g.edges[ei].dst
                     if not seen[v]:
                         seen[v] = True
-                        work.append((v, iter(g.out[v])))
+                        work.append((v, iter(out[v])))
                         break
                 else:
                     finished.append(work.pop()[0])
     into: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
+    for ei in edges:
+        e = g.edges[ei]
         into[e.dst].append(e.src)
     comp = [-1] * n
     for root in reversed(finished):
@@ -121,7 +130,8 @@ def cycle_components(g: Graph) -> list[tuple[list[int], list[int]]]:
                         comp[w] = root
                         stack.append(w)
     found: dict[int, tuple[list[int], list[int]]] = {}
-    for ei, e in enumerate(g.edges):
+    for ei in edges:
+        e = g.edges[ei]
         if comp[e.src] == comp[e.dst]:
             found.setdefault(comp[e.src], ([], []))[1].append(ei)
     for u, c in enumerate(comp):

@@ -2,61 +2,43 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, TypeVar
+from typing import TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
 
 
-class FrozenMap(Mapping[K, V]):
-    """Immutable, hashable mapping with value-based equality.
+class FrozenMap(dict[K, V]):
+    """A frozen dict: immutable, hashable, equal to any dict with its items.
 
     Used wherever a configuration (member id -> vertex, member id -> state)
-    must serve as a dict key or live inside a frozen dataclass.
+    must serve as a dict key or live inside a frozen dataclass.  Reads,
+    iteration and equality are dict's own; every mutator raises TypeError.
+    The hash is hash(frozenset(items)), computed on first use and kept.
     """
 
-    __slots__ = ("_d", "_hash")
+    __slots__ = ("_hash",)
 
-    def __init__(self, items: Mapping[K, V] | Iterator[tuple[K, V]] = ()):
-        self._d = dict(items)
-        self._hash: int | None = None
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("FrozenMap is immutable")
 
-    def __getitem__(self, key: K) -> V:
-        return self._d[key]
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self._d)
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def keys(self):
-        return self._d.keys()
-
-    def values(self):
-        return self._d.values()
-
-    def items(self):
-        return self._d.items()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FrozenMap):
-            return self._d == other._d
-        return super().__eq__(other)
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _immutable
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._d.items()))
-        return self._hash
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._hash = hash(frozenset(self.items()))
+        return h
+
+    def __reduce__(self):
+        return FrozenMap, (dict(self),)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k!r}: {v!r}" for k, v in sorted(self._d.items(), key=lambda kv: repr(kv[0])))
+        inner = ", ".join(f"{k!r}: {v!r}" for k, v in sorted(self.items(), key=lambda kv: repr(kv[0])))
         return f"FrozenMap({{{inner}}})"
 
     def set(self, key: K, value: V) -> "FrozenMap[K, V]":
-        d = dict(self._d)
-        d[key] = value
-        return FrozenMap(d)
+        return FrozenMap({**self, key: value})
 
 
 class Memo(dict):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from pebblewalk import adversary
 from pebblewalk.adversary import (
     FirstOption,
     LassoCertificate,
@@ -333,6 +334,16 @@ def test_cycle_components_match_mutual_reachability():
             if edges:
                 want.append((list(nodes), edges))
         assert cycle_components(g) == want
+        # cut down to a subset of the edges, given in any order
+        subset = [ei for ei in range(len(g.edges)) if rng.random() < 0.5]
+        h = Graph()
+        for u in range(len(g.reps)):
+            h.add_node(u, None, 0)
+        for ei in subset:
+            h.add_edge(g.edges[ei])
+        rng.shuffle(subset)
+        want = [(nodes, [sorted(subset)[ei] for ei in edges]) for nodes, edges in cycle_components(h)]
+        assert cycle_components(g, subset) == want
 
 
 def test_defeat_rejects_four_pebbles():
@@ -358,6 +369,15 @@ def test_walker_admits_no_lasso():
     assert outcome.certificate is None
     assert outcome.complete
     assert outcome.verdict == "not-found"
+
+
+def test_walker_search_walks_from_no_base(monkeypatch):
+    # walker14's weight-0 Moves close no cycle, so no node is a base.
+    calls = []
+    zero_walk_at = adversary._zero_walk_at
+    monkeypatch.setattr(adversary, "_zero_walk_at", lambda *args, **kw: calls.append(args) or zero_walk_at(*args, **kw))
+    assert search_lasso(build_walker().initial_state(), max_depth=200).verdict == "not-found"
+    assert calls == []
 
 
 def test_search_is_deterministic():

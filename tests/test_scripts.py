@@ -95,7 +95,7 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     for side in report["sides"].values():
         assert list(side["timed"]) == ["ok", "fails"]
         assert [side["timed"][name]["exit"] for name in side["timed"]] == [0, 4]
-        assert all(run["wall_s"] > 0 and run["cpu_s"] >= 0 for run in side["timed"].values())
+        assert all(run["wall_s"] > 0 and run["cpu_s"] >= 0 and run["peak_rss_mb"] > 0 for run in side["timed"].values())
     baselines = ["baseline-10", "baseline-11", "baseline-12", "baseline-13-caterpillar"]
     timed = bench.timed_commands(tmp_path)
     defeats = [f"defeat_{name}" for name in baselines]
@@ -120,6 +120,26 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     assert calls == []
     assert (change / "BENCH_3.json").read_text() == before
     assert "never overwritten" in capsys.readouterr().err
+
+
+def test_bench_reads_each_commands_own_peak_rss(tmp_path):
+    # Spawned from a fresh interpreter: a child's peak starts at its parent's
+    # resident size, which for this test process would hide the difference.
+    probe = f"""
+import importlib.util, json, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("bench", {str(SCRIPTS / "bench.py")!r})
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+big = bench.timed([sys.executable, "-c", "b = b'x' * (48 << 20)"], Path.cwd())
+small = bench.timed([sys.executable, "-c", "pass"], Path.cwd())
+print(json.dumps([big, small]))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True, text=True, check=True)
+    big, small = json.loads(proc.stdout)
+    assert big["exit"] == small["exit"] == 0
+    # run after the big one, the small one still reads its own peak
+    assert big["peak_rss_mb"] > small["peak_rss_mb"] + 30
 
 
 def test_bench_names_the_checkout_and_seed_when_the_summary_is_not_json(tmp_path):

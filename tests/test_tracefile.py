@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pebblewalk.adversary import FirstOption, SeededRandom
+from pebblewalk.cli import parse_adversary
 from pebblewalk.collective import StepRecord, Trace, check_directed, run
 from pebblewalk.lattice import neighbors, vertex
 from pebblewalk.machine import parse_output
@@ -58,6 +60,24 @@ def test_byte_identical_reproduction():
     b = render_document(walker_document())
     assert a == b
     assert render_document(parse_document(a)) == a
+
+
+# sha256 of walker14's 2,000-step documents.  The other tests here compare
+# two runs of the same code; these digests catch a byte that a change to the
+# core types moves in both.
+PINNED_DOCUMENTS = {
+    "seeded:42": "704cb42b44a54de1eb622a00c2231cb29dcb9d1635eda641182ad837a16a4e1e",
+    "first": "2b67317361aae4ff94824fe793a968a97d058b327d04c8861be94495ecc76222",
+    "last": "7c64fa95545f71736bc6831dd1f54599a603e294b908d728d75e034aebbfd9b3",
+}
+
+
+@pytest.mark.parametrize("spec", PINNED_DOCUMENTS)
+def test_walker_documents_are_pinned(spec):
+    col = build_walker()
+    adversary = parse_adversary(spec)
+    text = render_document(make_document(col, adversary, 2000, run(col.initial_state(), adversary, 2000)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DOCUMENTS[spec]
 
 
 def test_records_sharing_no_maps_render_like_the_reference():
