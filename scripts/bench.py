@@ -35,7 +35,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +46,23 @@ from pebblewalk.strategy_format import emit_strategy
 PAIRS = 10
 TRACE_SEED = 1
 COUNT_UNITS = ("count", "bytes")
+# Runs argv[1:] with its output discarded and prints its exit code, wall
+# time, CPU time and peak RSS in KiB, from os.wait4.
+LAUNCHER = """\
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    try:
+        null = os.open(os.devnull, os.O_RDWR)
+        for fd in (0, 1, 2):
+            os.dup2(null, fd)
+        os.execvp(sys.argv[1], sys.argv[1:])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
+"""
 
 
 def benchmark_command(checkout: Path) -> list[str]:
@@ -89,23 +105,22 @@ def timed_commands(out_dir: Path) -> dict[str, list[str]]:
 def timed(argv: list[str], checkout: Path) -> dict:
     """Exit code, wall time, CPU time (user + system) and peak RSS of one run.
 
-    The CPU time and peak RSS are the child's own from os.wait4, and count
-    the processes it waited for; getrusage(RUSAGE_CHILDREN) would give the
-    peak over every child this script has run.  A child starts on this
-    script's pages until it execs, so no peak reads below this script's
-    resident size (about 22 MB on CPython 3.11).
+    The command runs under LAUNCHER, a bare interpreter (no site, no
+    imports beyond os, sys and time) that forks it, so its CPU time and
+    peak RSS are its own from os.wait4 and count the processes it waited
+    for.  A child starts on its parent's pages until it execs, so had this
+    script spawned the command itself, no peak would read below this
+    script's resident size (about 22 MB on CPython 3.11).
     """
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    start = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    launcher = [sys.executable, "-I", "-S", "-c", LAUNCHER, *argv]
+    proc = subprocess.run(launcher, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    code, wall, cpu, rss = proc.stdout.split()
     return {
-        "exit": proc.returncode,
-        "wall_s": round(wall, 3),
-        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),  # ru_maxrss is in KiB on Linux
+        "exit": int(code),
+        "wall_s": round(float(wall), 3),
+        "cpu_s": round(float(cpu), 3),
+        "peak_rss_mb": round(int(rss) / 1024, 2),  # ru_maxrss is in KiB on Linux
     }
 
 

@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from pebblewalk.collective import (
     ChoiceContext,
@@ -30,7 +30,7 @@ from pebblewalk.collective import (
     position_sums,
     run,
 )
-from pebblewalk.graph import Graph, bfs_path, cycle_components
+from pebblewalk.graph import Graph, cycle_components, cycle_means
 from pebblewalk.lattice import Vertex
 from pebblewalk.util import FrozenMap
 
@@ -203,8 +203,8 @@ def search_lasso(
     search stops at the first look that finds one.  While every Move but
     the ones that discovered a class is missing, the graph is a tree and the
     look is skipped.  A search that no look stops expands the whole quotient
-    and then decides exactly.  Ties go as _shortest_zero_walk says, so the
-    certificate does not depend on where the search stopped.
+    and then decides exactly, by cycle means.  Ties go as _shortest_zero_walk
+    says, so the certificate does not depend on where the search stopped.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -243,7 +243,7 @@ def search_lasso(
             g.follow(u, plan, idx, 0, CollectiveState(rep.collective, positions, plan.next_states))
     else:
         if len(g.edges) >= len(g.reps):
-            found = _find_zero_walk(g)
+            found = _find_zero_walk(g, look_at)
 
     stats = SearchStats(len(g.reps), len(g.edges), faults, pruned)
     if found is None:
@@ -256,21 +256,20 @@ def search_lasso(
 _Lasso = tuple[int, int, list[int]]  # (length, base node, cycle edge list)
 _Component = tuple[list[int], list[int]]  # (nodes, inner edges), as cycle_components gives it
 _Out = dict[int, list[tuple[int, int, int]]]  # node -> (edge, dst, weight) for each edge out of it
-_Base = tuple[int, int, _Out, int, int]  # (depth, node, out edges, step, bound)
+_Base = tuple[int, int, _Out, int]  # (depth, node, out edges, step)
 
 
 def _bases(g: Graph) -> tuple[list[_Base], list[_Component]]:
     """Every node a zero-weight closed walk could start from, in (depth,
     node) order, with the edges such a walk can follow out of each node of
-    its component, their largest |weight| (step) and a bound on partial
-    weights; and the components of mixed sign.
+    its component and their largest |weight| (step); and the components of
+    mixed sign.
 
     A component whose weights all have one sign holds a zero walk exactly
     when its weight-0 edges close a cycle, and only the weight-0 edges on
-    such a cycle can lie on one, so only their nodes are bases, and a walk
-    there follows only them.  In a component of mixed sign, the bound is
-    n * step (n its node count).  No proof says that a zero walk keeps
-    within it, so a search kept within it can miss one.
+    such a cycle can lie on one, so only their nodes are bases, with step
+    0, and a walk there follows only them.  Every node of a component of
+    mixed sign is a base.
     """
     bases = []
     mixed = []
@@ -281,19 +280,19 @@ def _bases(g: Graph) -> tuple[list[_Base], list[_Component]]:
             zero += [ei for ei, w in zip(edges, weights) if w == 0]
         else:
             mixed.append((nodes, edges))
-            bases += _component_bases(g, nodes, edges, max(map(abs, weights)))
+            bases += _component_bases(g, edges, max(map(abs, weights)))
     for nodes, edges in cycle_components(g, zero) if zero else ():
-        bases += _component_bases(g, nodes, edges, 0)
+        bases += _component_bases(g, edges, 0)
     bases.sort(key=lambda b: b[:2])
     return bases, mixed
 
 
-def _component_bases(g: Graph, nodes: list[int], edges: list[int], step: int) -> list[_Base]:
+def _component_bases(g: Graph, edges: list[int], step: int) -> list[_Base]:
     out: _Out = {}
     for ei in edges:
         e = g.edges[ei]
         out.setdefault(e.src, []).append((ei, e.dst, e.weight))
-    return [(g.depths[u], u, out, step, len(nodes) * step) for u in out]
+    return [(g.depths[u], u, out, step) for u in out]
 
 
 def _shortest_zero_walk(bases: list[_Base], limit: int) -> Optional[_Lasso]:
@@ -305,51 +304,56 @@ def _shortest_zero_walk(bases: list[_Base], limit: int) -> Optional[_Lasso]:
     in edge order.
     """
     best = None
-    for depth, base, out, step, _ in bases:
+    for depth, base, out, step in bases:
         budget = limit - depth if best is None else best[0] - depth - 1
         if budget < 1:
             break
-        walk = _zero_walk_at(base, out, step, budget=budget)
+        walk = _zero_walk_at(base, out, step, budget)
         if walk is not None:
             best = depth + len(walk), base, walk
     return best
 
 
-def _find_zero_walk(g: Graph) -> Optional[_Lasso]:
+def _find_zero_walk(g: Graph, limit: int) -> Optional[_Lasso]:
     """The shortest lasso in g, or None when g holds no zero-weight closed walk.
 
-    A first walk gives the length the exact search is cut at: the first
-    base whose walk keeps its partial weights within the bound gives one,
-    and if no base does, _zero_walk_by_signs decides the mixed components.
+    Looks at lengths limit, 2 * limit, ... find it: each look is exact up to
+    its length, so the first lasso found is a shortest one.  When the first
+    look finds none, the cycles decide whether any exists.  A base of step
+    0 lies on a weight-0 cycle.  A component of mixed sign holds a zero walk
+    exactly when its least cycle mean is at most 0 and its greatest at
+    least 0: a zero walk splits into cycles of the component whose weights
+    sum to 0, and a cycle of weight p > 0 and one of weight -q < 0 in one
+    component, repeated and joined by the paths between them, close a walk
+    of weight 0.
     """
     bases, mixed = _bases(g)
-    for depth, base, out, step, bound in bases:
-        walk = _zero_walk_at(base, out, step, bound=bound)
-        if walk is not None:
-            return _shortest_zero_walk(bases, depth + len(walk))
-    composed = _zero_walk_by_signs(g, mixed)
-    return None if composed is None else _shortest_zero_walk(bases, composed[0])
+    found = _shortest_zero_walk(bases, limit)
+    if found is None and all(step for *_, step in bases) and not any(lo <= 0 <= hi for lo, hi in cycle_means(g, mixed)):
+        return None
+    while found is None:
+        limit *= 2
+        found = _shortest_zero_walk(bases, limit)
+    return found
 
 
-def _zero_walk_at(
-    base: int, out: _Out, step: int, budget: Optional[int] = None, bound: int = 0
-) -> Optional[list[int]]:
-    """Edge list of a shortest zero-weight closed walk at base along the
-    edges in out, whose weights are at most step in size, or None.
+def _zero_walk_at(base: int, out: _Out, step: int, budget: int) -> Optional[list[int]]:
+    """Edge list of a shortest zero-weight closed walk at base of at most
+    budget edges along the edges in out, whose weights are at most step in
+    size, or None.
 
     Breadth-first over (node, partial weight), edges in list order, so the
-    walk is the first of the shortest in that order.  With a budget, walks
-    of at most that many edges are searched exactly: a partial weight is
-    dropped only when the edges left cannot bring it back to 0.  Without
-    one, partial weights are kept within [-bound, bound].
+    walk is the first of the shortest in that order.  A partial weight is
+    dropped only when the edges left cannot bring it back to 0, so the
+    search is exact.
     """
     start = (base, 0)
     back: dict[tuple[int, int], Optional[tuple[tuple[int, int], int]]] = {start: None}
     level = [start]
     length = 0
-    while level and length != budget:
+    while level and length < budget:
         length += 1
-        cap = bound if budget is None else (budget - length) * step
+        cap = (budget - length) * step
         ahead = []
         for here in level:
             u, s = here
@@ -366,102 +370,6 @@ def _zero_walk_at(
                     ahead.append((v, t))
         level = ahead
     return None
-
-
-def _negative_cycle(nodes: list[int], edges: list[int], g: Graph, weight: Callable[[int], int]) -> Optional[list[int]]:
-    """Edge list of a simple cycle that is negative under weight(edge weight), else None."""
-    pos = {u: i for i, u in enumerate(nodes)}
-    n = len(nodes)
-    arcs = []
-    for ei in edges:
-        e = g.edges[ei]
-        arcs.append((pos[e.src], pos[e.dst], weight(e.weight), ei))
-    dist = [0] * n
-    pred_edge: list[Optional[int]] = [None] * n
-    for _ in range(n):
-        updated_node = None
-        for u, v, w, ei in arcs:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                pred_edge[v] = ei
-                updated_node = v
-        if updated_node is None:
-            return None
-    # follow predecessors until a node repeats: that node lies on a cycle of
-    # the predecessor graph, which is a negative cycle
-    seen: dict[int, int] = {}
-    v = updated_node
-    while v not in seen:
-        seen[v] = len(seen)
-        ei = pred_edge[v]
-        if ei is None:
-            return None
-        v = pos[g.edges[ei].src]
-    cycle_edges = []
-    cur = v
-    while True:
-        ei = pred_edge[cur]
-        assert ei is not None
-        cycle_edges.append(ei)
-        cur = pos[g.edges[ei].src]
-        if cur == v:
-            break
-    cycle_edges.reverse()
-    if sum(weight(g.edges[ei].weight) for ei in cycle_edges) >= 0:
-        return None
-    return cycle_edges
-
-
-def _zero_walk_by_signs(g: Graph, components: list[_Component]) -> Optional[_Lasso]:
-    """A lasso on a zero walk in the first of components that holds one, or None.
-
-    A component holds a zero-weight closed walk exactly when it holds a
-    simple cycle of weight <= 0 and one of weight >= 0: a zero walk splits
-    into simple cycles summing to zero, and cycles of both signs compose
-    into a zero walk.  A simple cycle of length L <= n (n the component's
-    node count) and weight W has weight n*W - L under n*w - 1, which is
-    negative exactly when W <= 0; likewise -n*W - L is negative exactly when
-    W >= 0.  So one negative-cycle search per sign decides it.  Neither cycle
-    weighs 0, since a walk along one keeps within the search's bound, so
-    the two are stitched together; the paths between them run between nodes
-    of the component, so they stay inside it.
-    """
-    for nodes, edges in components:
-        n = len(nodes)
-        at_most_zero = _negative_cycle(nodes, edges, g, lambda w: n * w - 1)
-        if at_most_zero is None:
-            continue
-        at_least_zero = _negative_cycle(nodes, edges, g, lambda w: -n * w - 1)
-        if at_least_zero is None:
-            continue
-        base, walk = _compose_zero_walk(g, at_least_zero, at_most_zero)
-        return g.depths[base] + len(walk), base, walk
-    return None
-
-
-def _edge_walk_weight(g: Graph, edge_list: list[int]) -> int:
-    return sum(g.edges[ei].weight for ei in edge_list)
-
-
-def _compose_zero_walk(g: Graph, pos_cycle: list[int], neg_cycle: list[int]) -> tuple[int, list[int]]:
-    """Stitch a positive and a negative cycle into one zero-weight closed walk."""
-    a = g.edges[pos_cycle[0]].src
-    b = g.edges[neg_cycle[0]].src
-    p = _edge_walk_weight(g, pos_cycle)
-    n = _edge_walk_weight(g, neg_cycle)
-    assert p > 0 and n < 0
-    to_b = bfs_path(g, a, b)
-    to_a = bfs_path(g, b, a)
-    s = _edge_walk_weight(g, to_b) + _edge_walk_weight(g, to_a)
-    # W2 = to_b + neg_cycle^k2 + to_a is a closed walk at `a` of weight s + k2*n < 0
-    k2 = max(1, s // (-n) + 1)
-    w2 = to_b + neg_cycle * k2 + to_a
-    w2_weight = s + k2 * n
-    assert w2_weight < 0
-    # |w2_weight| copies of the positive cycle + p copies of W2: total weight 0
-    walk = pos_cycle * (-w2_weight) + w2 * p
-    assert _edge_walk_weight(g, walk) == 0
-    return a, walk
 
 
 def _certificate_from_edges(g: Graph, prefix_edges: list[int], cycle_edges: list[int]) -> LassoCertificate:

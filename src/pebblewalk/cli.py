@@ -103,7 +103,9 @@ def cmd_simulate(args) -> int:
     collective = load_strategy(args.strategy)
     adversary = parse_adversary(args.adversary)
     out = args.output or _default_output(collective.name, adversary.name, args.horizon)
-    # The trace is written after the run, so its directory is asked for before.
+    # The trace is written after the run, so its path is asked about before.
+    if os.path.isdir(out):
+        raise OSError(f"cannot write {out}: it is a directory")
     directory = os.path.dirname(os.path.abspath(out))
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
         raise OSError(f"cannot write {out}: {directory} is not a writable directory")

@@ -5,12 +5,16 @@ representative, its depth and the edge that discovered it.  Edges are any
 objects with integer `src` and `dst` fields plus the payload their search
 needs.  Both searches ask cycle questions: the lasso search wants a
 zero-weight closed walk, the joint schema search a transfer edge on a
-cycle.  `cycle_components` gives each the components that hold an edge.
+cycle.  `cycle_components` gives each the components that hold an edge,
+and `cycle_means` the least and greatest mean weight of a component's
+cycles.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from fractions import Fraction
 from typing import Any, Hashable, Optional
 
 
@@ -139,3 +143,41 @@ def cycle_components(g: Graph, edges: Optional[list[int]] = None) -> list[tuple[
             found[c][0].append(u)
     # the node lists are disjoint, so they sort by their least node
     return sorted(found.values())
+
+
+def cycle_means(g: Graph, components: list[tuple[list[int], list[int]]]) -> list[tuple[Fraction, Fraction]]:
+    """The least and greatest mean weight of a closed walk in each component,
+    given as cycle_components gives it; edges carry an integer `weight`.
+
+    Karp (1978): with d_k(v) the least weight of a k-edge walk to v from one
+    fixed node, over a component of n nodes the least mean is the least over
+    v of the greatest over k < n of (d_n(v) - d_k(v)) / (n - k).  The
+    greatest mean is the least one of the negated weights, negated.  The
+    ratios are compared as integers scaled by lcm(1, ..., n), which every
+    n - k divides, and one Fraction is made per component and sign.
+    """
+    means = []
+    for nodes, edges in components:
+        n = len(nodes)
+        scale = math.lcm(*range(1, n + 1))
+        pos = {u: i for i, u in enumerate(nodes)}
+        arcs = [(pos[g.edges[ei].src], pos[g.edges[ei].dst], g.edges[ei].weight) for ei in edges]
+        least = _least_mean(arcs, n, scale)
+        greatest = -_least_mean([(u, v, -w) for u, v, w in arcs], n, scale)
+        means.append((Fraction(least, scale), Fraction(greatest, scale)))
+    return means
+
+
+def _least_mean(arcs: list[tuple[int, int, int]], n: int, scale: int) -> int:
+    """Karp's least cycle mean of a strongly connected n-node graph, times scale."""
+    walks = [[math.inf] * n for _ in range(n + 1)]  # walks[k][v] = d_k(v) from node 0
+    walks[0][0] = 0
+    for here, ahead in zip(walks, walks[1:]):
+        for u, v, w in arcs:
+            if here[u] + w < ahead[v]:
+                ahead[v] = here[u] + w
+    return min(
+        max((walks[n][v] - walks[k][v]) * (scale // (n - k)) for k in range(n) if walks[k][v] < math.inf)
+        for v in range(n)
+        if walks[n][v] < math.inf
+    )

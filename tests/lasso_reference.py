@@ -5,7 +5,8 @@ Every representative is planned and stepped afresh through plan_step and
 apply_choice, and every successor is keyed by canonicalize, with no
 quotient table.  The whole graph is always expanded.  Whether it holds a
 zero-weight closed walk is decided from the weights of every simple cycle,
-and the lasso is one of least prefix plus cycle length, found by walking
+its least and greatest cycle means from their weights and lengths, and the
+lasso is one of least prefix plus cycle length, found by walking
 every base forward with no bound on partial weights.  A found lasso is
 measured by replaying it through finalize_certificate, not read off the
 graph, and its stats count the part of the graph the search expands
@@ -142,30 +143,42 @@ def mutual_classes(g: Graph) -> list[frozenset]:
     return [frozenset(v for v in range(n) if reach[u][v] and reach[v][u]) for u in range(n)]
 
 
-def simple_cycle_weights_by_component(g: Graph) -> dict[frozenset, set[int]]:
-    """Weights of every simple cycle (as an edge sequence), keyed by the
-    strongly connected component it lies in."""
+def simple_cycles_by_component(g: Graph) -> dict[frozenset, set[tuple[int, int]]]:
+    """(weight, length) of every simple cycle (as an edge sequence), keyed by
+    the strongly connected component it lies in."""
     n = len(g.reps)
     classes = mutual_classes(g)
-    weights: dict[frozenset, set[int]] = {}
+    cycles: dict[frozenset, set[tuple[int, int]]] = {}
 
     def extend(start, node, visited, weight):
         for ei in g.out[node]:
             e = g.edges[ei]
             if e.dst == start:
-                weights.setdefault(classes[start], set()).add(weight + e.weight)
+                cycles.setdefault(classes[start], set()).add((weight + e.weight, len(visited)))
             elif e.dst > start and e.dst not in visited:
                 extend(start, e.dst, visited | {e.dst}, weight + e.weight)
 
     for start in range(n):
         extend(start, start, {start}, 0)
-    return weights
+    return cycles
 
 
 def holds_zero_walk(g: Graph) -> bool:
     """A zero-weight closed walk splits into simple cycles of one component
     summing to 0, and cycles of both signs in one component compose into one."""
-    return any(min(ws) <= 0 <= max(ws) for ws in simple_cycle_weights_by_component(g).values())
+    return any(min(w for w, _ in c) <= 0 <= max(w for w, _ in c) for c in simple_cycles_by_component(g).values())
+
+
+def cycle_means(g: Graph) -> dict[frozenset, tuple[Fraction, Fraction]]:
+    """The least and greatest mean weight over each component's simple
+    cycles, which are its least and greatest closed-walk means: a closed
+    walk splits into simple cycles, and its mean is a weighted average of
+    theirs."""
+    means = {}
+    for component, cycles in simple_cycles_by_component(g).items():
+        ratios = [Fraction(w, length) for w, length in cycles]
+        means[component] = min(ratios), max(ratios)
+    return means
 
 
 def shortest_lasso(g: Graph) -> Optional[tuple[int, list[int]]]:

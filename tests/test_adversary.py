@@ -18,7 +18,6 @@ from pebblewalk.adversary import (
     ScriptError,
     SeededRandom,
     _find_zero_walk,
-    _zero_walk_by_signs,
     canonicalize,
     defeat_strategy,
     finalize_certificate,
@@ -33,7 +32,7 @@ from pebblewalk.collective import (
     plan_step,
     run,
 )
-from pebblewalk.graph import Graph, cycle_components
+from pebblewalk.graph import Graph, cycle_components, cycle_means
 from pebblewalk.lattice import vertex, x_translation
 from pebblewalk.machine import MOVE_TO_FREE, STAY, Automaton, ObservationPattern, Rule, move_to_set, pebble
 from pebblewalk.strategies import (
@@ -268,9 +267,9 @@ def test_defeat_truncated_search_is_inconclusive():
     assert outcome.detail == "depth 200 exhausted (diameter bound 0)"
 
 
-def _random_graph(rng: random.Random, weights: tuple[int, int] = (-2, 2)) -> Graph:
+def _random_graph(rng: random.Random, weights: tuple[int, int] = (-2, 2), nodes: int = 6) -> Graph:
     g = Graph()
-    n = rng.randint(1, 6)
+    n = rng.randint(1, nodes)
     for u in range(n):
         g.add_node(u, None, 0)
     for _ in range(rng.randint(0, 2 * n)):
@@ -295,32 +294,38 @@ def assert_zero_lasso(g: Graph, lasso):
 def test_find_zero_walk_matches_simple_cycle_oracle():
     rng = random.Random(2023)
     one_sign = {True: 0, False: 0}  # one-sign graphs with a cycle, by whether a walk was found
-    stitched = 0
-    for i in range(3000):
-        weights = ((-2, 2), (0, 2), (-2, 0))[i % 3]
+    for i in range(4000):
+        weights = ((-2, 2), (0, 2), (-2, 0), (-7, 7))[i % 4]
         g = _random_graph(rng, weights)
         # depths ascending with the node number, as in a breadth-first quotient
         g.depths[:] = sorted(rng.randint(0, 3) for _ in g.depths)
-        cycle_weights = lasso_reference.simple_cycle_weights_by_component(g)
-        expected = any(min(ws) <= 0 <= max(ws) for ws in cycle_weights.values())
-        found = _find_zero_walk(g)
+        cycles = lasso_reference.simple_cycles_by_component(g)
+        expected = any(min(w for w, _ in c) <= 0 <= max(w for w, _ in c) for c in cycles.values())
+        # any first limit gives the shortest lasso
+        found = _find_zero_walk(g, 1 + i % 8)
         assert (found is not None) == expected
-        if i % 3 and cycle_weights:
+        if i % 4 in (1, 2) and cycles:
             one_sign[expected] += 1
         if found is not None:
             assert_zero_lasso(g, found)
             # the brute force takes the lowest base, then the first walk in edge order
             assert found[1:] == lasso_reference.shortest_lasso(g)
-        # The sign test's stitched walk, which the search falls back on when
-        # its bounded first walk misses: fed here a component whose simple
-        # cycles take both signs but never weigh 0.
-        for component in cycle_components(g):
-            ws = cycle_weights[frozenset(component[0])]
-            if min(ws) < 0 < max(ws) and 0 not in ws:
-                stitched += 1
-                assert_zero_lasso(g, _zero_walk_by_signs(g, [component]))
     assert min(one_sign.values()) >= 100
-    assert stitched >= 100
+
+
+@pytest.mark.parametrize("bound", [2, 4, 7])
+def test_cycle_means_match_simple_cycle_oracle(bound):
+    rng = random.Random(bound)
+    single = loops = 0
+    for _ in range(1000):
+        g = _random_graph(rng, (-bound, bound), nodes=8)
+        components = cycle_components(g)
+        want = lasso_reference.cycle_means(g)
+        assert cycle_means(g, components) == [want[frozenset(nodes)] for nodes, _ in components]
+        single += sum(len(nodes) == 1 for nodes, _ in components)
+        loops += any(e.src == e.dst for e in g.edges)
+    assert single >= 100
+    assert loops >= 100
 
 
 def test_cycle_components_match_mutual_reachability():

@@ -146,20 +146,26 @@ def test_simulate_default_output_honors_env(tmp_path, monkeypatch):
     assert len(written) == 1
 
 
-@pytest.mark.parametrize("spelling", ["--output", "PEBBLEWALK_OUT"])
+@pytest.mark.parametrize("spelling", ["--output", "PEBBLEWALK_OUT", "directory"])
 def test_simulate_refuses_an_unwritable_trace_path_before_running(tmp_path, monkeypatch, capsys, spelling):
-    missing = tmp_path / "missing"
+    where = tmp_path / "where"
     argv = ["simulate", "walker14", "--horizon", "5"]
+    reason = f"{re.escape(str(where))} is not a writable directory"
     if spelling == "--output":
-        argv += ["--output", str(missing / "out.trace.jsonl")]
+        argv += ["--output", str(where / "out.trace.jsonl")]
+    elif spelling == "PEBBLEWALK_OUT":
+        monkeypatch.setenv("PEBBLEWALK_OUT", str(where))
     else:
-        monkeypatch.setenv("PEBBLEWALK_OUT", str(missing))
+        where.mkdir()
+        argv += ["--output", str(where)]
+        reason = "it is a directory"
     assert main(argv) == 2
     captured = capsys.readouterr()
     # One line and no "simulate: N steps" line: the run never started.
     assert captured.out == ""
-    assert re.fullmatch(rf"simulate: cannot write \S+: {re.escape(str(missing))} is not a writable directory\n", captured.err)
-    assert list(tmp_path.iterdir()) == []  # no directory made, no .tmp left
+    assert re.fullmatch(rf"simulate: cannot write \S+: {reason}\n", captured.err)
+    # no directory made, no .tmp left
+    assert list(tmp_path.rglob("*")) == ([where] if spelling == "directory" else [])
 
 
 def test_parse_adversary_specs():

@@ -142,6 +142,24 @@ print(json.dumps([big, small]))
     assert big["peak_rss_mb"] > small["peak_rss_mb"] + 30
 
 
+def test_bench_peak_rss_does_not_start_at_the_bench_process(tmp_path):
+    # A command spawned straight from a process holding 80 MB would start
+    # on those pages and read at least 80 MB.
+    probe = f"""
+import importlib.util, json, sys
+from pathlib import Path
+held = b"x" * (80 << 20)
+spec = importlib.util.spec_from_file_location("bench", {str(SCRIPTS / "bench.py")!r})
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+print(json.dumps(bench.timed([sys.executable, "-c", "pass"], Path.cwd())))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True, text=True, check=True)
+    small = json.loads(proc.stdout)
+    assert small["exit"] == 0
+    assert small["peak_rss_mb"] < 40
+
+
 def test_bench_names_the_checkout_and_seed_when_the_summary_is_not_json(tmp_path):
     bench = load_bench()
     stub = tmp_path / "crash.py"
