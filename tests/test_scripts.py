@@ -123,8 +123,6 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
 
 
 def test_bench_reads_each_commands_own_peak_rss(tmp_path):
-    # Spawned from a fresh interpreter: a child's peak starts at its parent's
-    # resident size, which for this test process would hide the difference.
     probe = f"""
 import importlib.util, json, sys
 from pathlib import Path
