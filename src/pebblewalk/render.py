@@ -40,16 +40,17 @@ def member_letter(member: int) -> str:
 def render_records(records: Iterable[StepRecord], window: Optional[int] = None) -> str:
     """Panels for every record, separated by blank lines.  A panel is a
     header line, the row-1 line, the row-0 line and the caret line."""
-    grids: dict[tuple, str] = {}  # layout -> its grid lines, for this call only
+    grids: dict[tuple, str] = {}  # layout -> its grid lines and a final newline, for this call only
     panels = []
     for record in records:
         header = _header(record)
         layout = _layout(record.positions)
         grid = grids.get(layout)
         if grid is None:
-            grid = grids[layout] = _draw(layout, window)
+            grid = grids[layout] = _draw(layout, window) + "\n"
         panels.append(header + grid)
-    return "\n\n".join(panels) + "\n"
+    # Each panel ends in a newline, so joining on one more leaves a blank line.
+    return "\n".join(panels) or "\n"
 
 
 def _header(record: StepRecord) -> str:

@@ -9,6 +9,12 @@ outputs denote its options and carry set at the previous positions, each
 carried pebble rode with the leader from the leader's previous vertex onto
 the choice, and no one else moved.
 
+No direction holds the document twice.  Rendering yields it line by line
+(`_lines`): `write_document` writes the lines into its temp file, and
+`render_document` appends them to one string that CPython grows in place.
+Parsing walks the text by newline offsets and holds the text and its
+records, not a list of lines.
+
 A walker trace repeats a handful of record shapes shifted along x, so each
 direction works once per shape, with memos that live for one call.
 Rendering makes one `%` template per shape (its states, outputs and carried
@@ -100,26 +106,36 @@ def _dump(obj) -> str:
 def render_document(doc: TraceDocument) -> str:
     """One header line, then one line per record, keys sorted.
 
+    The lines of `_lines` are appended to one string, which CPython grows
+    in place while `text` holds the only reference to it, so rendering
+    peaks at about the text's own size.
+    """
+    text = ""
+    for line in _lines(doc):
+        text += line
+    return text
+
+
+def _lines(doc: TraceDocument):
+    """Each line of doc's document, with its `\\n`.
+
     Records of a translation class share their states, outputs and carried
     objects, so each record is written through a `%` template made once per
     call for its shape: those three objects, its option count and its
     member order.  Only coordinates and t are filled in per record.
     """
     h = doc.header
-    lines = [
-        _dump(
-            {
-                "format": h.format,
-                "version": h.version,
-                "strategy": h.strategy,
-                "strategy_hash": h.strategy_hash,
-                "adversary": h.adversary,
-                "seed": h.seed,
-                "horizon": h.horizon,
-            }
-        )
-    ]
-    # (member order, ids of states, outputs and carried, option count) -> (template, order)
+    header = {
+        "format": h.format,
+        "version": h.version,
+        "strategy": h.strategy,
+        "strategy_hash": h.strategy_hash,
+        "adversary": h.adversary,
+        "seed": h.seed,
+        "horizon": h.horizon,
+    }
+    yield _dump(header) + "\n"
+    # (member order, ids of states, outputs and carried, option count) -> (template ending in \n, order)
     shapes: dict[tuple, tuple[str, Optional[list[int]]]] = {}
     flat = chain.from_iterable
     for rec in doc.trace.records:
@@ -129,14 +145,14 @@ def render_document(doc: TraceDocument) -> str:
         key = (members, id(rec.states), id(rec.outputs), id(rec.carried), len(rec.options) if stepped else -1)
         shape = shapes.get(key)
         if shape is None:
-            shape = shapes[key] = _template(rec, members, stepped)
+            template, order = _template(rec, members, stepped)
+            shape = shapes[key] = template + "\n", order
         template, order = shape
         vertices = pos.values() if order is None else [pos[m] for m in order]
         if stepped:
-            lines.append(template % (*rec.choice, *flat(rec.options), *flat(vertices), rec.t))
+            yield template % (*rec.choice, *flat(rec.options), *flat(vertices), rec.t)
         else:
-            lines.append(template % (*flat(vertices), rec.t))
-    return "\n".join(lines) + "\n"
+            yield template % (*flat(vertices), rec.t)
 
 
 def _template(rec: StepRecord, members: tuple, stepped: bool) -> tuple[str, Optional[list[int]]]:
@@ -368,14 +384,13 @@ def parse_document(text: str) -> TraceDocument:
     JSON and checked by `_Decoder.record`, and records that spell a map alike
     share one FrozenMap.
     """
-    lines = text.split("\n")
-    if lines[-1] or len(lines) > 2 and not lines[-2]:
+    if not text:
+        raise TraceError("empty document")
+    if text[-1] != "\n" or text.endswith("\n\n"):
         last = text.rstrip("\n").count("\n") + 1
         raise TraceError(f"line {last}: a document ends in exactly one \\n after its last line")
-    del lines[-1]
-    if not lines:
-        raise TraceError("empty document")
-    head = _row(lines[0], 1)
+    lines = _split(text)
+    head = _row(next(lines), 1)
     if head.get("format") != FORMAT_NAME:
         raise TraceError("line 1: missing trace header")
     version = head.get("version")
@@ -409,7 +424,7 @@ def parse_document(text: str) -> TraceDocument:
     shapes: dict[str, Optional[tuple]] = {}
     once: set[int] = set()
     records: list[StepRecord] = []
-    for line_no, raw in enumerate(lines[1:], start=2):
+    for line_no, raw in enumerate(lines, start=2):
         t = len(records)
         tail = f',"t":{t}}}'
         seen = None
@@ -432,6 +447,16 @@ def parse_document(text: str) -> TraceDocument:
     if not records:
         raise TraceError("document has a header but no records")
     return TraceDocument(header, Trace(tuple(records)))
+
+
+def _split(text: str):
+    """The lines of a text that ends in `\\n`, one slice at a time, so that
+    no list of them is held beside the text."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        yield text[start:stop]
+        start = stop + 1
 
 
 def check_steps(trace: Trace) -> None:
@@ -477,12 +502,13 @@ def check_steps(trace: Trace) -> None:
 
 
 def write_document(doc: TraceDocument, path: str) -> None:
-    """Atomic write: render to a sibling temp file, then rename over."""
+    """Atomic write: render line by line into a sibling temp file, then
+    rename it over the target; the document is never held whole."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(render_document(doc))
+            fh.writelines(_lines(doc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
