@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pebblewalk import tracefile
 from pebblewalk.adversary import FirstOption, SeededRandom
 from pebblewalk.cli import parse_adversary
 from pebblewalk.collective import StepRecord, Trace, check_directed, run
@@ -18,7 +19,6 @@ from pebblewalk.lattice import neighbors, vertex
 from pebblewalk.machine import parse_output
 from pebblewalk.strategies import load_builtin
 from pebblewalk.strategy_format import strategy_hash
-from pebblewalk import tracefile
 from pebblewalk.tracefile import (
     TraceError,
     check_steps,
