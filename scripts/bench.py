@@ -15,7 +15,8 @@ document, `simulate` at 50000 with `--adversary first` and `check --c1 2
 --c2 22` on that document, which holds and so scans every window,
 `pebblewalk defeat <file>` on each baseline written out as a
 strategy file, and the test suite (`python -m pytest -q`), with the
-checkout's `src` on PYTHONPATH.
+checkout's `src` on PYTHONPATH.  Before the test suite, each checkout runs
+WARM_UP, untimed, so that both sides time it with a built Hypothesis cache.
 The file holds each checkout's git SHA, the Python version, every run's
 four end-to-end metrics per workload with their median and quartiles,
 failed and attempted op counts, the count-valued per-layer metrics of the
@@ -65,6 +66,13 @@ print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_u
 """
 
 
+# Hypothesis builds .hypothesis/unicode_data/ in the working directory the
+# first time a test draws from st.text() with its default alphabet; three
+# test files then peaked near 253 MB against 51-96 MB once it was built.
+# Drawing one such example builds it.
+WARM_UP = [sys.executable, "-c", "from hypothesis import strategies as st; st.text(max_size=1).example()"]
+
+
 def benchmark_command(checkout: Path) -> list[str]:
     """BENCHMARK.json's command, run by this interpreter from the checkout."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
@@ -102,6 +110,10 @@ def timed_commands(out_dir: Path) -> dict[str, list[str]]:
     }
 
 
+def environment(checkout: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(checkout / "src")}
+
+
 def timed(argv: list[str], checkout: Path) -> dict:
     """Exit code, wall time, CPU time (user + system) and peak RSS of one run.
 
@@ -112,9 +124,8 @@ def timed(argv: list[str], checkout: Path) -> dict:
     script spawned the command itself, no peak would read below this
     script's resident size (about 22 MB on CPython 3.11).
     """
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     launcher = [sys.executable, "-I", "-S", "-c", LAUNCHER, *argv]
-    proc = subprocess.run(launcher, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    proc = subprocess.run(launcher, cwd=checkout, env=environment(checkout), stdout=subprocess.PIPE, text=True, check=True)
     code, wall, cpu, rss = proc.stdout.split()
     return {
         "exit": int(code),
@@ -185,8 +196,12 @@ def main(argv=None, command=benchmark_command, root: Path = ROOT, commands=timed
     for side, checkout in sides.items():
         workloads = sorted({name.split(".")[0] for r in runs[side] for name in r["metrics"]})
         traced = summary(command, checkout, TRACE_SEED, seconds, trace=1)
+        times = {}
         with tempfile.TemporaryDirectory() as out_dir:
-            times = {name: timed(argv, checkout) for name, argv in commands(Path(out_dir)).items()}
+            for name, argv in commands(Path(out_dir)).items():
+                if name == "tests":
+                    subprocess.run(WARM_UP, cwd=checkout, env=environment(checkout), capture_output=True, check=True)
+                times[name] = timed(argv, checkout)
         report["sides"][side] = {
             "sha": git(checkout, "rev-parse", "HEAD"),
             "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),

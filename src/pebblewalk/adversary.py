@@ -230,7 +230,7 @@ def search_lasso(
             truncated = True
             continue
         try:
-            plan, _ = g.plan(u, rep, 0)  # a representative lies at anchor 0
+            plan = g.plan(u, rep, 0)  # a representative lies at anchor 0
         except StepFault:
             faults += 1
             continue

@@ -209,12 +209,13 @@ def step_options(
 ) -> tuple[tuple[Vertex, ...], frozenset]:
     """The options the leader's output denotes at its vertex, sorted by
     offset, and the carry set: every pebble whose output is not Stay.
+    Offsets from one vertex order as the vertices do.
 
     The options may be empty and a carried pebble may stand off the
     leader's vertex; each caller decides what that means.
     """
     at = positions[1]
-    options = sorted(resolve_output(outputs[1], at, positions), key=lambda v: (v.x - at.x, v.y - at.y))
+    options = sorted(resolve_output(outputs[1], at, positions))
     carried = frozenset(m for m, out in outputs.items() if m != 1 and not isinstance(out, Stay))
     return tuple(options), carried
 
@@ -299,22 +300,22 @@ class Quotient(Graph):
     class is keyed by (states, positions at least x 0), its
     representative is that layout at step 0, and a configuration's anchor is
     its least x.  Each class is planned once, at its first visit, and its
-    plan translated at later visits.  Options are sorted by offset, so the
-    class after a step is fixed by the class before it and the chosen
-    option's index: a (node, option index) pair is located once, which adds
-    its Move, and then followed along it; `walk` keeps each followed pair's
-    Move with the bytes its step feeds the history digest.  A class found
-    by a Move lies one deeper than the Move's source, so `tree_path` gives
-    the first way `walk` or the lasso search reached it.  Faults are never
-    stored: a class's first visit plans the configuration itself, so a
-    fault keeps its true step index.  A table belongs to one call and is
+    plan kept translated to anchor 0, as its representative is.  Options
+    are sorted by offset, so the class after a step is fixed by the class
+    before it and the chosen option's index.  `follow` locates that class
+    and adds the pair's Move, so each caller follows a (node, option index)
+    pair once: `walk` keeps the Move with the bytes its step feeds the
+    history digest, and the lasso search expands each class once.  A class
+    found by a Move lies one deeper than the Move's source, so `tree_path`
+    gives the first way `walk` or the lasso search reached it.  Faults are
+    never stored: a class's first visit plans the configuration itself, so
+    a fault keeps its true step index.  A table belongs to one call and is
     not shared.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self.plans: dict[int, tuple[StepPlan, int]] = {}  # node -> (plan, anchor it was made at)
-        self.moves: dict[tuple[int, int], Move] = {}  # (node, option index) -> its edge
+        self.plans: dict[int, StepPlan] = {}  # node -> its plan at anchor 0
 
     def locate(self, state: CollectiveState, depth: int = 0) -> tuple[int, int]:
         """The node and anchor of state's class; a new class gets the next node."""
@@ -325,26 +326,22 @@ class Quotient(Graph):
             node = self.add_node(key, CollectiveState(state.collective, rel, state.states), depth)
         return node, anchor
 
-    def plan(self, node: int, state: CollectiveState, anchor: int) -> tuple[StepPlan, int]:
-        """Class node's plan and the anchor it was made at; the first call
-        plans state, which lies in class node at anchor."""
-        entry = self.plans.get(node)
-        if entry is None:
-            entry = self.plans[node] = (plan_step(state), anchor)
-        return entry
+    def plan(self, node: int, state: CollectiveState, anchor: int) -> StepPlan:
+        """Class node's plan at anchor 0; the first call plans state, which
+        lies in class node at anchor."""
+        plan = self.plans.get(node)
+        if plan is None:
+            plan = self.plans[node] = _shifted(plan_step(state), -anchor)
+        return plan
 
     def follow(self, node: int, plan: StepPlan, idx: int, anchor: int, nxt: CollectiveState) -> Move:
-        """The Move of option idx of node's plan, at any translation, from a
-        configuration at anchor; nxt, the configuration that option led to,
-        is located only the first time the pair is followed."""
-        move = self.moves.get((node, idx))
-        if move is None:
-            next_node, next_anchor = self.locate(nxt, self.depths[node] + 1)
-            at, opt = plan.at, plan.options[idx]
-            move = self.moves[node, idx] = Move(
-                node, next_node, next_anchor - anchor, (opt.x - at.x, opt.y - at.y), plan.consulted
-            )
-            self.add_edge(move)
+        """Add and return the Move of option idx of node's plan, at any
+        translation, from a configuration at anchor; nxt is the
+        configuration that option led to."""
+        next_node, next_anchor = self.locate(nxt, self.depths[node] + 1)
+        at, opt = plan.at, plan.options[idx]
+        move = Move(node, next_node, next_anchor - anchor, (opt.x - at.x, opt.y - at.y), plan.consulted)
+        self.add_edge(move)
         return move
 
 
@@ -356,11 +353,12 @@ def walk(initial: CollectiveState, adversary) -> Iterator[tuple[CollectiveState,
     so a reader that stops leaves the adversary untouched past its last
     step.  Steps go through a Quotient local to the call, and a step
     translates its Move: a class is planned at its first visit only, and
-    a followed (class, option index) pair keeps its Move and the bytes its
-    step feeds the digest.  A step shifts only the options its record and
-    the adversary see: the one option of a forced step, or all of them
-    when the adversary is consulted, since it sees absolute vertices.  The
-    records of a class share its plan's maps.
+    a (class, option index) pair is followed once, after which `followed`
+    keeps its Move and the bytes its step feeds the digest.  A step shifts
+    the class plan, made at anchor 0, by its anchor, and only the options
+    its record and the adversary see: the one option of a forced step, or
+    all of them when the adversary is consulted, since it sees absolute
+    vertices.  The records of a class share its plan's maps.
     """
     collective = initial.collective
     state = initial
@@ -369,17 +367,16 @@ def walk(initial: CollectiveState, adversary) -> Iterator[tuple[CollectiveState,
     followed: dict[tuple[int, int], tuple[Move, bytes]] = {}  # (node, option index) -> Move, digest feed
     node, anchor = table.locate(state)
     while True:
-        plan, made_at = table.plan(node, state, anchor)
-        shift = anchor - made_at
+        plan = table.plan(node, state, anchor)
         if plan.consulted:
-            here = _shifted(plan, shift)
+            here = _shifted(plan, anchor)
             idx = _pick(state, here, adversary, digest)
             options = here.options
         else:
             idx, options = 0, plan.options
-            if shift:
+            if anchor:
                 ((x, y),) = options
-                options = (Vertex(x + shift, y),)
+                options = (Vertex(x + anchor, y),)
         choice = options[idx]
         t = state.step_index + 1
         positions = move_onto(state.positions, plan.carried, choice)

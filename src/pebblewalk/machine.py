@@ -53,34 +53,20 @@ def _member_mask(ids: Iterable[MemberId]) -> int:
     return mask
 
 
-# mask -> (size, sorted member ids), the order neighbour sets are kept in.
-# A fixed function of the mask, filled on first use.
-_RANK: dict[int, tuple[int, tuple[MemberId, ...]]] = {}
-
-
-def _rank(mask: int) -> tuple[int, tuple[MemberId, ...]]:
-    key = _RANK.get(mask)
-    if key is None:
-        if mask.bit_length() > MAX_MEMBER_ID + 1:
-            raise _id_error(mask.bit_length() - 1)
-        ids = tuple(m for m in range(mask.bit_length()) if mask >> m & 1)
-        key = _RANK[mask] = (len(ids), ids)
-    return key
-
-
 def _members(mask: int) -> MemberSet:
     """The member set of a mask, built in ascending id order."""
-    return frozenset(_rank(mask)[1])
+    return frozenset(m for m in range(mask.bit_length()) if mask >> m & 1)
 
 
 class Observation(tuple):
     """What one member senses: co-located others plus neighbor occupant sets.
 
     The value is four member masks: alpha, then the three neighbor occupant
-    sets in (size, sorted ids) order, so equal multisets give equal tuples
-    of ints and equality and hashing are tuple operations.  `make` builds
-    one from member sets; `alpha` and `neighborhood` read the sets back as
-    frozensets.
+    masks in increasing order as ints.  The multiset has no order of its
+    own, so any fixed one makes equal multisets give equal tuples of ints,
+    and equality and hashing are tuple operations.  `make` builds one from
+    member sets; `alpha` and `neighborhood` read the sets back as
+    frozensets, the neighborhood in (size, sorted ids) order.
     """
 
     __slots__ = ()
@@ -98,7 +84,7 @@ class Observation(tuple):
 
     @property
     def neighborhood(self) -> tuple[MemberSet, MemberSet, MemberSet]:
-        return (_members(self[1]), _members(self[2]), _members(self[3]))
+        return tuple(sorted(map(_members, self[1:]), key=lambda s: (len(s), sorted(s))))
 
     def __repr__(self) -> str:
         return f"Observation(alpha={self.alpha!r}, neighborhood={self.neighborhood!r})"
@@ -109,15 +95,11 @@ _new_tuple = tuple.__new__
 
 def _observation(alpha: int, a: int, b: int, c: int) -> Observation:
     """The observation of an alpha mask and three neighbor masks in any order."""
-    rank = _RANK.get
-    ka = rank(a) or _rank(a)
-    kb = rank(b) or _rank(b)
-    kc = rank(c) or _rank(c)
-    if ka > kb:
-        a, b, ka, kb = b, a, kb, ka
-    if kb > kc:
-        b, c, kb = c, b, kc
-        if ka > kb:
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
             a, b = b, a
     return _new_tuple(Observation, (alpha, a, b, c))
 
@@ -335,7 +317,7 @@ def consistent_observations(universe: Iterable[MemberId], observer: Optional[Mem
     observer appears nowhere.  Every visible member (the universe minus the
     observer) lies in one of the four cells: the observer's own vertex or
     one of its three neighbours.  Members out of range are not modelled
-    (ROADMAP item 4).
+    (ROADMAP, "Pebble semantics: absent members and symbolic checks").
 
     The three neighbour cells form a multiset, so an assignment of members
     to cells only matters up to renaming cells 1-3.  Members are placed in
@@ -445,8 +427,10 @@ def observe(positions: Mapping[MemberId, Vertex], who: MemberId) -> Observation:
         if lowest >= 0:
             raise
         raise _id_error(lowest) from None  # a shift by a negative member id
-    if alpha >> MAX_MEMBER_ID + 1:
-        raise _id_error(alpha.bit_length() - 1)
+    if (alpha | left | right | across) >> MAX_MEMBER_ID + 1:
+        for mask in (alpha, left, right, across):
+            if mask >> MAX_MEMBER_ID + 1:
+                raise _id_error(mask.bit_length() - 1)
     return _observation(alpha, left, right, across)
 
 

@@ -11,7 +11,8 @@ the choice, and no one else moved.
 
 No direction holds the document twice.  Rendering yields it line by line
 (`_lines`): `write_document` writes the lines into its temp file, and
-`render_document` appends them to one string that CPython grows in place.
+`render_document` appends them, in batches, to one string that CPython
+grows in place.
 Parsing walks the text by newline offsets and holds the text and its
 records, not a list of lines.
 
@@ -48,7 +49,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional
 
 from pebblewalk.collective import Collective, StepRecord, Trace, move_onto, step_options
@@ -106,14 +107,23 @@ def _dump(obj) -> str:
 def render_document(doc: TraceDocument) -> str:
     """One header line, then one line per record, keys sorted.
 
-    The lines of `_lines` are appended to one string, which CPython grows
-    in place while `text` holds the only reference to it, so rendering
-    peaks at about the text's own size.
+    The lines of `_lines` are joined 128 at a time and each batch is
+    appended to one string, which CPython grows in place while `text` holds
+    the only reference to it, so rendering peaks at about the text's own
+    size.  Only the specialised `+=` instruction grows a string in place,
+    and a profiler or tracer (`sys.setprofile`, `sys.settrace`) turns it
+    off: then each append copies the text, and batching makes that one copy
+    per batch rather than one per line.
     """
     text = ""
-    for line in _lines(doc):
-        text += line
-    return text
+    lines = _lines(doc)
+    # No walrus loop: its condition, repeated after the append, keeps
+    # CPython 3.11 from specialising `+=` to grow in place.
+    while True:
+        batch = "".join(islice(lines, 128))
+        if not batch:
+            return text
+        text += batch
 
 
 def _lines(doc: TraceDocument):

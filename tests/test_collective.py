@@ -14,6 +14,7 @@ from pebblewalk.collective import (
     Collective,
     PebbleFault,
     Quotient,
+    StepFault,
     RationalPoint,
     StepRecord,
     StrategyFault,
@@ -314,6 +315,33 @@ def test_walker_run_meets_the_search_quotient(monkeypatch):
     (table,) = tables
     assert len(table.reps) == len(table.plans) == 16
     assert search_lasso(build_walker().initial_state(), max_depth=200).stats.nodes == 16
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
+def test_each_option_of_a_class_is_followed_once(monkeypatch, name):
+    # Quotient.follow adds a Move at every call, so a second call for one
+    # (node, option index) would store a duplicate edge and change the
+    # search's components and its SearchStats.edges.
+    pairs = []
+    original = Quotient.follow
+
+    def follow(self, node, plan, idx, anchor, nxt):
+        pairs.append((self, node, idx))
+        return original(self, node, plan, idx, anchor, nxt)
+
+    monkeypatch.setattr(Quotient, "follow", follow)
+    walked = recorded_quotients(monkeypatch, collective_module)
+    searched = recorded_quotients(monkeypatch, adversary_module)
+    initial = load_builtin(name).initial_state()
+    try:
+        run(initial, SeededRandom(42), 3000)
+    except StepFault:
+        pass
+    search_lasso(initial, 200)
+    for table in (*walked, *searched):
+        followed = [(node, idx) for owner, node, idx in pairs if owner is table]
+        assert len(followed) == len(set(followed)) == len(table.edges) > 0
+    assert len(walked) == len(searched) == 1
 
 
 class Counting:

@@ -55,10 +55,21 @@ symmetries = st.builds(
 
 
 def test_observation_multiset_is_order_insensitive():
-    a = Observation.make({2}, [{3}, set(), set()])
-    b = Observation.make({2}, [set(), set(), {3}])
-    assert a == b
-    assert hash(a) == hash(b)
+    cases = [
+        ([{3}, set(), set()], [set(), set(), {3}]),  # two equal sets
+        ([{4}, {3}, set()], [set(), {3}, {4}]),  # tied sizes
+        ([{5}, {4}, {3}], [{3}, {4}, {5}]),  # all sizes tied
+        ([{5}, {2, 3}, {4}], [{4}, {5}, {2, 3}]),  # {2, 3} has the least mask
+        ([{2, 5}, {3, 4}, set()], [set(), {2, 5}, {3, 4}]),
+    ]
+    for sets, neighborhood in cases:
+        made = [Observation.make({6}, order) for order in itertools.permutations(sets)]
+        assert len(set(made)) == len({hash(obs) for obs in made}) == 1
+        # The sets read back in (size, sorted ids) order, whatever order made them.
+        want = repr(Observation.make({6}, neighborhood))
+        for obs in made:
+            assert obs.neighborhood == tuple(map(frozenset, neighborhood))
+            assert repr(obs) == want
 
 
 def test_observation_requires_three_neighbor_sets():
@@ -363,9 +374,17 @@ def test_member_ids_above_the_cap():
     big = MAX_MEMBER_ID + 1
     with pytest.raises(ValueError, match=f"member id {big} outside"):
         Observation.make({big}, [set(), set(), set()])
-    for spot in ((0, 0), (1, 0)):
+    # alpha, left, right and across of a member at (0, 0)
+    cells = ((0, 0), (-1, 0), (1, 0), (0, 1))
+    for spot in cells:
         with pytest.raises(ValueError, match=f"member id {big} outside"):
             observe(FrozenMap({1: vertex(0, 0), big: vertex(*spot)}), 1)
+    # With such ids in two cells, the first cell in that order is named.
+    for first, second in itertools.permutations(range(4), 2):
+        placed = {1: vertex(0, 0), big: vertex(*cells[first]), big + 1: vertex(*cells[second])}
+        named = big if first < second else big + 1
+        with pytest.raises(ValueError, match=f"^member id {named} outside 0..{MAX_MEMBER_ID}$"):
+            observe(FrozenMap(placed), 1)
     # Parsed patterns may name any 18-digit id before the parser rejects it
     # as unknown; such an id becomes a test no observation passes.
     huge = 10**17

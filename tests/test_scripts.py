@@ -68,10 +68,19 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
         calls.append(checkout.name)
         return [sys.executable, str(stub)]
 
+    # The warm-up leaves a file in the directory it runs in; "tests" fails
+    # unless the warm-up has run in its checkout and "ok" fails if it has.
+    monkeypatch.setattr(bench, "WARM_UP", [sys.executable, "-c", "open('warmed', 'x')"])
+    warmed = "import os, sys; sys.exit(not os.path.exists('warmed'))"
+
     def commands(out_dir):
         # The stub fails unless it runs in the checkout with its src on PYTHONPATH.
-        where = "import os, sys; sys.exit(os.environ['PYTHONPATH'] != os.path.join(os.getcwd(), 'src'))"
-        return {"ok": [sys.executable, "-c", where], "fails": [sys.executable, "-c", "raise SystemExit(4)"]}
+        where = "import os, sys; sys.exit(os.environ['PYTHONPATH'] != os.path.join(os.getcwd(), 'src') or os.path.exists('warmed'))"
+        return {
+            "ok": [sys.executable, "-c", where],
+            "fails": [sys.executable, "-c", "raise SystemExit(4)"],
+            "tests": [sys.executable, "-c", warmed],
+        }
 
     argv = ["3", "--parent", str(parent), "--first-seed", "5"]
     assert bench.main(argv, command=command, root=change, commands=commands) == 0
@@ -93,8 +102,8 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     ]
     assert side["trace_counts"] == {"pin.machine.validate_pebble.calls": 7}
     for side in report["sides"].values():
-        assert list(side["timed"]) == ["ok", "fails"]
-        assert [side["timed"][name]["exit"] for name in side["timed"]] == [0, 4]
+        assert list(side["timed"]) == ["ok", "fails", "tests"]
+        assert [side["timed"][name]["exit"] for name in side["timed"]] == [0, 4, 0]
         assert all(run["wall_s"] > 0 and run["cpu_s"] >= 0 and run["peak_rss_mb"] > 0 for run in side["timed"].values())
     baselines = ["baseline-10", "baseline-11", "baseline-12", "baseline-13-caterpillar"]
     timed = bench.timed_commands(tmp_path)
@@ -120,6 +129,11 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     assert calls == []
     assert (change / "BENCH_3.json").read_text() == before
     assert "never overwritten" in capsys.readouterr().err
+
+
+def test_bench_warm_up_builds_the_hypothesis_unicode_cache(tmp_path):
+    subprocess.run(load_bench().WARM_UP, cwd=tmp_path, capture_output=True, check=True)
+    assert (tmp_path / ".hypothesis" / "unicode_data").is_dir()
 
 
 def test_bench_reads_each_commands_own_peak_rss(tmp_path):
