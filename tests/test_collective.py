@@ -14,8 +14,8 @@ from pebblewalk.collective import (
     Collective,
     PebbleFault,
     Quotient,
-    StepFault,
     RationalPoint,
+    StepFault,
     StepRecord,
     StrategyFault,
     Trace,

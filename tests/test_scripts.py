@@ -131,11 +131,6 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     assert "never overwritten" in capsys.readouterr().err
 
 
-def test_bench_warm_up_builds_the_hypothesis_unicode_cache(tmp_path):
-    subprocess.run(load_bench().WARM_UP, cwd=tmp_path, capture_output=True, check=True)
-    assert (tmp_path / ".hypothesis" / "unicode_data").is_dir()
-
-
 def test_bench_reads_each_commands_own_peak_rss(tmp_path):
     probe = f"""
 import importlib.util, json, sys

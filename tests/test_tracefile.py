@@ -625,9 +625,10 @@ def test_rendering_peaks_at_the_size_of_the_text(long_document):
 def test_rendering_stays_linear_under_a_profiler():
     # A profiler turns off CPython's in-place string append, so appending
     # line by line copied the text at every line: 20,000 steps took about
-    # 17 times as long as 5,000.  Appending in batches takes about 5 times.
+    # 15 times as long as 5,000.  Appending in batches takes about 5 times.
     docs = [walker_document(horizon=h) for h in (5000, 20_000)]
     seconds = []
+    previous = sys.getprofile()
     sys.setprofile(lambda frame, event, arg: None)
     try:
         for doc in docs:
@@ -638,7 +639,7 @@ def test_rendering_stays_linear_under_a_profiler():
                 best = min(best, time.perf_counter() - start)
             seconds.append(best)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     assert seconds[1] < 8 * seconds[0], seconds[1] / seconds[0]
 
 
