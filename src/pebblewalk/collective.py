@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -88,25 +89,20 @@ class Collective:
             states[pid] = p.initial
         return CollectiveState(self, FrozenMap(self.initial_positions), FrozenMap(states), 0)
 
-    def pebble_problems(self, pid: MemberId) -> tuple[str, ...]:
-        """validate_pebble's messages for pebble pid among all members.
-
-        The collective is immutable, so each pebble is checked once per
-        object: the strategy parser and `defeat_strategy` read one result.
-        """
-        memo = self.__dict__.get("_pebble_problems")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_pebble_problems", memo)
-        problems = memo.get(pid)
-        if problems is None:
-            problems = memo[pid] = tuple(
-                validate_pebble(self.pebbles[pid], self.leader, set(self.members), observer=pid)
-            )
-        return problems
+    @cached_property
+    def pebble_problems(self) -> dict[MemberId, tuple[str, ...]]:
+        """validate_pebble's messages per pebble id, in id order, each pebble
+        checked among all members.  The collective is immutable, so this is
+        computed once per object: the strategy parser and `defeat_strategy`
+        read one result."""
+        members = set(self.members)
+        return {
+            pid: tuple(validate_pebble(self.pebbles[pid], self.leader, members, observer=pid))
+            for pid in sorted(self.pebbles)
+        }
 
     def validate_pebbles(self) -> list[str]:
-        return [problem for pid in sorted(self.pebbles) for problem in self.pebble_problems(pid)]
+        return [problem for problems in self.pebble_problems.values() for problem in problems]
 
 
 class CollectiveState(NamedTuple):

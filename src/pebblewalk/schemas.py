@@ -11,9 +11,10 @@ configurations can share one.  On top of that quotient the module provides:
 * a bounded search for worst-case confusability: a shared realization that
   feeds the automaton identical observation streams in two different
   worlds forever.  Each search numbers the translation classes of the
-  single-world layouts it meets, tables each class's moves once (the next
-  class and the automaton's observation there) and joins the two worlds'
-  tables on pairs of class numbers; no table outlives the call,
+  single-world layouts it meets, from each start placement located once,
+  tables each class's moves once (the next class and the automaton's
+  observation there) and joins the two worlds' tables on pairs of class
+  numbers; no table outlives the call,
 * the graph of single-pebble relocations between neighboring vertices,
   labeled by whether the target vertex was occupied, and
 * extraction of confined cycles from that graph, certified by a concrete
@@ -446,15 +447,13 @@ def _extract_witness(g: Graph, roots: list, closing: list[int], depth: int) -> O
     return None
 
 
-def _search(starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
+def _search(worlds: _Worlds, starts, depth: int, max_nodes: int) -> IndistinguishabilityOutcome:
     g = Graph()  # nodes keyed and represented by (class in world a, class in world b)
-    worlds = _Worlds()
     steps = Memo(lambda fields: JointStep(*fields))
     roots = []
     frontier_cut = False
 
-    for pos_a, pos_b in starts:
-        key = (worlds.locate(pos_a), worlds.locate(pos_b))
+    for key, pos_a, pos_b in starts:
         if key not in g.index:
             g.add_node(key, key, 0)
             roots.append((pos_a, pos_b))
@@ -514,47 +513,38 @@ def _open_spots(schema: Schema) -> tuple[Vertex, ...]:
     return tuple(s for s in _leader_spots(schema.vertices) if _connected((*schema.vertices, s)))
 
 
-def _placements(pebbles: FrozenMap, spots) -> tuple[tuple[FrozenMap, Observation], ...]:
-    """The layouts with the automaton on each spot, each with its observation."""
-    return tuple((positions, observe(positions, 1)) for positions in (pebbles.set(1, s) for s in spots))
+def _placements(worlds: _Worlds, pebbles: FrozenMap, spots) -> tuple[tuple[int, FrozenMap], ...]:
+    """The layouts with the automaton on each spot, each with its class."""
+    return tuple((worlds.locate(positions), positions) for positions in (pebbles.set(1, s) for s in spots))
 
 
-def _by_observation(placed) -> dict[Observation, list[FrozenMap]]:
-    groups: dict[Observation, list[FrozenMap]] = {}
-    for positions, seen in placed:
-        groups.setdefault(seen, []).append(positions)
-    return groups
-
-
-def _schema_starts(a: Schema, b: Schema):
-    """Start pairs agreeing on the automaton's observation: per pair of
-    interpretations, in a-spot order, then b-spot order."""
+def _schema_starts(worlds: _Worlds, a: Schema, b: Schema):
+    """Start pairs agreeing on the automaton's observation, each with its
+    pair of classes: first those with the automaton on one of a's vertices,
+    then the rest, each part per pair of interpretations, in a-spot order,
+    then b-spot order.  Open spots keep every layout connected, so a class's
+    observation is its layout's own."""
     mid_a, mid_b = _middle_vertex(a), _middle_vertex(b)
     spots_a, spots_b = _open_spots(a), _open_spots(b)
-    placed_a = [(ia, _placements(ia, spots_a)) for ia in _interpretations(a)]
-    groups_b = [(ib, _by_observation(_placements(ib, spots_b))) for ib in _interpretations(b)]
-    for ia, placed in placed_a:
-        for ib, groups in groups_b:
-            if mid_a is not None and mid_b is not None:
-                center_a = next(m for m, v in ia.items() if v == mid_a)
-                center_b = next(m for m, v in ib.items() if v == mid_b)
-                if center_a != center_b:
-                    continue
-            for pos_a, seen in placed:
-                for pos_b in groups.get(seen, ()):
-                    yield pos_a, pos_b
-
-
-def _prioritized(pairs) -> list:
-    ordered = list(pairs)
-
-    def rank(pair):
-        pos_a, _ = pair
-        on_pebble = any(m != 1 and v == pos_a[1] for m, v in pos_a.items())
-        return 0 if on_pebble else 1
-
-    ordered.sort(key=rank)
-    return ordered
+    placed_a = [(ia, _placements(worlds, ia, spots_a)) for ia in _interpretations(a)]
+    groups_b = []
+    for ib in _interpretations(b):
+        groups: dict[Observation, list[tuple[int, FrozenMap]]] = {}
+        for cb, pos_b in _placements(worlds, ib, spots_b):
+            groups.setdefault(worlds.seen[cb], []).append((cb, pos_b))
+        groups_b.append((ib, groups))
+    for on_pebble in (True, False):
+        for ia, placed in placed_a:
+            for ib, groups in groups_b:
+                if mid_a is not None and mid_b is not None:
+                    center_a = next(m for m, v in ia.items() if v == mid_a)
+                    center_b = next(m for m, v in ib.items() if v == mid_b)
+                    if center_a != center_b:
+                        continue
+                for ca, pos_a in placed:
+                    if (pos_a[1] in a.vertices) == on_pebble:
+                        for cb, pos_b in groups.get(worlds.seen[ca], ()):
+                            yield (ca, cb), pos_a, pos_b
 
 
 def worst_case_indistinguishable(
@@ -565,19 +555,26 @@ def worst_case_indistinguishable(
     Interpretation pairs agree on the center pebble whenever both schemas
     spread three pebbles over three vertices, since an automaton can always
     tell apart layouts whose center pebbles differ.  The witness realization
-    is bounded by `depth` steps; `distinct` is reported only when the joint
-    search space was exhausted without a cut.
+    is bounded by `depth` steps and the joint graph by `max_nodes` nodes,
+    both at least 1; the class pair of every start is kept as a root, so
+    `explored` can exceed `max_nodes`.  `distinct` is reported only when the joint search
+    space was exhausted without a cut.
 
     Per call, each schema's leader spots are checked for connectedness once,
-    each interpretation's placements are observed once and grouped by
-    observation, and the joint search runs on pairs of translation classes:
-    each class is checked for connectedness, observed and its moves tabled
-    once, and each JointStep is built once.  All of it is dropped on return,
-    so calls share nothing.
+    each interpretation's placements are located once and start pairs are
+    joined on their classes' observations, and the joint search runs on
+    pairs of translation classes: each class is checked for connectedness,
+    observed and its moves tabled once, and each JointStep is built once.
+    All of it is dropped on return, so calls share nothing.
     """
     if a.pebbles != b.pebbles:
         raise ValueError("schemas with different pebble counts are incomparable")
-    return _search(_prioritized(_schema_starts(a, b)), depth, max_nodes)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
+    worlds = _Worlds()
+    return _search(worlds, _schema_starts(worlds, a, b), depth, max_nodes)
 
 
 # --- confined cycles -------------------------------------------------------

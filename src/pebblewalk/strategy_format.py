@@ -478,7 +478,7 @@ def parse_strategy(text: str) -> StrategyFile:
     )
 
     for pid in want_pebbles:
-        problems = collective.pebble_problems(pid)
+        problems = collective.pebble_problems[pid]
         if problems:
             raise ParseError(pebble_names[pid][1], 1, problems[0])
 

@@ -2,8 +2,9 @@
 search: every move and every leader spot is rebuilt, observed and checked
 for connectedness afresh for each pairing, with no table and no translation
 class.  The search's own enumeration must yield the same items in the same
-order, and its column-run connectedness check must agree with the
-depth-first one here on layouts that stay on the two rows."""
+order (its starts in `_prioritized` order), and its column-run connectedness
+check must agree with the depth-first one here on layouts that stay on the
+two rows."""
 
 from __future__ import annotations
 
@@ -85,3 +86,15 @@ def _schema_starts(a, b):
                 if center_a != center_b:
                     continue
             yield from _config_starts(ia, ib)
+
+
+def _prioritized(pairs) -> list:
+    ordered = list(pairs)
+
+    def rank(pair):
+        pos_a, _ = pair
+        on_pebble = any(m != 1 and v == pos_a[1] for m, v in pos_a.items())
+        return 0 if on_pebble else 1
+
+    ordered.sort(key=rank)
+    return ordered

@@ -595,9 +595,10 @@ ORDER_PAIRS = [
 
 def test_search_enumerates_like_the_reference(monkeypatch):
     """World classes, move tables and observation groups change no successor
-    or start, nor their order, at any node the depth-12 searches expand: a
-    node's classes, read back as their representatives, have the reference's
-    successors, translated to least x 0."""
+    or start, nor their order, at any node the depth-12 searches expand: the
+    starts are the reference's in prioritized order, each keyed by its pair
+    of classes, and a node's classes, read back as their representatives,
+    have the reference's successors, translated to least x 0."""
     tabled = schemas_module._joint_successors
     expanded = []
 
@@ -613,9 +614,68 @@ def test_search_enumerates_like_the_reference(monkeypatch):
 
     monkeypatch.setattr(schemas_module, "_joint_successors", checked)
     for a, b in ORDER_PAIRS:
-        assert list(schemas_module._schema_starts(a, b)) == list(schemas_reference._schema_starts(a, b))
+        worlds = schemas_module._Worlds()
+        starts = list(schemas_module._schema_starts(worlds, a, b))
+        want = schemas_reference._prioritized(schemas_reference._schema_starts(a, b))
+        assert [(pos_a, pos_b) for _, pos_a, pos_b in starts] == want
+        for key, pos_a, pos_b in starts:
+            assert key == (worlds.locate(pos_a), worlds.locate(pos_b))
         worst_case_indistinguishable(a, b, depth=12)
     assert expanded
+
+
+def test_starts_locate_each_placement_once_and_observe_each_class_once(monkeypatch):
+    locate = schemas_module._Worlds.locate
+    located = []
+    observed = []
+
+    def counted_locate(worlds, positions):
+        located.append(positions)
+        return locate(worlds, positions)
+
+    def counted_observe(positions, member):
+        observed.append(positions)
+        return observe(positions, member)
+
+    monkeypatch.setattr(schemas_module._Worlds, "locate", counted_locate)
+    monkeypatch.setattr(schemas_module, "observe", counted_observe)
+    paired = 0
+    for a, b in ORDER_PAIRS:
+        located.clear()
+        observed.clear()
+        worlds = schemas_module._Worlds()
+        starts = list(schemas_module._schema_starts(worlds, a, b))
+        placements = [
+            ia.set(1, spot)
+            for s in (a, b)
+            for ia in schemas_module._interpretations(s)
+            for spot in schemas_module._open_spots(s)
+        ]
+        paired += len(starts)
+        assert sorted(located, key=repr) == sorted(placements, key=repr)
+        assert len(observed) == len(set(observed))
+        assert set(observed) <= set(worlds.reps)
+    assert paired
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"depth": 0}, "depth must be >= 1"),
+        ({"depth": -3}, "depth must be >= 1"),
+        ({"max_nodes": 0}, "max_nodes must be >= 1"),
+        ({"depth": 12, "max_nodes": -1}, "max_nodes must be >= 1"),
+    ],
+)
+def test_indistinguishability_refuses_bounds_below_one(bounds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        worst_case_indistinguishable(ROW0_TRIPLE, ELL_UP_LEFT, **bounds)
+
+
+def test_indistinguishability_keeps_every_root_past_max_nodes():
+    out = worst_case_indistinguishable(ROW0_TRIPLE, ROW0_TRIPLE, max_nodes=1)
+    assert out.explored > 1
+    assert out.frontier_cut
 
 
 # --- confinement cycles ---------------------------------------------------
