@@ -7,21 +7,23 @@ Runs the benchmark that BENCHMARK.json declares (`perfbench/run.py`,
 unchanged) with `--workload all` on this checkout and on the parent's
 checkout in 10 alternating pairs: pair i runs at seed first-seed + i,
 parent first when i is even.  Each checkout then gets one `--trace 1` run at
-seed 1, and then runs once each of the end-to-end commands the benchmark
-does not cover: `scripts/reproduce_results.py`, `pebblewalk simulate
-walker14 --adversary seeded:42` at horizons 10000 and 50000, `pebblewalk
-check --c1 2 --c2 22` and `pebblewalk render --window 12` on the 50000-step
-document, `simulate` at 50000 with `--adversary first` and `check --c1 2
---c2 22` on that document, which holds and so scans every window,
-`pebblewalk defeat <file>` on each baseline written out as a
-strategy file, and the test suite (`python -m pytest -q`), with the
-checkout's `src` on PYTHONPATH.  Before the test suite, each checkout runs
-WARM_UP, untimed, so that both sides time it with a built Hypothesis cache.
-The file holds each checkout's git SHA, the Python version, every run's
-four end-to-end metrics per workload with their median and quartiles,
-failed and attempted op counts, the count-valued per-layer metrics of the
-traced run, and each timed command's exit code, wall time, CPU time and
-peak RSS.
+seed 1.  Then each end-to-end command the benchmark does not cover runs
+REPEATS (3) times per checkout, the two checkouts alternating as the pairs
+do, one command after the other: `scripts/reproduce_results.py`,
+`pebblewalk simulate walker14 --adversary seeded:42` at horizons 10000 and
+50000, `pebblewalk check --c1 2 --c2 22` and `pebblewalk render --window
+12` on the 50000-step document, `simulate` at 50000 with `--adversary
+first` and `check --c1 2 --c2 22` on that document, which holds and so
+scans every window, `pebblewalk defeat <file>` on each baseline written out
+as a strategy file, and the test suite (`python -m pytest -q`), with the
+checkout's `src` on PYTHONPATH.  Before its first test-suite run, each
+checkout runs WARM_UP, untimed, so that both sides time it with a built
+Hypothesis cache.  The file holds each checkout's git SHA, the Python
+version, every run's four end-to-end metrics per workload with their median
+and quartiles, failed and attempted op counts, the count-valued per-layer
+metrics of the traced run, and per timed command the exit code of each run
+and every reading of its wall time, CPU time and peak RSS with their
+median.
 It measures only: nothing is compared or gated.  An existing
 BENCH_<n>.json is never overwritten.
 """
@@ -45,6 +47,7 @@ from pebblewalk.strategies import BUILTIN_STRATEGIES, load_builtin
 from pebblewalk.strategy_format import emit_strategy
 
 PAIRS = 10
+REPEATS = 3  # runs of each timed command per checkout
 TRACE_SEED = 1
 COUNT_UNITS = ("count", "bytes")
 # Runs argv[1:] with its output discarded and prints its exit code, wall
@@ -135,6 +138,35 @@ def timed(argv: list[str], checkout: Path) -> dict:
     }
 
 
+def timed_rounds(sides: dict[str, Path], commands, out_dir: Path) -> dict:
+    """Per side, per timed command: each run's exit code and every reading
+    with its median.  Each command runs REPEATS times per side, alternating
+    sides, before the next command starts; each side writes its files into
+    its own folder under out_dir."""
+    argvs = {}
+    for side in sides:
+        (out_dir / side).mkdir()
+        argvs[side] = commands(out_dir / side)
+    runs: dict = {side: {name: [] for name in argvs[side]} for side in sides}
+    for name in argvs[next(iter(sides))]:
+        for r in range(REPEATS):
+            for side in list(sides) if r % 2 == 0 else list(reversed(sides)):
+                checkout = sides[side]
+                if name == "tests" and r == 0:
+                    subprocess.run(WARM_UP, cwd=checkout, env=environment(checkout), capture_output=True, check=True)
+                runs[side][name].append(timed(argvs[side][name], checkout))
+    return {side: {name: readings(got) for name, got in by_name.items()} for side, by_name in runs.items()}
+
+
+def readings(runs: list[dict]) -> dict:
+    """Each run's exit code, and every reading of each measure with its median."""
+    out: dict = {"exit": [run["exit"] for run in runs]}
+    for key in ("wall_s", "cpu_s", "peak_rss_mb"):
+        values = [run[key] for run in runs]
+        out[key] = {"median": statistics.median(values), "values": values}
+    return out
+
+
 def git(checkout: Path, *args: str) -> str | None:
     proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -193,15 +225,11 @@ def main(argv=None, command=benchmark_command, root: Path = ROOT, commands=timed
         "trace_seed": TRACE_SEED,
         "sides": {},
     }
+    traced = {side: summary(command, checkout, TRACE_SEED, seconds, trace=1) for side, checkout in sides.items()}
+    with tempfile.TemporaryDirectory() as out_dir:
+        times = timed_rounds(sides, commands, Path(out_dir))
     for side, checkout in sides.items():
         workloads = sorted({name.split(".")[0] for r in runs[side] for name in r["metrics"]})
-        traced = summary(command, checkout, TRACE_SEED, seconds, trace=1)
-        times = {}
-        with tempfile.TemporaryDirectory() as out_dir:
-            for name, argv in commands(Path(out_dir)).items():
-                if name == "tests":
-                    subprocess.run(WARM_UP, cwd=checkout, env=environment(checkout), capture_output=True, check=True)
-                times[name] = timed(argv, checkout)
         report["sides"][side] = {
             "sha": git(checkout, "rev-parse", "HEAD"),
             "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
@@ -218,11 +246,11 @@ def main(argv=None, command=benchmark_command, root: Path = ROOT, commands=timed
                 {"seed": r["seed"], "first": r["first"], "failed": r["failed"], "attempted": r["attempted"]}
                 for r in runs[side]
             ],
-            "trace_failed": traced["failed"],
+            "trace_failed": traced[side]["failed"],
             "trace_counts": {
-                name: m["value"] for name, m in traced["metrics"].items() if m["unit"] in COUNT_UNITS
+                name: m["value"] for name, m in traced[side]["metrics"].items() if m["unit"] in COUNT_UNITS
             },
-            "timed": times,
+            "timed": times[side],
         }
     with open(out, "x") as fh:
         fh.write(json.dumps(report, indent=2) + "\n")

@@ -11,10 +11,11 @@ configurations can share one.  On top of that quotient the module provides:
 * a bounded search for worst-case confusability: a shared realization that
   feeds the automaton identical observation streams in two different
   worlds forever.  Each search numbers the translation classes of the
-  single-world layouts it meets, from each start placement located once,
-  tables each class's moves once (the next class and the automaton's
-  observation there) and joins the two worlds' tables on pairs of class
-  numbers; no table outlives the call,
+  single-world layouts it meets, keyed by vertex tuples, from each start
+  placement located once, tables each class's moves once (the next class,
+  derived from the source tuple, and the automaton's observation there)
+  and joins the two worlds' tables on pairs of class numbers; no table
+  outlives the call,
 * the graph of single-pebble relocations between neighboring vertices,
   labeled by whether the target vertex was occupied, and
 * extraction of confined cycles from that graph, certified by a concrete
@@ -286,28 +287,44 @@ class _Worlds:
 
     Automata see no coordinates, so connectedness, the automaton's
     observation and its moves depend on a layout only up to x-translation.
-    A class is numbered when first met, keeps its layout at least x 0 and
-    the automaton's observation there, or None when that layout is
-    disconnected.  Its move table is built at its first expansion: per
-    neighbor of the automaton in `neighbors` order, the offset and the crowd
-    there as a member mask, and per carried subset in `_subsets` order the
-    next class with its observation, or None when the move disconnects the
-    layout.  Classes with equal observations list the same carried subsets.
+    A class is keyed and represented by its members' vertices in `members`
+    order (sorted ids), translated to least x 0; it is numbered when first
+    met and keeps the automaton's observation there, or None when the
+    layout is disconnected.  Its move table is built at its first
+    expansion: per neighbor w of the automaton in `neighbors` order, the
+    offset and the crowd there as a member mask, and per carried subset in
+    `_subsets` order the next class with its observation, or None when the
+    move disconnects the layout.  A target is the source tuple with the
+    automaton's and the carried pebbles' slots set to w, shifted by its
+    least x (-1 when w.x is -1, else 0 or 1) through a vertex memo; no map
+    is built or hashed.  Classes with equal observations list the same
+    carried subsets.
     """
 
-    def __init__(self) -> None:
-        self.index: dict[FrozenMap, int] = {}
-        self.reps: list[FrozenMap] = []
+    def __init__(self, members: Iterable[MemberId]) -> None:
+        self.members = tuple(sorted(members))
+        self.slot = {m: i for i, m in enumerate(self.members)}
+        self.index: dict[tuple[Vertex, ...], int] = {}
+        self.reps: list[tuple[Vertex, ...]] = []
         self.seen: list[Optional[Observation]] = []
         self.tables: list[Optional[tuple]] = []
+        self.vertices = Memo(lambda xy: Vertex(*xy))
 
-    def locate(self, positions: FrozenMap) -> int:
-        rel = at_origin(positions)[0]
-        c = self.index.get(rel)
+    def slots(self, layout: Mapping[MemberId, Vertex]) -> list[Vertex]:
+        """A layout's vertices in member order."""
+        if layout.keys() != self.slot.keys():
+            raise ValueError(f"layout members {sorted(layout)} differ from the search's members {list(self.members)}")
+        return [layout[m] for m in self.members]
+
+    def locate(self, slots) -> int:
+        """The class of the layout whose vertices `slots` lists in member order."""
+        anchor = min(slots)[0]
+        key = tuple([self.vertices[x - anchor, y] for x, y in slots]) if anchor else tuple(slots)
+        c = self.index.get(key)
         if c is None:
-            c = self.index[rel] = len(self.reps)
-            self.reps.append(rel)
-            self.seen.append(observe(rel, 1) if _connected(rel.values()) else None)
+            c = self.index[key] = len(self.reps)
+            self.reps.append(key)
+            self.seen.append(observe(dict(zip(self.members, key)), 1) if _connected(key) else None)
             self.tables.append(None)
         return c
 
@@ -315,16 +332,20 @@ class _Worlds:
         """(carried subsets, per-neighbor moves) of class c."""
         table = self.tables[c]
         if table is None:
-            rep = self.reps[c]
-            leader = rep[1]
-            carried_options = _subsets(tuple(sorted(m for m, v in rep.items() if m != 1 and v == leader)))
+            rep, members, lead = self.reps[c], self.members, self.slot[1]
+            leader = rep[lead]
+            carried_options = _subsets(tuple(m for m, v in zip(members, rep) if m != 1 and v == leader))
+            moved = [(lead, *(self.slot[m] for m in carried)) for carried in carried_options]
             reaches = []
             for w in neighbors(leader):
                 moves = []
-                for carried in carried_options:
-                    nxt = self.locate(move_onto(rep, carried, w))
+                for slots in moved:
+                    target = list(rep)
+                    for s in slots:
+                        target[s] = w
+                    nxt = self.locate(target)
                     moves.append(None if self.seen[nxt] is None else (nxt, self.seen[nxt]))
-                crowd = sum(1 << m for m, v in rep.items() if v == w)
+                crowd = sum(1 << m for m, v in zip(members, rep) if v == w)
                 reaches.append(((w.x - leader.x, w.y - leader.y), crowd, moves))
             table = self.tables[c] = (carried_options, reaches)
         return table
@@ -514,8 +535,10 @@ def _open_spots(schema: Schema) -> tuple[Vertex, ...]:
 
 
 def _placements(worlds: _Worlds, pebbles: FrozenMap, spots) -> tuple[tuple[int, FrozenMap], ...]:
-    """The layouts with the automaton on each spot, each with its class."""
-    return tuple((worlds.locate(positions), positions) for positions in (pebbles.set(1, s) for s in spots))
+    """The layouts with the automaton on each spot, each with its class,
+    located from the interpretation's vertex tuple with the spot put in."""
+    slots, lead = worlds.slots({**pebbles, 1: None}), worlds.slot[1]
+    return tuple((worlds.locate((*slots[:lead], s, *slots[lead + 1:])), pebbles.set(1, s)) for s in spots)
 
 
 def _schema_starts(worlds: _Worlds, a: Schema, b: Schema):
@@ -573,7 +596,7 @@ def worst_case_indistinguishable(
         raise ValueError("depth must be >= 1")
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    worlds = _Worlds()
+    worlds = _Worlds(range(1, a.pebbles + 2))
     return _search(worlds, _schema_starts(worlds, a, b), depth, max_nodes)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import re
 from collections import Counter
 from itertools import product
 
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from pebblewalk.collective import at_origin, transform_positions
+from pebblewalk.collective import at_origin, move_onto, transform_positions
 from pebblewalk.lattice import X_REFLECTION, Y_REFLECTION, Vertex, neighbors, vertex
 from pebblewalk.machine import observe
 from pebblewalk.schemas import (
@@ -593,20 +594,24 @@ ORDER_PAIRS = [
 ]
 
 
+def _layout(worlds, c):
+    """Class c's representative as a member -> vertex map."""
+    return FrozenMap(zip(worlds.members, worlds.reps[c]))
+
+
 def test_search_enumerates_like_the_reference(monkeypatch):
     """World classes, move tables and observation groups change no successor
     or start, nor their order, at any node the depth-12 searches expand: the
     starts are the reference's in prioritized order, each keyed by its pair
-    of classes, and a node's classes, read back as their representatives,
-    have the reference's successors, translated to least x 0."""
+    of classes, and a node's classes, read back as their representatives'
+    layouts, have the reference's successors, translated to least x 0."""
     tabled = schemas_module._joint_successors
     expanded = []
 
     def checked(worlds, ca, cb, steps):
         got = list(tabled(worlds, ca, cb, steps))
-        reps = worlds.reps
-        want = schemas_reference._joint_successors(reps[ca], reps[cb])
-        assert [(step, reps[na], reps[nb]) for step, na, nb in got] == [
+        want = schemas_reference._joint_successors(_layout(worlds, ca), _layout(worlds, cb))
+        assert [(step, _layout(worlds, na), _layout(worlds, nb)) for step, na, nb in got] == [
             (step, at_origin(na)[0], at_origin(nb)[0]) for step, na, nb in want
         ]
         expanded.append((ca, cb))
@@ -614,12 +619,14 @@ def test_search_enumerates_like_the_reference(monkeypatch):
 
     monkeypatch.setattr(schemas_module, "_joint_successors", checked)
     for a, b in ORDER_PAIRS:
-        worlds = schemas_module._Worlds()
+        worlds = schemas_module._Worlds(range(1, a.pebbles + 2))
         starts = list(schemas_module._schema_starts(worlds, a, b))
         want = schemas_reference._prioritized(schemas_reference._schema_starts(a, b))
         assert [(pos_a, pos_b) for _, pos_a, pos_b in starts] == want
+        classes = len(worlds.reps)
         for key, pos_a, pos_b in starts:
-            assert key == (worlds.locate(pos_a), worlds.locate(pos_b))
+            assert key == (worlds.locate(worlds.slots(pos_a)), worlds.locate(worlds.slots(pos_b)))
+        assert len(worlds.reps) == classes
         worst_case_indistinguishable(a, b, depth=12)
     assert expanded
 
@@ -629,12 +636,12 @@ def test_starts_locate_each_placement_once_and_observe_each_class_once(monkeypat
     located = []
     observed = []
 
-    def counted_locate(worlds, positions):
-        located.append(positions)
-        return locate(worlds, positions)
+    def counted_locate(worlds, slots):
+        located.append(FrozenMap(zip(worlds.members, slots)))
+        return locate(worlds, slots)
 
     def counted_observe(positions, member):
-        observed.append(positions)
+        observed.append((FrozenMap(positions), member))
         return observe(positions, member)
 
     monkeypatch.setattr(schemas_module._Worlds, "locate", counted_locate)
@@ -643,7 +650,7 @@ def test_starts_locate_each_placement_once_and_observe_each_class_once(monkeypat
     for a, b in ORDER_PAIRS:
         located.clear()
         observed.clear()
-        worlds = schemas_module._Worlds()
+        worlds = schemas_module._Worlds(range(1, a.pebbles + 2))
         starts = list(schemas_module._schema_starts(worlds, a, b))
         placements = [
             ia.set(1, spot)
@@ -653,9 +660,71 @@ def test_starts_locate_each_placement_once_and_observe_each_class_once(monkeypat
         ]
         paired += len(starts)
         assert sorted(located, key=repr) == sorted(placements, key=repr)
-        assert len(observed) == len(set(observed))
-        assert set(observed) <= set(worlds.reps)
+        # every placement is connected, so each class is observed, once
+        reps = [(_layout(worlds, c), 1) for c in range(len(worlds.reps))]
+        assert sorted(observed, key=repr) == sorted(reps, key=repr)
     assert paired
+
+
+ALL_PAIRS = [
+    (a, b) for pebbles in (2, 3) for a in sorted_schemas(enumerate_schemas(pebbles)) for b in sorted_schemas(enumerate_schemas(pebbles))
+]
+
+
+def test_move_table_targets_are_the_moved_layouts_classes(monkeypatch):
+    """Each entry of every move table the 146 depth-12 searches build holds
+    the class of the layout `move_onto` reaches, translated to least x 0,
+    with its observation, or None exactly when that layout is disconnected.
+    The entries include moves onto x = -1 and moves that empty column 0."""
+    table = schemas_module._Worlds.table
+    tabled: dict = {}
+
+    def recorded(worlds, c):
+        tabled.setdefault(worlds, set()).add(c)
+        return table(worlds, c)
+
+    monkeypatch.setattr(schemas_module._Worlds, "table", recorded)
+    for a, b in ALL_PAIRS:
+        worst_case_indistinguishable(a, b, depth=12)
+    assert len(ALL_PAIRS) == 146 and tabled
+    anchors = Counter()
+    for worlds, classes in tabled.items():
+        for c in classes:
+            layout = _layout(worlds, c)
+            leader = layout[1]
+            carried_options, reaches = worlds.tables[c]
+            assert carried_options == schemas_module._subsets(tuple(sorted(m for m, v in layout.items() if m != 1 and v == leader)))
+            for w, (offset, crowd, moves) in zip(neighbors(leader), reaches, strict=True):
+                assert offset == (w.x - leader.x, w.y - leader.y)
+                assert crowd == sum(1 << m for m, v in layout.items() if v == w)
+                for carried, move in zip(carried_options, moves, strict=True):
+                    want, anchor = at_origin(move_onto(layout, carried, w))
+                    anchors[anchor] += 1
+                    key = tuple(want[m] for m in worlds.members)
+                    if schemas_reference._connected(frozenset(want.values())):
+                        assert move == (worlds.index[key], observe(want, 1))
+                    else:
+                        assert move is None and key in worlds.index
+    assert anchors[-1] and anchors[1] and anchors[0]
+
+
+def test_world_classes_ignore_map_order_and_refuse_other_members():
+    worlds = schemas_module._Worlds([3, 1, 2])
+    assert worlds.members == (1, 2, 3)
+    first = FrozenMap({1: Vertex(2, 0), 2: Vertex(3, 0), 3: Vertex(2, 1)})
+    last = FrozenMap({2: Vertex(3, 0), 3: Vertex(2, 1), 1: Vertex(2, 0)})
+    assert list(first) != list(last)
+    c = worlds.locate(worlds.slots(first))
+    assert worlds.locate(worlds.slots(last)) == c
+    assert worlds.locate(worlds.slots({3: Vertex(-4, 1), 1: Vertex(-4, 0), 2: Vertex(-3, 0)})) == c
+    assert _layout(worlds, c) == at_origin(first)[0]
+    swapped = worlds.locate(worlds.slots({1: Vertex(2, 0), 2: Vertex(2, 1), 3: Vertex(3, 0)}))
+    assert swapped != c
+    for other in ({1: Vertex(0, 0), 2: Vertex(1, 0)}, {**first, 4: Vertex(2, 0)}, {1: Vertex(0, 0), 2: Vertex(1, 0), 4: Vertex(0, 1)}):
+        message = f"layout members {sorted(other)} differ from the search's members [1, 2, 3]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            worlds.slots(other)
+    assert len(worlds.reps) == 2
 
 
 @pytest.mark.parametrize(

@@ -73,9 +73,15 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
     monkeypatch.setattr(bench, "WARM_UP", [sys.executable, "-c", "open('warmed', 'x')"])
     warmed = "import os, sys; sys.exit(not os.path.exists('warmed'))"
 
+    # "ok" logs each run's checkout, so the log shows the runs' order.
+    log = tmp_path / "order.log"
+
     def commands(out_dir):
         # The stub fails unless it runs in the checkout with its src on PYTHONPATH.
-        where = "import os, sys; sys.exit(os.environ['PYTHONPATH'] != os.path.join(os.getcwd(), 'src') or os.path.exists('warmed'))"
+        where = (
+            f"import os, sys; open({str(log)!r}, 'a').write(os.path.basename(os.getcwd()) + ' '); "
+            "sys.exit(os.environ['PYTHONPATH'] != os.path.join(os.getcwd(), 'src') or os.path.exists('warmed'))"
+        )
         return {
             "ok": [sys.executable, "-c", where],
             "fails": [sys.executable, "-c", "raise SystemExit(4)"],
@@ -101,10 +107,19 @@ def test_bench_writes_one_file_and_never_overwrites_it(tmp_path, capsys, monkeyp
         {"seed": 6, "first": True, "failed": 0, "attempted": 3},
     ]
     assert side["trace_counts"] == {"pin.machine.validate_pebble.calls": 7}
+    # Each timed command runs REPEATS times per side, sides alternating; the
+    # warm-up runs once per side, since a second run could not create its file.
+    assert bench.REPEATS == 3
+    assert log.read_text().split() == ["parent", "change", "change", "parent", "parent", "change"]
     for side in report["sides"].values():
         assert list(side["timed"]) == ["ok", "fails", "tests"]
-        assert [side["timed"][name]["exit"] for name in side["timed"]] == [0, 4, 0]
-        assert all(run["wall_s"] > 0 and run["cpu_s"] >= 0 and run["peak_rss_mb"] > 0 for run in side["timed"].values())
+        assert [side["timed"][name]["exit"] for name in side["timed"]] == [[0] * 3, [4] * 3, [0] * 3]
+        for run in side["timed"].values():
+            assert list(run) == ["exit", "wall_s", "cpu_s", "peak_rss_mb"]
+            for key in ("wall_s", "cpu_s", "peak_rss_mb"):
+                values = run[key]["values"]
+                assert len(values) == 3 and run[key]["median"] == sorted(values)[1]
+            assert min(run["wall_s"]["values"]) > 0 and min(run["cpu_s"]["values"]) >= 0 and min(run["peak_rss_mb"]["values"]) > 0
     baselines = ["baseline-10", "baseline-11", "baseline-12", "baseline-13-caterpillar"]
     timed = bench.timed_commands(tmp_path)
     defeats = [f"defeat_{name}" for name in baselines]
