@@ -30,7 +30,7 @@ from pebblewalk.collective import (
     position_sums,
     run,
 )
-from pebblewalk.graph import Graph, cycle_components, cycle_means
+from pebblewalk.graph import Graph, _bases, _find_zero_walk, _shortest_zero_walk
 from pebblewalk.lattice import Vertex
 from pebblewalk.util import FrozenMap
 
@@ -203,8 +203,9 @@ def search_lasso(
     search stops at the first look that finds one.  While every Move but
     the ones that discovered a class is missing, the graph is a tree and the
     look is skipped.  A search that no look stops expands the whole quotient
-    and then decides exactly, by cycle means.  Ties go as _shortest_zero_walk
-    says, so the certificate does not depend on where the search stopped.
+    and then decides exactly, by cycle means.  Ties go as
+    `graph._shortest_zero_walk` says, so the certificate does not depend on
+    where the search stopped.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -251,125 +252,6 @@ def search_lasso(
     _, base, cycle_edges = found
     _, prefix_edges = g.tree_path(base)
     return SearchOutcome(_certificate_from_edges(g, prefix_edges, cycle_edges), not truncated, stats)
-
-
-_Lasso = tuple[int, int, list[int]]  # (length, base node, cycle edge list)
-_Component = tuple[list[int], list[int]]  # (nodes, inner edges), as cycle_components gives it
-_Out = dict[int, list[tuple[int, int, int]]]  # node -> (edge, dst, weight) for each edge out of it
-_Base = tuple[int, int, _Out, int]  # (depth, node, out edges, step)
-
-
-def _bases(g: Graph) -> tuple[list[_Base], list[_Component]]:
-    """Every node a zero-weight closed walk could start from, in (depth,
-    node) order, with the edges such a walk can follow out of each node of
-    its component and their largest |weight| (step); and the components of
-    mixed sign.
-
-    A component whose weights all have one sign holds a zero walk exactly
-    when its weight-0 edges close a cycle, and only the weight-0 edges on
-    such a cycle can lie on one, so only their nodes are bases, with step
-    0, and a walk there follows only them.  Every node of a component of
-    mixed sign is a base.
-    """
-    bases = []
-    mixed = []
-    zero = []
-    for nodes, edges in cycle_components(g):
-        weights = [g.edges[ei].weight for ei in edges]
-        if min(weights) >= 0 or max(weights) <= 0:
-            zero += [ei for ei, w in zip(edges, weights) if w == 0]
-        else:
-            mixed.append((nodes, edges))
-            bases += _component_bases(g, edges, max(map(abs, weights)))
-    for nodes, edges in cycle_components(g, zero) if zero else ():
-        bases += _component_bases(g, edges, 0)
-    bases.sort(key=lambda b: b[:2])
-    return bases, mixed
-
-
-def _component_bases(g: Graph, edges: list[int], step: int) -> list[_Base]:
-    out: _Out = {}
-    for ei in edges:
-        e = g.edges[ei]
-        out.setdefault(e.src, []).append((ei, e.dst, e.weight))
-    return [(g.depths[u], u, out, step) for u in out]
-
-
-def _shortest_zero_walk(bases: list[_Base], limit: int) -> Optional[_Lasso]:
-    """The shortest lasso from bases of length at most limit, or None.
-
-    A lasso's length is its base's depth plus its walk's length.  Bases are
-    searched exactly, in (depth, node) order, each cut at the best length
-    found so far, so a tie goes to the lowest base, then to the first walk
-    in edge order.
-    """
-    best = None
-    for depth, base, out, step in bases:
-        budget = limit - depth if best is None else best[0] - depth - 1
-        if budget < 1:
-            break
-        walk = _zero_walk_at(base, out, step, budget)
-        if walk is not None:
-            best = depth + len(walk), base, walk
-    return best
-
-
-def _find_zero_walk(g: Graph, limit: int) -> Optional[_Lasso]:
-    """The shortest lasso in g, or None when g holds no zero-weight closed walk.
-
-    Looks at lengths limit, 2 * limit, ... find it: each look is exact up to
-    its length, so the first lasso found is a shortest one.  When the first
-    look finds none, the cycles decide whether any exists.  A base of step
-    0 lies on a weight-0 cycle.  A component of mixed sign holds a zero walk
-    exactly when its least cycle mean is at most 0 and its greatest at
-    least 0: a zero walk splits into cycles of the component whose weights
-    sum to 0, and a cycle of weight p > 0 and one of weight -q < 0 in one
-    component, repeated and joined by the paths between them, close a walk
-    of weight 0.
-    """
-    bases, mixed = _bases(g)
-    found = _shortest_zero_walk(bases, limit)
-    if found is None and all(step for *_, step in bases) and not any(lo <= 0 <= hi for lo, hi in cycle_means(g, mixed)):
-        return None
-    while found is None:
-        limit *= 2
-        found = _shortest_zero_walk(bases, limit)
-    return found
-
-
-def _zero_walk_at(base: int, out: _Out, step: int, budget: int) -> Optional[list[int]]:
-    """Edge list of a shortest zero-weight closed walk at base of at most
-    budget edges along the edges in out, whose weights are at most step in
-    size, or None.
-
-    Breadth-first over (node, partial weight), edges in list order, so the
-    walk is the first of the shortest in that order.  A partial weight is
-    dropped only when the edges left cannot bring it back to 0, so the
-    search is exact.
-    """
-    start = (base, 0)
-    back: dict[tuple[int, int], Optional[tuple[tuple[int, int], int]]] = {start: None}
-    level = [start]
-    length = 0
-    while level and length < budget:
-        length += 1
-        cap = (budget - length) * step
-        ahead = []
-        for here in level:
-            u, s = here
-            for ei, v, w in out.get(u, ()):
-                t = s + w
-                if t == 0 and v == base:
-                    walk = [ei]
-                    while back[here] is not None:
-                        here, ei = back[here]
-                        walk.append(ei)
-                    return walk[::-1]
-                if -cap <= t <= cap and (v, t) not in back:
-                    back[v, t] = here, ei
-                    ahead.append((v, t))
-        level = ahead
-    return None
 
 
 def _certificate_from_edges(g: Graph, prefix_edges: list[int], cycle_edges: list[int]) -> LassoCertificate:

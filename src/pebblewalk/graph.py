@@ -1,13 +1,15 @@
-"""The quotient graph both searches grow, and the two questions they ask of it.
+"""The quotient graph the searches grow, and the cycle questions they ask of it.
 
 Nodes are translation classes indexed by canonical key; each keeps one
 representative, its depth and the edge that discovered it.  Edges are any
 objects with integer `src` and `dst` fields plus the payload their search
-needs.  Both searches ask cycle questions: the lasso search wants a
-zero-weight closed walk, the joint schema search a transfer edge on a
-cycle.  `cycle_components` gives each the components that hold an edge,
-and `cycle_means` the least and greatest mean weight of a component's
-cycles.
+needs.  The joint schema search wants a transfer edge on a cycle, which
+`cycle_components` gives: the components that hold an edge.  The lasso
+search and the confinement-cycle search want a shortest zero-weight closed
+walk, over edges with an integer `weight`; the one engine for it is
+`_find_zero_walk`, with `_shortest_zero_walk` for a look of bounded length,
+and it decides a walk's existence by `cycle_means`, the least and greatest
+mean weight of a component's cycles.
 """
 
 from __future__ import annotations
@@ -181,3 +183,122 @@ def _least_mean(arcs: list[tuple[int, int, int]], n: int, scale: int) -> int:
         for v in range(n)
         if walks[n][v] < math.inf
     )
+
+
+_Lasso = tuple[int, int, list[int]]  # (length, base node, cycle edge list)
+_Component = tuple[list[int], list[int]]  # (nodes, inner edges), as cycle_components gives it
+_Out = dict[int, list[tuple[int, int, int]]]  # node -> (edge, dst, weight) for each edge out of it
+_Base = tuple[int, int, _Out, int]  # (depth, node, out edges, step)
+
+
+def _bases(g: Graph) -> tuple[list[_Base], list[_Component]]:
+    """Every node a zero-weight closed walk could start from, in (depth,
+    node) order, with the edges such a walk can follow out of each node of
+    its component and their largest |weight| (step); and the components of
+    mixed sign.
+
+    A component whose weights all have one sign holds a zero walk exactly
+    when its weight-0 edges close a cycle, and only the weight-0 edges on
+    such a cycle can lie on one, so only their nodes are bases, with step
+    0, and a walk there follows only them.  Every node of a component of
+    mixed sign is a base.
+    """
+    bases = []
+    mixed = []
+    zero = []
+    for nodes, edges in cycle_components(g):
+        weights = [g.edges[ei].weight for ei in edges]
+        if min(weights) >= 0 or max(weights) <= 0:
+            zero += [ei for ei, w in zip(edges, weights) if w == 0]
+        else:
+            mixed.append((nodes, edges))
+            bases += _component_bases(g, edges, max(map(abs, weights)))
+    for nodes, edges in cycle_components(g, zero) if zero else ():
+        bases += _component_bases(g, edges, 0)
+    bases.sort(key=lambda b: b[:2])
+    return bases, mixed
+
+
+def _component_bases(g: Graph, edges: list[int], step: int) -> list[_Base]:
+    out: _Out = {}
+    for ei in edges:
+        e = g.edges[ei]
+        out.setdefault(e.src, []).append((ei, e.dst, e.weight))
+    return [(g.depths[u], u, out, step) for u in out]
+
+
+def _shortest_zero_walk(bases: list[_Base], limit: int) -> Optional[_Lasso]:
+    """The shortest lasso from bases of length at most limit, or None.
+
+    A lasso's length is its base's depth plus its walk's length.  Bases are
+    searched exactly, in (depth, node) order, each cut at the best length
+    found so far, so a tie goes to the lowest base, then to the first walk
+    in edge order.
+    """
+    best = None
+    for depth, base, out, step in bases:
+        budget = limit - depth if best is None else best[0] - depth - 1
+        if budget < 1:
+            break
+        walk = _zero_walk_at(base, out, step, budget)
+        if walk is not None:
+            best = depth + len(walk), base, walk
+    return best
+
+
+def _find_zero_walk(g: Graph, limit: int) -> Optional[_Lasso]:
+    """The shortest lasso in g, or None when g holds no zero-weight closed walk.
+
+    Looks at lengths limit, 2 * limit, ... find it: each look is exact up to
+    its length, so the first lasso found is a shortest one.  When the first
+    look finds none, the cycles decide whether any exists.  A base of step
+    0 lies on a weight-0 cycle.  A component of mixed sign holds a zero walk
+    exactly when its least cycle mean is at most 0 and its greatest at
+    least 0: a zero walk splits into cycles of the component whose weights
+    sum to 0, and a cycle of weight p > 0 and one of weight -q < 0 in one
+    component, repeated and joined by the paths between them, close a walk
+    of weight 0.
+    """
+    bases, mixed = _bases(g)
+    found = _shortest_zero_walk(bases, limit)
+    if found is None and all(step for *_, step in bases) and not any(lo <= 0 <= hi for lo, hi in cycle_means(g, mixed)):
+        return None
+    while found is None:
+        limit *= 2
+        found = _shortest_zero_walk(bases, limit)
+    return found
+
+
+def _zero_walk_at(base: int, out: _Out, step: int, budget: int) -> Optional[list[int]]:
+    """Edge list of a shortest zero-weight closed walk at base of at most
+    budget edges along the edges in out, whose weights are at most step in
+    size, or None.
+
+    Breadth-first over (node, partial weight), edges in list order, so the
+    walk is the first of the shortest in that order.  A partial weight is
+    dropped only when the edges left cannot bring it back to 0, so the
+    search is exact.
+    """
+    start = (base, 0)
+    back: dict[tuple[int, int], Optional[tuple[tuple[int, int], int]]] = {start: None}
+    level = [start]
+    length = 0
+    while level and length < budget:
+        length += 1
+        cap = (budget - length) * step
+        ahead = []
+        for here in level:
+            u, s = here
+            for ei, v, w in out.get(u, ()):
+                t = s + w
+                if t == 0 and v == base:
+                    walk = [ei]
+                    while back[here] is not None:
+                        here, ei = back[here]
+                        walk.append(ei)
+                    return walk[::-1]
+                if -cap <= t <= cap and (v, t) not in back:
+                    back[v, t] = here, ei
+                    ahead.append((v, t))
+        level = ahead
+    return None

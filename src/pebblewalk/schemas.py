@@ -18,19 +18,20 @@ configurations can share one.  On top of that quotient the module provides:
   outlives the call,
 * the graph of single-pebble relocations between neighboring vertices,
   labeled by whether the target vertex was occupied, and
-* extraction of confined cycles from that graph, certified by a concrete
-  replay that returns every pebble to its starting vertex.
+* the shortest confined cycle of that graph: a zero-weight closed walk on
+  the pebble layouts modulo x-translation, so its moves return every pebble
+  to its starting vertex.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .collective import at_origin, move_onto
-from .graph import Graph, bfs_path, cycle_components
+from .graph import Graph, _find_zero_walk, bfs_path, cycle_components
 from .lattice import IDENTITY, X_REFLECTION, Y_REFLECTION, Symmetry, Vertex, neighbors, vertex
 from .machine import MemberId, Observation, observe, occupants
 from .util import FrozenMap, Memo
@@ -602,12 +603,11 @@ def worst_case_indistinguishable(
 
 # --- confined cycles -------------------------------------------------------
 
-MAX_CYCLE_LEN = 6  # edges in the longest closed schema walk tried
-
 
 @dataclass(frozen=True)
 class ConfinementCycle:
-    """A closed schema walk certified by a concrete zero-drift replay."""
+    """A closed schema walk with the moves that realize it from `start`,
+    returning every pebble to its starting vertex."""
 
     steps: tuple[tuple[Schema, str], ...]
     start: tuple[Vertex, ...]
@@ -615,83 +615,65 @@ class ConfinementCycle:
     x_spread: int
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+class _Relocation(NamedTuple):
+    src: int
+    dst: int
+    weight: int  # the least x of the moved layout: the shift of its anchor
+    step: tuple[Schema, str]  # source schema and label
+    move: tuple[Vertex, Vertex]
 
 
-def _cycles_from(adjacency, start: Schema, current: Schema, path: list, visited: set):
-    """Closed walks back to `start` that extend `path`, which ends at `current`."""
-    for edge in adjacency.get(current, ()):
-        if edge.target == start:
-            yield [*path, edge]
-        elif edge.target not in visited and len(path) + 1 < MAX_CYCLE_LEN:
-            yield from _cycles_from(adjacency, start, edge.target, [*path, edge], visited | {edge.target})
-
-
-def _replay_from(cycle_edges, pebbles: int, initial, occupancy, i, moves, xs):
-    """Moves replaying cycle_edges[i:] from `occupancy` back to `initial`, with the x values met."""
-    if i == len(cycle_edges):
-        return (moves, xs) if occupancy == initial else None
-    edge = cycle_edges[i]
-    if Schema(frozenset(occupancy), pebbles) != edge.source:
-        return None
-    for src in sorted(occupancy):
-        for dst in neighbors(src):
-            if (occupancy.get(dst, 0) >= 1) != (edge.label == TO_OCCUPIED):
-                continue
-            after = Counter(occupancy)
-            after[src] -= 1
-            if after[src] == 0:
-                del after[src]
-            after[dst] += 1
-            if Schema(frozenset(after), pebbles) != edge.target:
-                continue
-            out = _replay_from(cycle_edges, pebbles, initial, after, i + 1, [*moves, (src, dst)], xs | {dst.x})
-            if out is not None:
-                return out
-    return None
-
-
-def _replay_cycle(cycle_edges, pebbles: int):
-    cells = cycle_edges[0].source.sorted_vertices
-    for counts in _compositions(pebbles, len(cells)):
-        initial = Counter(dict(zip(cells, counts)))
-        out = _replay_from(cycle_edges, pebbles, initial, initial, 0, [], {v.x for v in initial})
-        if out is not None:
-            moves, xs = out
-            start = tuple(sorted(v for v, c in initial.items() for _ in range(c)))
-            return start, tuple(moves), max(xs) - min(xs)
-    return None
+def _layout_graph(graph: SchemaGraph, pool: Iterable[Schema]) -> Graph:
+    """The pebble layouts of the pool's schemas, as sorted vertex tuples at
+    least x 0, with an edge per single-pebble relocation, in `neighbors`
+    order, whose (source, target, label) is an edge of `graph`."""
+    allowed = {(e.source, e.target, e.label) for e in graph.edges}
+    g = Graph()
+    for schema in pool:
+        for layout in _interpretations(schema):
+            key = tuple(sorted(layout.values()))
+            if key not in g.index:
+                g.add_node(key, key, 0)
+    for u, layout in enumerate(g.reps):
+        source = Schema(frozenset(layout), graph.pebbles)
+        for i, src in enumerate(layout):
+            if i and layout[i - 1] == src:
+                continue  # stacked pebbles move alike
+            for dst in neighbors(src):
+                label = TO_OCCUPIED if dst in layout else TO_FREE
+                after = sorted((*layout[:i], *layout[i + 1:], dst))
+                if (source, Schema(frozenset(after), graph.pebbles), label) not in allowed:
+                    continue
+                shift = after[0].x
+                v = g.index.get(tuple(Vertex(x - shift, y) for x, y in after))
+                if v is not None:
+                    g.add_edge(_Relocation(u, v, shift, (source, label), (src, dst)))
+    return g
 
 
 def find_confinement_cycle(graph: SchemaGraph) -> Optional[ConfinementCycle]:
-    """First closed schema walk whose replay returns every pebble home.
+    """A shortest closed schema walk whose moves return every pebble home.
 
-    Walks have at most MAX_CYCLE_LEN edges.  Walks avoiding single-vertex schemas are preferred because collapsing
-    all pebbles onto one vertex forgets the layout's orientation; stacked
-    walks are still returned when nothing else closes.
+    Such a walk is a zero-weight closed walk on the layouts modulo
+    x-translation, which `_find_zero_walk` finds exactly, with no length
+    cap.  Walks avoiding single-vertex schemas are preferred because
+    collapsing all pebbles onto one vertex forgets the layout's
+    orientation; stacked walks are still returned when nothing else
+    closes.  Ties go to the first layout in schema order, then to the
+    first walk in `neighbors` order.
     """
-    adjacency: dict[Schema, list[TransferEdge]] = {}
-    for edge in graph.edges:
-        adjacency.setdefault(edge.source, []).append(edge)
-    for edge_list in adjacency.values():
-        edge_list.sort(key=lambda e: (e.target.key, e.label))
     spread_out = [s for s in sorted_schemas(graph.nodes) if len(s.vertices) >= 2]
-    for pool in (spread_out, list(sorted_schemas(graph.nodes))):
-        members = set(pool)
-        pruned = {
-            s: [e for e in adjacency.get(s, []) if e.target in members] for s in pool
-        }
-        for start in pool:
-            for cycle_edges in _cycles_from(pruned, start, start, [], {start}):
-                replay = _replay_cycle(cycle_edges, graph.pebbles)
-                if replay is not None:
-                    start_layout, moves, spread = replay
-                    steps = tuple((e.source, e.label) for e in cycle_edges)
-                    return ConfinementCycle(steps, start_layout, moves, spread)
+    for pool in (spread_out, sorted_schemas(graph.nodes)):
+        g = _layout_graph(graph, pool)
+        found = _find_zero_walk(g, 1)
+        if found is not None:
+            _, base, walk = found
+            anchor, xs, moves = 0, {v.x for v in g.reps[base]}, []
+            for e in (g.edges[ei] for ei in walk):
+                (sx, sy), (dx, dy) = e.move
+                moves.append((Vertex(sx + anchor, sy), Vertex(dx + anchor, dy)))
+                anchor += e.weight
+                xs.update(x + anchor for x, _ in g.reps[e.dst])
+            steps = tuple(g.edges[ei].step for ei in walk)
+            return ConfinementCycle(steps, g.reps[base], tuple(moves), max(xs) - min(xs))
     return None

@@ -8,11 +8,16 @@ two rows."""
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from pebblewalk.collective import move_onto
 from pebblewalk.lattice import neighbors
 from pebblewalk.machine import observe, occupants
 from pebblewalk.schemas import (
+    TO_FREE,
+    TO_OCCUPIED,
     JointStep,
+    Schema,
     _interpretations,
     _leader_spots,
     _middle_vertex,
@@ -98,3 +103,60 @@ def _prioritized(pairs) -> list:
 
     ordered.sort(key=rank)
     return ordered
+
+
+def _relocations(layout, allowed, members, pebbles):
+    """Every layout of a schema in `members` that one single-pebble
+    relocation, whose schema edge is in `allowed`, reaches from `layout`,
+    a sorted tuple of absolute vertices."""
+    source = Schema(frozenset(layout), pebbles)
+    for src in sorted(set(layout)):
+        for dst in neighbors(src):
+            label = TO_OCCUPIED if dst in layout else TO_FREE
+            after = list(layout)
+            after.remove(src)
+            after = tuple(sorted((*after, dst)))
+            target = Schema(frozenset(after), pebbles)
+            if target in members and (source, target, label) in allowed:
+                yield after
+
+
+def _shortest_return(start, moves, limit):
+    """Edges in a shortest closed walk at start of at most limit edges, or None."""
+    level, seen = [start], {start}
+    for length in range(1, limit + 1):
+        ahead = []
+        for layout in level:
+            for after in moves(layout):
+                if after == start:
+                    return length
+                if after not in seen:
+                    seen.add(after)
+                    ahead.append(after)
+        level = ahead
+    return None
+
+
+def shortest_confinement_cycle(graph, cap):
+    """(length, whether it avoids single-vertex schemas) of a shortest
+    closed walk of relocations over absolute pebble multisets, in the
+    spread-out schemas if any closes there within `cap` edges and else in
+    all of them, or None.
+
+    A walk may start at any layout of a pool schema at least x 0, since
+    every closed walk can be translated there, and breadth-first search
+    from each start finds its shortest return."""
+    allowed = {(e.source, e.target, e.label) for e in graph.edges}
+    spread_out = [s for s in graph.nodes if len(s.vertices) >= 2]
+    for pool, spread in ((spread_out, True), (graph.nodes, False)):
+        members = set(pool)
+        moves = lambda layout: _relocations(layout, allowed, members, graph.pebbles)
+        best = None
+        for schema in pool:
+            for start in combinations_with_replacement(schema.sorted_vertices, graph.pebbles):
+                if set(start) == schema.vertices:
+                    length = _shortest_return(start, moves, cap if best is None else best - 1)
+                    best = length or best
+        if best is not None:
+            return best, spread
+    return None

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pebblewalk import adversary
+from pebblewalk import graph
 from pebblewalk.adversary import (
     FirstOption,
     LassoCertificate,
@@ -17,7 +17,6 @@ from pebblewalk.adversary import (
     ScriptedChoices,
     ScriptError,
     SeededRandom,
-    _find_zero_walk,
     canonicalize,
     defeat_strategy,
     finalize_certificate,
@@ -32,7 +31,7 @@ from pebblewalk.collective import (
     plan_step,
     run,
 )
-from pebblewalk.graph import Graph, cycle_components, cycle_means
+from pebblewalk.graph import Graph, _find_zero_walk, cycle_components, cycle_means
 from pebblewalk.lattice import vertex, x_translation
 from pebblewalk.machine import MOVE_TO_FREE, STAY, Automaton, ObservationPattern, Rule, move_to_set, pebble
 from pebblewalk.strategies import (
@@ -379,8 +378,8 @@ def test_walker_admits_no_lasso():
 def test_walker_search_walks_from_no_base(monkeypatch):
     # walker14's weight-0 Moves close no cycle, so no node is a base.
     calls = []
-    zero_walk_at = adversary._zero_walk_at
-    monkeypatch.setattr(adversary, "_zero_walk_at", lambda *args, **kw: calls.append(args) or zero_walk_at(*args, **kw))
+    zero_walk_at = graph._zero_walk_at
+    monkeypatch.setattr(graph, "_zero_walk_at", lambda *args, **kw: calls.append(args) or zero_walk_at(*args, **kw))
     assert search_lasso(build_walker().initial_state(), max_depth=200).verdict == "not-found"
     assert calls == []
 

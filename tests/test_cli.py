@@ -397,6 +397,12 @@ def test_schemas_graph_has_solid_transfer_edge(capsys):
     assert any(line.count("(") >= 5 for line in solid)
 
 
+@pytest.mark.parametrize("pebbles", ["2", "3"])
+def test_schemas_graph_reports_the_confinement_cycle(capsys, pebbles):
+    assert main(["schemas", pebbles, "--emit", "graph"]) == 0
+    assert capsys.readouterr().err == "// confinement cycle of length 2 found\n"
+
+
 def test_schemas_rejects_unsupported_count(capsys):
     assert main(["schemas", "4", "--emit", "list"]) == 2
 
